@@ -17,8 +17,7 @@ from .quadrature import quadrature_rule, triangle_rule, edge_rule, composite_rul
 from .forms import (ProblemSpec, FormParams, sipg_eta, assemble_bh,
                     assemble_gram, assemble_load, vh_norm, NumericalBreakdown)
 from .penalty import (PenaltyConfig, PenaltyOperator, negative_part,
-                      compute_gamma, compute_gammas, strong_residual,
-                      assemble_penalty_residual, assemble_penalty_jacobian)
+                      compute_gamma, compute_gammas, strong_residual)
 from .solver import (NewtonOptions, NewtonResult, assemble_newton_system,
                      build_operators, solve_linear_resmin, newton_solve,
                      damped_update, SolverBreakdown)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import build_space
-from .forms import FormParams, _contexts, sipg_eta
+from .forms import FormParams, _contexts, element_context, sipg_eta
 from .mesh import bisect_marked
 from .solver import (NewtonOptions, build_operators, clip_inset,
                      newton_solve, solve_linear_resmin)
@@ -166,8 +166,7 @@ def prolong(u_coeffs, old_space, new_space):
 
 def _extrema(space, coeffs, degree):
     """Min/max over element quadrature points and Lagrange nodes."""
-    from .forms import ElementContext
-    ec = ElementContext(space, degree)
+    ec = element_context(space, degree)
     vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 
@@ -292,6 +291,9 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
             stop_reason = "estimator vanished"
             break
         prev = (U_h, u)
+        # the shared quadrature/geometry tables die with their level
+        U_h.contexts.clear()
+        V_h.contexts.clear()
         mesh = bisect_marked(mesh, marks)
 
     result.stop_reason = stop_reason

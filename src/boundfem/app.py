@@ -65,13 +65,12 @@ class RunResult:
     out_dir: str | None
 
 
-def run_case(name, out_dir=None, with_penalty=True, seed=None, threads=1, **overrides):
+def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     """Execute a case's designated pipeline and write its artifacts.
 
     Overrides accept the CaseDefinition field names (gamma0, tol, p, levels,
-    theta_mark, upper_sign, layer_scaling, ...). `seed` and `threads` are
-    recorded for reproducibility; the solver itself is deterministic and
-    single-threaded.
+    theta_mark, upper_sign, layer_scaling, ...). `seed` is recorded for
+    reproducibility; the solver itself is deterministic.
     """
     case = get_case(name).with_overrides(**overrides)
     problem = case.problem()
@@ -80,8 +79,7 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, threads=1, **over
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
-                        {"with_penalty": with_penalty, "seed": seed,
-                         "threads": f"{threads} (solver is single-threaded)"})
+                        {"with_penalty": with_penalty, "seed": seed})
 
     newton_log = []
     records = []
@@ -103,6 +101,7 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, threads=1, **over
         U_h = build_space(mesh, case.p, "continuous")
         V_h = build_space(mesh, case.p, "broken")
         ops = build_operators(problem, U_h, V_h, params)
+        V_h.contexts.clear()     # nothing else on this mesh uses them; free them before the solve
         if pen is None:
             sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
             u, eps = sol.u, sol.eps
@@ -194,6 +193,7 @@ def convergence_study(name, levels=None, mode=None, with_penalty=False,
             U_h = build_space(mesh, case.p, "continuous")
             V_h = build_space(mesh, case.p, "broken")
             ops = build_operators(problem, U_h, V_h, params)
+            V_h.contexts.clear()     # free them before the solve, as in run_case
             if pen is None:
                 sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
                 u, eps = sol.u, sol.eps

@@ -69,8 +69,6 @@ def make_parser():
     common.add_argument("--layer-scaling", choices=("sharp", "shallow"),
                         help="inlet tanh scaling for case2/case3")
     common.add_argument("--out-dir", help="artifact output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="recorded only; the solver is single-threaded")
     common.add_argument("--seed", type=int, help="recorded for reproducibility")
 
     sub.add_parser("run", parents=[common], help="run one case end to end")
@@ -125,7 +123,7 @@ def main(argv=None):
     if args.command == "run":
         result = run_case(args.case, out_dir=args.out_dir,
                           with_penalty=not args.no_penalty,
-                          seed=args.seed, threads=args.threads, **over)
+                          seed=args.seed, **over)
         if result.violation is not None:
             rep = result.violation
             print(f"{args.case}: range [{rep.u_min:.6g}, {rep.u_max:.6g}], "

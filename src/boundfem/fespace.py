@@ -122,6 +122,8 @@ class FunctionSpace:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
         self._node_coords = None
+        # quadrature/geometry tables by (kind, degree); see forms.element_context
+        self.contexts = {}
 
     def node_coords(self):
         """Physical coordinates of every global dof (nodal bases only)."""
@@ -178,36 +180,24 @@ def eval_basis(space, element, point):
 
 
 def _continuous_dofmap(mesh, p):
-    nv = mesh.n_vertices
-    elems = mesh.elements
-    ne = len(elems)
-    edge_ids = {}
-    for e in range(ne):
-        a, b, c = elems[e]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            if key not in edge_ids:
-                edge_ids[key] = len(edge_ids)
-    n_edges = len(edge_ids)
+    """Continuous dofmap from the mesh edge table; see the `mesh` module docstring."""
+    nv, ne = mesh.n_vertices, mesh.n_elements
+    if p == 1:
+        return mesh.elements, nv
+    n_edges = len(mesh.edges)
     n_edge_dofs = p - 1
     n_int = (p - 1) * (p - 2) // 2
-    n_local = (p + 1) * (p + 2) // 2
-
-    dofmap = np.empty((ne, n_local), dtype=np.int64)
-    dofmap[:, 0:3] = elems
-    for e in range(ne):
-        a, b, c = elems[e]
-        loc = 3
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            base = nv + edge_ids[key] * n_edge_dofs
-            for i in range(n_edge_dofs):
-                slot = i if u < v else n_edge_dofs - 1 - i
-                dofmap[e, loc] = base + slot
-                loc += 1
-        for i in range(n_int):
-            dofmap[e, loc] = nv + n_edges * n_edge_dofs + e * n_int + i
-            loc += 1
+    # rank edges by first appearance in elem2edge, row by row
+    _, first = np.unique(mesh.elem2edge, return_index=True)
+    rank = np.empty(n_edges, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_edges)
+    elems = mesh.elements
+    forward = elems < np.roll(elems, -1, axis=1)
+    i = np.arange(n_edge_dofs)
+    slot = np.where(forward[:, :, None], i, n_edge_dofs - 1 - i)
+    edge_dofs = nv + rank[mesh.elem2edge][:, :, None] * n_edge_dofs + slot
+    interior = nv + n_edges * n_edge_dofs + np.arange(ne * n_int).reshape(ne, n_int)
+    dofmap = np.hstack([elems, edge_dofs.reshape(ne, -1), interior])
     return dofmap, nv + n_edges * n_edge_dofs + ne * n_int
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import scalar_field, vector_field
-from .mesh import char_tolerance
+from .mesh import _freeze, char_tolerance
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -119,7 +119,11 @@ def sipg_eta(p, d, K, h_F, eta0=3.0):
 # ----------------------------------------------------------------------
 
 class ElementContext:
-    """Per-element quadrature table: physical points, weights, basis traces."""
+    """Per-element quadrature table: physical points, weights, basis traces.
+
+    All arrays are read-only, because one context is shared by every caller
+    on its space (see `element_context`).
+    """
 
     def __init__(self, space, degree, rule=None):
         mesh = space.mesh
@@ -132,10 +136,11 @@ class ElementContext:
         self.vals = vals                              # (nq, nl)
         self.grads = np.einsum("qlr,erk->eqlk", gref, Binv)  # (ne, nq, nl, 2)
         self.Binv = Binv
+        _freeze(self.qp, self.dA, self.vals, self.grads)
 
 
 class FaceContext:
-    """Quadrature points and two-sided basis traces on a set of faces."""
+    """Quadrature points and two-sided basis traces on a set of faces (read-only)."""
 
     def __init__(self, space, face_vertices, face_elems, face_h, degree):
         mesh = space.mesh
@@ -150,19 +155,32 @@ class FaceContext:
             refs = mesh.to_reference(elems[:, None], self.qp)
             vals, gref = space.basis.eval(refs)
             grads = np.einsum("fqlr,frk->fqlk", gref, Binv[elems])
-            self.sides.append((elems, vals, grads))
+            self.sides.append((elems, *_freeze(vals, grads)))
+        _freeze(self.qp, self.w)
+
+
+def element_context(space, degree):
+    """The ElementContext of `space` at `degree`, built once and kept on the space."""
+    key = ("element", degree)
+    if key not in space.contexts:
+        space.contexts[key] = ElementContext(space, degree)
+    return space.contexts[key]
 
 
 def _contexts(space, params):
+    """(element, interior-face, boundary-face) contexts of `space`, built once per degree."""
     p = space.p
-    ec = ElementContext(space, params.vol_degree(p))
-    mesh = space.mesh
-    fi = FaceContext(space, mesh.iface_vertices, [mesh.iface_elements[:, 0],
-                                                  mesh.iface_elements[:, 1]],
-                     mesh.iface_h, params.fac_degree(p))
-    fb = FaceContext(space, mesh.bface_vertices, [mesh.bface_elements],
-                     mesh.bface_h, params.fac_degree(p))
-    return ec, fi, fb
+    degree = params.fac_degree(p)
+    key = ("faces", degree)
+    if key not in space.contexts:
+        mesh = space.mesh
+        space.contexts[key] = (
+            FaceContext(space, mesh.iface_vertices, [mesh.iface_elements[:, 0],
+                                                     mesh.iface_elements[:, 1]],
+                        mesh.iface_h, degree),
+            FaceContext(space, mesh.bface_vertices, [mesh.bface_elements],
+                        mesh.bface_h, degree))
+    return (element_context(space, params.vol_degree(p)), *space.contexts[key])
 
 
 class _Accumulator:
@@ -202,11 +220,11 @@ def _face_data(problem, ctx, normals):
 # Operators
 # ----------------------------------------------------------------------
 
-def assemble_bh(problem, V_h, params=None, _ctx=None):
+def assemble_bh(problem, V_h, params=None):
     """Assemble the dG form b_h = b_h^diff + b_h^adv on V_h x V_h."""
     params = params or FormParams()
     mesh = V_h.mesh
-    ec, fi, fb = _ctx or _contexts(V_h, params)
+    ec, fi, fb = _contexts(V_h, params)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
     K = problem.K_mat
     theta = params.theta
@@ -258,11 +276,11 @@ def assemble_bh(problem, V_h, params=None, _ctx=None):
     return acc.tocsr()
 
 
-def assemble_gram(problem, V_h, params=None, _ctx=None):
+def assemble_gram(problem, V_h, params=None):
     """Assemble the Gram matrix of the dG inner product (polarized norm)."""
     params = params or FormParams()
     mesh = V_h.mesh
-    ec, fi, fb = _ctx or _contexts(V_h, params)
+    ec, fi, fb = _contexts(V_h, params)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
     K = problem.K_mat
 
@@ -299,11 +317,11 @@ def assemble_gram(problem, V_h, params=None, _ctx=None):
     return 0.5 * (G + G.T)  # strip floating-point asymmetry
 
 
-def assemble_load(problem, V_h, params=None, _ctx=None):
+def assemble_load(problem, V_h, params=None):
     """Assemble the load: source, weak Dirichlet, and inflow boundary data."""
     params = params or FormParams()
     mesh = V_h.mesh
-    ec, _, fb = _ctx or _contexts(V_h, params)
+    ec, _, fb = _contexts(V_h, params)
     L = np.zeros(V_h.n_dofs)
     K = problem.K_mat
 
@@ -327,7 +345,7 @@ def assemble_load(problem, V_h, params=None, _ctx=None):
 def assemble_mass(space, degree=None):
     """Element-wise L2 mass matrix of a space (broken or continuous)."""
     degree = 2 * space.p if degree is None else degree
-    ec = ElementContext(space, degree)
+    ec = element_context(space, degree)
     acc = _Accumulator((space.n_dofs, space.n_dofs))
     blocks = np.einsum("eq,qj,qi->eij", ec.dA, ec.vals, ec.vals)
     acc.add_blocks(space.dofmap, space.dofmap, blocks)

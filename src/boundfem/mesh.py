@@ -5,9 +5,25 @@ Conventions
 * Element vertices are stored counterclockwise. Every element is rotated at
   construction so that its local edge (0, 1) is the refinement edge used by
   newest-vertex bisection; local edge k joins local vertices k and (k+1) % 3.
+  The refinement edge is the longest edge; length ties go to the edge with
+  the smaller (lo, hi) vertex pair.
+* Every mesh carries one edge table, built at construction:
+  - `edges` (n_edges, 2) holds each edge once as its (lo, hi) vertex pair,
+    and edge ids follow the lexicographic (lo, hi) order;
+  - local edge k of element e is edge `elem2edge[e, k]`;
+  - `edge2elem` (n_edges, 2) holds the elements on each edge, the smaller
+    element id first, and -1 in the second column on the boundary.
+  Faces, refinement and continuous dofmaps are all derived from it.
 * For an interior face the stored vertex pair follows the traversal of the
-  minus element T-, so the unit normal n_F points from T- to T+. For a
-  boundary face the normal is the outward normal of the owning element.
+  minus element T- (the smaller element id), so the unit normal n_F points
+  from T- to T+. For a boundary face the normal is the outward normal of the
+  owning element. Interior and boundary faces each follow the edge order.
+* A continuous space of degree p numbers the vertices first, then p - 1 dofs
+  per edge, then element-interior dofs. Edge dofs use the rank r of the edge
+  in order of first appearance in `elem2edge` read row by row:
+  dof = n_vertices + r (p - 1) + slot, where slot i of a local edge that runs
+  from its low to its high vertex is i, and p - 2 - i when it runs from high
+  to low. For p = 1 the dofmap is `elements`.
 * Meshes are immutable after construction; refinement returns a new mesh
   carrying `parent_mesh` / `parent_elements` provenance.
 
@@ -31,7 +47,7 @@ _CHAR_TOL_FACTOR = 1e-12
 
 
 class Mesh:
-    """Triangulation with face connectivity and per-element refinement edges."""
+    """Triangulation with an edge table, faces and per-element refinement edges."""
 
     def __init__(self, vertices, elements, *, refinement_edges="longest",
                  parent_mesh=None, parent_elements=None):
@@ -47,13 +63,19 @@ class Mesh:
             raise ValueError("element vertex index out of range")
 
         elements = _orient_ccw(vertices, elements)
+        edges, elem2edge = _edge_table(len(vertices), elements)
+        edge_length = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
         if refinement_edges == "longest":
-            elements = _rotate_longest_edge_first(vertices, elements)
+            cols = (np.arange(3) + _longest_local_edge(edge_length, elem2edge)[:, None]) % 3
+            elements = np.take_along_axis(elements, cols, axis=1)
+            elem2edge = np.take_along_axis(elem2edge, cols, axis=1)
         elif refinement_edges != "keep":
             raise ValueError("refinement_edges must be 'longest' or 'keep'")
 
         self.vertices = vertices
         self.elements = elements
+        self.edges = edges
+        self.elem2edge = elem2edge
         self.parent_mesh = parent_mesh
         self.parent_elements = parent_elements
 
@@ -65,19 +87,13 @@ class Mesh:
         self.element_area = 0.5 * cross
         if np.any(self.element_area <= 0.0):
             raise ValueError("degenerate element (nonpositive area)")
-
-        lengths = np.stack([
-            np.linalg.norm(p1 - p0, axis=1),
-            np.linalg.norm(p2 - p1, axis=1),
-            np.linalg.norm(p0 - p2, axis=1),
-        ], axis=1)
-        self.h_elem = lengths.max(axis=1)
+        self.h_elem = edge_length[elem2edge].max(axis=1)
 
         self._build_faces()
         self._affine_cache = None
         self._locator = None
-        for arr in (self.vertices, self.elements, self.element_area, self.h_elem):
-            arr.setflags(write=False)
+        _freeze(self.vertices, self.elements, self.edges, self.elem2edge,
+                self.element_area, self.h_elem)
 
     # ------------------------------------------------------------------
     @property
@@ -93,52 +109,41 @@ class Mesh:
         return float(self.h_elem.max())
 
     def _build_faces(self):
-        """Collect unique edges, split into interior and boundary faces."""
-        elems = self.elements
-        ne = len(elems)
-        owners = {}
-        for e in range(ne):
-            a, b, c = elems[e]
-            for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                key = (u, v) if u < v else (v, u)
-                owners.setdefault(key, []).append((e, le))
+        """Fill `edge2elem` and split the edges into interior and boundary faces."""
+        edge_ids = self.elem2edge.ravel()
+        count = np.bincount(edge_ids, minlength=len(self.edges))
+        if count.max() > 2:
+            lo, hi = self.edges[np.argmax(count > 2)]
+            raise ValueError(f"edge ({lo}, {hi}) shared by more than two elements")
+        # (element, local edge) slots grouped by edge, in element order
+        slots = np.argsort(edge_ids, kind="stable")
+        end = np.cumsum(count)
+        first = slots[end - count]
+        interior = count == 2
+        self.edge2elem = np.full((len(self.edges), 2), -1, dtype=np.int64)
+        self.edge2elem[:, 0] = first // 3
+        self.edge2elem[interior, 1] = slots[end[interior] - 1] // 3
 
-        i_verts, i_elems, b_verts, b_elems = [], [], [], []
-        for key in sorted(owners):
-            own = owners[key]
-            if len(own) == 2:
-                own.sort()
-                (em, lem), (ep, _) = own
-                a = elems[em, lem]
-                b = elems[em, (lem + 1) % 3]
-                i_verts.append((a, b))
-                i_elems.append((em, ep))
-            elif len(own) == 1:
-                e, le = own[0]
-                a = elems[e, le]
-                b = elems[e, (le + 1) % 3]
-                b_verts.append((a, b))
-                b_elems.append(e)
-            else:
-                raise ValueError(f"edge {key} shared by more than two elements")
-
-        self.iface_vertices = np.array(i_verts, dtype=np.int64).reshape(-1, 2)
-        self.iface_elements = np.array(i_elems, dtype=np.int64).reshape(-1, 2)
-        self.bface_vertices = np.array(b_verts, dtype=np.int64).reshape(-1, 2)
-        self.bface_elements = np.array(b_elems, dtype=np.int64)
+        # each face is traversed as its first element's local edge
+        local = np.stack([self.elements, np.roll(self.elements, -1, axis=1)], axis=-1)
+        traversal = local.reshape(-1, 2)[first]
+        self.iface_vertices = traversal[interior]
+        self.iface_elements = self.edge2elem[interior]
+        self.bface_vertices = traversal[~interior]
+        self.bface_elements = self.edge2elem[~interior, 0]
 
         self.iface_normals, self.iface_h = _edge_normals(self.vertices, self.iface_vertices)
         self.bface_normals, self.bface_h = _edge_normals(self.vertices, self.bface_vertices)
-        for arr in (self.iface_vertices, self.iface_elements, self.iface_normals,
-                    self.iface_h, self.bface_vertices, self.bface_elements,
-                    self.bface_normals, self.bface_h):
-            arr.setflags(write=False)
+        _freeze(self.edge2elem, self.iface_vertices, self.iface_elements,
+                self.iface_normals, self.iface_h, self.bface_vertices,
+                self.bface_elements, self.bface_normals, self.bface_h)
 
     # ------------------------------------------------------------------
     def affine(self):
         """Per-element affine maps x = b0 + B r from the reference triangle.
 
-        Returns (B, b0, detB, Binv) with shapes (ne,2,2), (ne,2), (ne,), (ne,2,2).
+        Returns read-only (B, b0, detB, Binv) with shapes (ne,2,2), (ne,2),
+        (ne,), (ne,2,2).
         """
         if self._affine_cache is None:
             p0 = self.vertices[self.elements[:, 0]]
@@ -154,7 +159,7 @@ class Mesh:
             Binv[:, 1, 0] = -B[:, 1, 0]
             Binv[:, 1, 1] = B[:, 0, 0]
             Binv /= detB[:, None, None]
-            self._affine_cache = (B, p0.copy(), detB, Binv)
+            self._affine_cache = _freeze(B, p0, detB, Binv)
         return self._affine_cache
 
     def to_reference(self, elems, points):
@@ -173,6 +178,7 @@ class Mesh:
         """Find containing elements for physical points.
 
         Returns (elem_ids, ref_coords); elem_id -1 marks points outside the mesh.
+        A point on several elements goes to the smallest element id.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._locator is None:
@@ -181,46 +187,57 @@ class Mesh:
 
 
 class _GridLocator:
-    """Uniform-grid bucket index over element bounding boxes."""
+    """Uniform-grid bucket index over element bounding boxes.
+
+    Buckets are stored as one array of element ids sorted by grid cell (and
+    by element id within a cell), with `start[c]:start[c + 1]` the range of
+    cell c.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         v = mesh.vertices
         self.lo = v.min(axis=0)
-        self.hi = v.max(axis=0)
-        n = max(1, int(np.sqrt(mesh.n_elements)))
-        self.shape = (n, n)
-        self.cell = (self.hi - self.lo) / n
+        hi = v.max(axis=0)
+        self.n = max(1, int(np.sqrt(mesh.n_elements)))
+        self.cell = (hi - self.lo) / self.n
         self.cell[self.cell == 0.0] = 1.0
-        buckets = [[] for _ in range(n * n)]
         corners = v[mesh.elements]
-        bmin = corners.min(axis=1)
-        bmax = corners.max(axis=1)
-        i0 = np.clip(((bmin - self.lo) / self.cell).astype(int), 0, n - 1)
-        i1 = np.clip(((bmax - self.lo) / self.cell).astype(int), 0, n - 1)
-        for e in range(mesh.n_elements):
-            for ix in range(i0[e, 0], i1[e, 0] + 1):
-                for iy in range(i0[e, 1], i1[e, 1] + 1):
-                    buckets[ix * n + iy].append(e)
-        self.buckets = [np.array(b, dtype=np.int64) for b in buckets]
+        i0 = self._cell_of(corners.min(axis=1))
+        span = self._cell_of(corners.max(axis=1)) - i0 + 1
+        elem, k = _expand(span[:, 0] * span[:, 1])
+        cell = (i0[elem, 0] + k // span[elem, 1]) * self.n + i0[elem, 1] + k % span[elem, 1]
+        self.elems = elem[np.argsort(cell, kind="stable")]
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=self.n ** 2))])
+
+    def _cell_of(self, points):
+        return np.clip(((points - self.lo) / self.cell).astype(int), 0, self.n - 1)
 
     def locate(self, points, tol):
-        n = self.shape[0]
-        idx = np.clip(((points - self.lo) / self.cell).astype(int), 0, n - 1)
+        idx = self._cell_of(points)
+        cell = idx[:, 0] * self.n + idx[:, 1]
+        point, k = _expand(self.start[cell + 1] - self.start[cell])
+        cand = self.elems[self.start[cell[point]] + k]
+        r = self.mesh.to_reference(cand, points[point])
+        ok = np.nonzero((r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1.0 + tol))[0]
+        hit_points, first = np.unique(point[ok], return_index=True)
         elems = np.full(len(points), -1, dtype=np.int64)
         refs = np.zeros((len(points), 2))
-        mesh = self.mesh
-        for k, p in enumerate(points):
-            cand = self.buckets[idx[k, 0] * n + idx[k, 1]]
-            if len(cand) == 0:
-                continue
-            r = mesh.to_reference(cand, np.broadcast_to(p, (len(cand), 2)))
-            ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1.0 + tol)
-            hits = np.nonzero(ok)[0]
-            if len(hits):
-                elems[k] = cand[hits[0]]
-                refs[k] = r[hits[0]]
+        elems[hit_points] = cand[ok[first]]
+        refs[hit_points] = r[ok[first]]
         return elems, refs
+
+
+def _expand(counts):
+    """(owner, position) pairs: owner i repeated counts[i] times, positions 0..counts[i]-1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _freeze(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _orient_ccw(vertices, elements):
@@ -236,27 +253,29 @@ def _orient_ccw(vertices, elements):
     return elements
 
 
-def _rotate_longest_edge_first(vertices, elements):
-    """Cyclically rotate each element so edge (0,1) is its longest edge.
+def _edge_table(n_vertices, elements):
+    """Sorted unique (lo, hi) edges and the (ne, 3) element-to-edge map."""
+    ends = np.roll(elements, -1, axis=1)
+    keys = np.minimum(elements, ends) * n_vertices + np.maximum(elements, ends)
+    unique, elem2edge = np.unique(keys.ravel(), return_inverse=True)
+    edges = np.column_stack(np.divmod(unique, n_vertices))
+    return edges, elem2edge.reshape(-1, 3)
 
-    Length ties are broken by the lexicographically smallest sorted vertex
-    pair, which makes the choice independent of input ordering.
+
+def _longest_local_edge(edge_length, elem2edge):
+    """Local index of each element's longest edge, ties to the smaller edge id.
+
+    Edge ids follow the (lo, hi) order, so this is the (-length, lo, hi) minimum.
     """
-    out = elements.copy()
-    for e in range(len(elements)):
-        tri = elements[e]
-        best = None
-        for k in range(3):
-            u, v = tri[k], tri[(k + 1) % 3]
-            length = np.linalg.norm(vertices[u] - vertices[v])
-            pair = (min(u, v), max(u, v))
-            key = (-length, pair)
-            if best is None or key < best[0]:
-                best = (key, k)
-        k = best[1]
-        if k:
-            out[e] = np.roll(tri, -k)
-    return out
+    length = edge_length[elem2edge]
+    rows = np.arange(len(elem2edge))
+    best = np.zeros(len(elem2edge), dtype=np.int64)
+    for k in (1, 2):
+        lb = length[rows, best]
+        better = (length[:, k] > lb) | ((length[:, k] == lb)
+                                        & (elem2edge[:, k] < elem2edge[rows, best]))
+        best[better] = k
+    return best
 
 
 def _edge_normals(vertices, pairs):
@@ -295,47 +314,27 @@ def build_structured_mesh(nx, ny, rect=(0.0, 1.0, 0.0, 1.0)):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            elements[k] = (a, b, c)
-            elements[k + 1] = (a, c, d)
-            k += 2
+    # cells row by row; corners a, b, c, d counterclockwise from lower left
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    a = j * (nx + 1) + i
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     return Mesh(vertices, elements)
 
 
 def refine_uniform_red(mesh):
-    """Split every triangle into four congruent children (red refinement)."""
+    """Split every triangle into four congruent children (red refinement).
+
+    The midpoint of edge k becomes vertex n_vertices + k.
+    """
     verts = mesh.vertices
-    elems = mesh.elements
-    edge_mid = {}
-    mids = []
-    for pair in _all_edges(elems):
-        edge_mid[pair] = len(verts) + len(mids)
-        mids.append(0.5 * (verts[pair[0]] + verts[pair[1]]))
-    new_verts = np.vstack([verts, np.array(mids).reshape(-1, 2)])
-
-    def mid(u, v):
-        return edge_mid[(u, v) if u < v else (v, u)]
-
-    children = np.empty((4 * len(elems), 3), dtype=np.int64)
-    for e, (a, b, c) in enumerate(elems):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        children[4 * e:4 * e + 4] = [
-            (a, mab, mca),
-            (mab, b, mbc),
-            (mca, mbc, c),
-            (mab, mbc, mca),
-        ]
-    parents = np.repeat(np.arange(len(elems), dtype=np.int64), 4)
+    lo, hi = mesh.edges.T
+    new_verts = np.vstack([verts, 0.5 * (verts[lo] + verts[hi])])
+    a, b, c = mesh.elements.T
+    mab, mbc, mca = (mesh.n_vertices + mesh.elem2edge).T
+    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
+    parents = np.repeat(np.arange(mesh.n_elements, dtype=np.int64), 4)
     return Mesh(new_verts, children, parent_mesh=mesh, parent_elements=parents)
 
 
@@ -344,7 +343,8 @@ def bisect_marked(mesh, marks):
 
     Every marked element is bisected at least once; neighbors are bisected
     only as required to keep the mesh conforming. An empty mark set returns
-    the mesh unchanged.
+    the mesh unchanged. Split edges get new vertices in edge order; each
+    element's children replace it in place.
     """
     marks = np.unique(np.asarray(list(marks), dtype=np.int64).reshape(-1))
     if len(marks) == 0:
@@ -352,16 +352,8 @@ def bisect_marked(mesh, marks):
     if marks.min() < 0 or marks.max() >= mesh.n_elements:
         raise ValueError("marked element id out of range")
 
-    elems = mesh.elements
-    edge_ids = {}
-    for pair in _all_edges(elems):
-        edge_ids[pair] = len(edge_ids)
-    elem2edge = np.empty((len(elems), 3), dtype=np.int64)
-    for e, (a, b, c) in enumerate(elems):
-        for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            elem2edge[e, le] = edge_ids[(u, v) if u < v else (v, u)]
-
-    marked_edge = np.zeros(len(edge_ids), dtype=bool)
+    elem2edge = mesh.elem2edge
+    marked_edge = np.zeros(len(mesh.edges), dtype=bool)
     marked_edge[elem2edge[marks, 0]] = True
     # closure: any element with a marked edge must have its refinement edge marked
     while True:
@@ -372,55 +364,29 @@ def bisect_marked(mesh, marks):
         marked_edge[elem2edge[need, 0]] = True
 
     split_ids = np.nonzero(marked_edge)[0]
-    new_vid = {}
-    mids = []
-    inv_edges = {v: k for k, v in edge_ids.items()}
-    for eid in split_ids:
-        u, v = inv_edges[eid]
-        new_vid[eid] = mesh.n_vertices + len(mids)
-        mids.append(0.5 * (mesh.vertices[u] + mesh.vertices[v]))
-    new_verts = np.vstack([mesh.vertices, np.array(mids).reshape(-1, 2)])
+    new_vid = np.full(len(mesh.edges), -1, dtype=np.int64)
+    new_vid[split_ids] = mesh.n_vertices + np.arange(len(split_ids))
+    lo, hi = mesh.edges[split_ids].T
+    new_verts = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
 
-    children = []
-    parents = []
-    for e, (a, b, c) in enumerate(elems):
-        e0, e1, e2 = elem2edge[e]
-        if not marked_edge[e0]:
-            children.append((a, b, c))
-            parents.append(e)
-            continue
-        m = new_vid[e0]
-        # left child (c, a, m): refinement edge (c, a) = parent edge 2
-        if marked_edge[e2]:
-            m2 = new_vid[e2]
-            children.append((m, c, m2))
-            children.append((a, m, m2))
-            parents.extend((e, e))
-        else:
-            children.append((c, a, m))
-            parents.append(e)
-        # right child (b, c, m): refinement edge (b, c) = parent edge 1
-        if marked_edge[e1]:
-            m1 = new_vid[e1]
-            children.append((m, b, m1))
-            children.append((c, m, m1))
-            parents.extend((e, e))
-        else:
-            children.append((b, c, m))
-            parents.append(e)
+    # up to four children per element, in the order: left (c, a, m) or its
+    # two halves, then right (b, c, m) or its two halves
+    a, b, c = mesh.elements.T
+    m, m1, m2 = new_vid[elem2edge].T
+    s0, s1, s2 = marked_edge[elem2edge].T
 
-    return Mesh(new_verts, np.array(children, dtype=np.int64),
-                refinement_edges="keep", parent_mesh=mesh,
-                parent_elements=np.array(parents, dtype=np.int64))
+    def pick(cond, yes, no):
+        return np.where(cond[:, None], np.column_stack(yes), np.column_stack(no))
 
-
-def _all_edges(elements):
-    """Sorted unique (lo, hi) vertex pairs over all element edges."""
-    pairs = set()
-    for a, b, c in elements:
-        for u, v in ((a, b), (b, c), (c, a)):
-            pairs.add((u, v) if u < v else (v, u))
-    return sorted(pairs)
+    slots = np.stack([
+        np.where(s0[:, None], pick(s2, (m, c, m2), (c, a, m)), mesh.elements),
+        np.column_stack([a, m, m2]),
+        pick(s1, (m, b, m1), (b, c, m)),
+        np.column_stack([c, m, m1]),
+    ], axis=1)
+    used = np.column_stack([np.ones_like(s0), s0 & s2, s0, s0 & s1])
+    return Mesh(new_verts, slots[used], refinement_edges="keep", parent_mesh=mesh,
+                parent_elements=np.nonzero(used)[0])
 
 
 # ----------------------------------------------------------------------

@@ -252,12 +252,3 @@ class PenaltyOperator:
             acc.add_blocks(self.V_h.dofmap, self.U_h.dofmap, blocks)
         return acc.tocsr()
 
-
-def assemble_penalty_residual(problem, u_coeffs, U_h, V_h, config):
-    """One-shot penalty residual (builds a fresh PenaltyOperator)."""
-    return PenaltyOperator(problem, U_h, V_h, config).residual(u_coeffs)
-
-
-def assemble_penalty_jacobian(problem, u_coeffs, U_h, V_h, config):
-    """One-shot penalty Jacobian (builds a fresh PenaltyOperator)."""
-    return PenaltyOperator(problem, U_h, V_h, config).jacobian(u_coeffs)

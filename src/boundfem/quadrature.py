@@ -4,8 +4,11 @@ Triangle rules live on the reference element with vertices (0,0), (1,0),
 (0,1) (weights sum to 1/2); edge rules live on [0,1] (weights sum to 1).
 Triangle rules use the collapsed-coordinate product of Gauss-Jacobi and
 Gauss-Legendre rules, so any requested exactness degree up to MAX_DEGREE is
-available with strictly positive weights.
+available with strictly positive weights. Both rules are built once per
+degree and shared; their arrays are read-only.
 """
+
+import functools
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -33,6 +36,7 @@ class QuadratureRule:
         return f"QuadratureRule({self.kind!r}, degree={self.degree}, npoints={len(self)})"
 
 
+@functools.cache
 def edge_rule(degree):
     """Gauss-Legendre rule on [0,1] exact for polynomials of the given degree."""
     if not 0 <= degree <= MAX_DEGREE:
@@ -42,6 +46,7 @@ def edge_rule(degree):
     return QuadratureRule("edge", degree, 0.5 * (x + 1.0), 0.5 * w)
 
 
+@functools.cache
 def triangle_rule(degree):
     """Collapsed product rule on the reference triangle, exact for the given degree.
 

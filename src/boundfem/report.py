@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import ElementContext, FormParams, sipg_eta
+from .forms import ElementContext, FormParams, element_context, sipg_eta
 from .quadrature import edge_rule
 
 
@@ -37,7 +37,7 @@ def bound_violation_report(u, bounds, quad_degree=None):
         raise ValueError("at least one bound is required")
     space = u.space
     degree = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ec = ElementContext(space, degree)
+    ec = element_context(space, degree)
     vals = np.einsum("el,ql->eq", u.coeffs[space.dofmap], ec.vals)
     lo = float(min(vals.min(), u.coeffs.min()))
     hi = float(max(vals.max(), u.coeffs.max()))

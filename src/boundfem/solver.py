@@ -32,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import trial_to_test_embedding
-from .forms import FormParams, _contexts, assemble_bh, assemble_gram, assemble_load, assemble_mass
+from .forms import FormParams, assemble_bh, assemble_gram, assemble_load, assemble_mass
 from .penalty import PenaltyOperator
 
 RESIDUAL_FLOOR = 1e-12
@@ -79,10 +79,9 @@ class LinearOperators:
 
 def build_operators(problem, U_h, V_h, params=None):
     params = params or FormParams()
-    ctx = _contexts(V_h, params)
-    G = assemble_gram(problem, V_h, params, _ctx=ctx)
-    B_broken = assemble_bh(problem, V_h, params, _ctx=ctx)
-    L = assemble_load(problem, V_h, params, _ctx=ctx)
+    G = assemble_gram(problem, V_h, params)
+    B_broken = assemble_bh(problem, V_h, params)
+    L = assemble_load(problem, V_h, params)
     E = trial_to_test_embedding(U_h, V_h)
     B = (B_broken @ E).tocsr()
     M_v = assemble_mass(V_h)

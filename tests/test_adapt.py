@@ -155,3 +155,40 @@ def test_penalized_adaptive_smoke():
     assert len(res.records) == 3
     assert all(r.newton_converged for r in res.records)
     assert all(r.undershoot >= 0 and r.overshoot >= 0 for r in res.records)
+
+
+def count_context_builds(monkeypatch):
+    """Record (kind, space, face set, degree) for every context built from now on."""
+    import boundfem.forms as forms
+    built = []
+    for cls in (forms.ElementContext, forms.FaceContext):
+        def counting(self, space, *args, _init=cls.__init__, _kind=cls.__name__, **kw):
+            faces = id(args[0]) if _kind == "FaceContext" else None
+            built.append((_kind, id(space), faces, args[-1]))
+            _init(self, space, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_operators_and_indicators_share_contexts(monkeypatch):
+    from boundfem.solver import build_operators
+    pr, _, _ = smooth_problem()
+    mesh = build_structured_mesh(3, 3)
+    U = build_space(mesh, 1, "continuous")
+    V = build_space(mesh, 1, "broken")
+    built = count_context_builds(monkeypatch)
+    ops = build_operators(pr, U, V)
+    sol = solve_linear_resmin(pr, U, V, ops=ops)
+    error_indicators(pr, V, sol.eps)
+    assert sum(kind == "FaceContext" for kind, *_ in built) == 2
+    assert sum(kind == "ElementContext" for kind, *_ in built) == 2   # volume and mass
+
+
+def test_one_adaptive_level_builds_each_context_once(monkeypatch):
+    pr, uex, gex = smooth_problem()
+    built = count_context_builds(monkeypatch)
+    adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=1),
+                        initial_mesh=build_structured_mesh(3, 3),
+                        exact=uex, exact_grad=gex)
+    assert len(built) == len(set(built))
+    assert sum(kind == "FaceContext" for kind, *_ in built) == 2

@@ -135,3 +135,29 @@ def test_eval_basis_physical_gradients():
     np.testing.assert_allclose(gx, [1.0, 0.0], atol=1e-13)
     with pytest.raises(IndexError):
         eval_basis(space, 99, (0.2, 0.2))
+
+
+def dofmap_meshes():
+    from boundfem.cases import get_case
+    from boundfem.mesh import Mesh, bisect_marked
+    for name in ("smooth", "case1", "case2", "case3"):
+        yield name, get_case(name).make_mesh()
+    base = get_case("case2").make_mesh()
+    rng = np.random.default_rng(9)
+    shift = 0.02 * (rng.random((base.n_vertices, 2)) - 0.5)
+    shift[np.unique(base.bface_vertices)] = 0.0
+    mesh = Mesh(base.vertices + shift, base.elements)
+    yield "jittered", mesh
+    for marks in ([0], [5, 2, 5], range(0, 30, 3)):
+        mesh = bisect_marked(mesh, marks)
+    yield "bisected", mesh
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name,mesh", list(dofmap_meshes()))
+def test_continuous_dofmap_matches_loop_reference(name, mesh, p):
+    import loop_reference
+    space = build_space(mesh, p, CONTINUOUS)
+    dofmap, n_dofs = loop_reference.continuous_dofmap(mesh, p)
+    assert np.array_equal(space.dofmap, dofmap)
+    assert space.n_dofs == n_dofs

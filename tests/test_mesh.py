@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from boundfem.mesh import (CHARACTERISTIC, INFLOW, OUTFLOW,
+import loop_reference
+from boundfem.mesh import (CHARACTERISTIC, INFLOW, OUTFLOW, Mesh, _edge_normals,
                            bisect_marked, build_structured_mesh,
                            classify_boundary_faces, read_mesh,
                            refine_uniform_red, write_mesh)
@@ -206,3 +207,130 @@ def test_locate_points():
     np.testing.assert_allclose(back, pts, atol=1e-12)
     outside, _ = mesh.locate(np.array([[2.0, 2.0]]))
     assert outside[0] == -1
+
+
+# ----------------------------------------------------------------------
+# Edge-table topology against the per-element loop reference
+# ----------------------------------------------------------------------
+
+CASE_MESHES = ("smooth", "case1", "case2", "case3")
+
+
+def case_mesh(name):
+    from boundfem.cases import get_case
+    return get_case(name).make_mesh()
+
+
+def jittered(mesh, seed):
+    """Move interior vertices by < 0.1 h_min; boundary vertices stay put."""
+    rng = np.random.default_rng(seed)
+    h_min = min(mesh.iface_h.min(), mesh.bface_h.min())
+    shift = 0.2 * h_min * (rng.random((mesh.n_vertices, 2)) - 0.5)
+    shift[np.unique(mesh.bface_vertices)] = 0.0
+    return Mesh(mesh.vertices + shift, mesh.elements)
+
+
+def scrambled_elements(mesh, seed):
+    """The mesh's elements with random cyclic shifts and orientation flips."""
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 3, mesh.n_elements)
+    cols = (np.arange(3) + shift[:, None]) % 3
+    elements = np.take_along_axis(mesh.elements, cols, axis=1)
+    flip = rng.random(mesh.n_elements) < 0.5
+    elements[flip] = elements[flip][:, ::-1]
+    return elements
+
+
+def assert_matches_reference(mesh, vertices, elements, refinement_edges="longest"):
+    want = loop_reference.mesh_arrays(vertices, elements, refinement_edges)
+    for name, arr in want.items():
+        assert np.array_equal(getattr(mesh, name), arr), name
+    for side in ("iface", "bface"):
+        normals, h = _edge_normals(mesh.vertices, want[f"{side}_vertices"])
+        assert np.array_equal(getattr(mesh, f"{side}_normals"), normals)
+        assert np.array_equal(getattr(mesh, f"{side}_h"), h)
+
+
+def reference_inputs():
+    yield from ((name, case_mesh(name)) for name in CASE_MESHES)
+    yield "jittered", jittered(refine_uniform_red(case_mesh("case2")), 5)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (11, 11)])
+def test_structured_elements_match_loop(nx, ny):
+    assert np.array_equal(build_structured_mesh(nx, ny).elements,
+                          loop_reference.rotate_longest_edge_first(
+                              build_structured_mesh(nx, ny).vertices,
+                              loop_reference.structured_elements(nx, ny)))
+
+
+@pytest.mark.parametrize("name,mesh", list(reference_inputs()))
+def test_construction_matches_loop_reference(name, mesh):
+    assert_matches_reference(mesh, mesh.vertices, mesh.elements)
+    elements = scrambled_elements(mesh, 3)
+    assert_matches_reference(Mesh(mesh.vertices, elements), mesh.vertices, elements)
+
+
+@pytest.mark.parametrize("name,mesh", list(reference_inputs()))
+def test_red_refinement_matches_loop_reference(name, mesh):
+    fine = refine_uniform_red(mesh)
+    vertices, children, parents = loop_reference.refine_uniform_red(mesh)
+    assert_matches_reference(fine, vertices, children)
+    assert np.array_equal(fine.parent_elements, parents)
+
+
+@pytest.mark.parametrize("name", ["case2", "jittered"])
+def test_bisection_sequence_matches_loop_reference(name):
+    mesh = dict(reference_inputs())[name]
+    rng = np.random.default_rng(11)
+    # a single element, a repeated unsorted list, a fifth, everything, a range
+    for step in range(5):
+        ne = mesh.n_elements
+        marks = [[ne - 1], [3, 0, 3, 1], rng.choice(ne, ne // 5, replace=False),
+                 np.arange(ne), range(0, ne, 7)][step]
+        fine = bisect_marked(mesh, marks)
+        vertices, children, parents = loop_reference.bisect_marked(mesh, marks)
+        assert_matches_reference(fine, vertices, children, "keep")
+        assert np.array_equal(fine.parent_elements, parents)
+        mesh = fine
+
+
+def test_roundtrip_matches_loop_reference(tmp_path):
+    mesh = bisect_marked(jittered(case_mesh("case3"), 2), [0, 5, 9])
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    back = read_mesh(path)
+    assert_matches_reference(back, mesh.vertices, mesh.elements)
+
+
+def test_edge_table_is_consistent():
+    mesh = bisect_marked(case_mesh("case2"), [0, 7, 20])
+    assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+    keys = mesh.edges[:, 0] * mesh.n_vertices + mesh.edges[:, 1]
+    assert np.all(np.diff(keys) > 0)
+    ends = np.roll(mesh.elements, -1, axis=1)
+    assert np.array_equal(mesh.edges[mesh.elem2edge, 0], np.minimum(mesh.elements, ends))
+    assert np.array_equal(mesh.edges[mesh.elem2edge, 1], np.maximum(mesh.elements, ends))
+    for edge, (em, ep) in enumerate(mesh.edge2elem):
+        assert edge in mesh.elem2edge[em]
+        assert ep == -1 or (em < ep and edge in mesh.elem2edge[ep])
+
+
+def test_edge_shared_by_three_elements_raises():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 1.0]])
+    elements = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match="more than two"):
+        Mesh(vertices, elements)
+
+
+@pytest.mark.parametrize("name,mesh", list(reference_inputs()))
+def test_locate_matches_loop_reference(name, mesh):
+    mesh = bisect_marked(mesh, range(0, mesh.n_elements, 3))
+    rng = np.random.default_rng(4)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = lo + (rng.random((300, 2)) * 1.2 - 0.1) * (hi - lo)
+    pts = np.vstack([pts, mesh.vertices[:20]])       # points on several elements
+    got = mesh.locate(pts)
+    want = loop_reference.locate(mesh, pts)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

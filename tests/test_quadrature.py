@@ -73,3 +73,12 @@ def test_composite_rule_stays_exact_and_reaches_corners(depth):
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     reach = max(np.linalg.norm(rule.points - c, axis=1).min() for c in corners)
     assert reach <= 0.25 * 2.0 ** (1 - depth)
+
+
+@pytest.mark.parametrize("rule_fn", [triangle_rule, edge_rule])
+def test_rules_are_cached_and_read_only(rule_fn):
+    rule = rule_fn(7)
+    assert rule_fn(7) is rule
+    for arr in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
