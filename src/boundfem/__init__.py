@@ -9,18 +9,17 @@ refinement.
 __version__ = "0.1.0"
 
 from .mesh import (Mesh, build_structured_mesh, refine_uniform_red,
-                   bisect_marked, classify_boundary_faces, read_mesh,
-                   write_mesh, INFLOW, CHARACTERISTIC, OUTFLOW)
+                   bisect_marked, read_mesh, write_mesh)
 from .fespace import (FunctionSpace, DiscreteFunction, build_space,
                       eval_basis, trial_to_test_embedding, BROKEN, CONTINUOUS)
-from .quadrature import quadrature_rule, triangle_rule, edge_rule, composite_rule
+from .quadrature import triangle_rule, edge_rule
 from .forms import (ProblemSpec, FormParams, sipg_eta, assemble_bh,
                     assemble_gram, assemble_load, vh_norm, NumericalBreakdown)
 from .penalty import (PenaltyConfig, PenaltyOperator, negative_part,
-                      compute_gamma, compute_gammas, strong_residual)
-from .solver import (NewtonOptions, NewtonResult, assemble_newton_system,
-                     build_operators, solve_linear_resmin, newton_solve,
-                     damped_update, SolverBreakdown)
+                      compute_gammas)
+from .solver import (NewtonOptions, NewtonResult, build_operators,
+                     solve_linear_resmin, newton_solve, damped_update,
+                     SolverBreakdown)
 from .adapt import (AdaptOptions, AdaptRecord, error_indicators, dorfler_mark,
                     adaptive_solve_loop, prolong)
 from .report import bound_violation_report, error_norms, cross_section

@@ -1,16 +1,16 @@
 """A posteriori error indication and the solve-estimate-mark-refine loop.
 
 The residual representative eps_h doubles as the error estimate: its dG norm
-is localized to elements (volume terms plus half of each adjacent interior
-face term plus owned boundary face terms), so the indicator squares sum
-exactly to |eps_h|^2. Marking is bulk-chasing (Dorfler): the smallest
+is localized to elements through the Gram matrix's own local blocks (the
+element block, half of each adjacent interior-face block, the owned
+boundary-face blocks), so the indicator squares sum to |eps_h|^2 by
+construction. Marking is bulk-chasing (Dorfler): the smallest
 indicator-sorted prefix carrying theta_mark^2 of the total squared estimate.
 
 Across levels the trial solution is prolonged by nodal interpolation (via
 refinement parent elements) to warm start Newton; if the warm-started solve
 stalls, the level falls back to the default linear-solve initial guess.
-Element-local penalty parameters and the boundary classification are
-recomputed from scratch on every level.
+Every level builds its spaces, operators and penalty parameters afresh.
 """
 
 import csv
@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import build_space
-from .forms import FormParams, _contexts, element_context, sipg_eta
+from .forms import FormParams, gram_blocks
 from .mesh import bisect_marked
+from .report import error_norms, extrema, violations
 from .solver import (NewtonOptions, build_operators, clip_inset,
                      newton_solve, solve_linear_resmin)
 
@@ -39,45 +40,13 @@ class ErrorIndicators:
 
 def error_indicators(problem, V_h, eps_coeffs, params=None):
     """Localize |eps_h|^2_{V_h} to elements; see the module docstring."""
-    params = params or FormParams()
-    mesh = V_h.mesh
-    ec, fi, fb = _contexts(V_h, params)
     eps_coeffs = np.asarray(eps_coeffs, dtype=float)
-    ind2 = np.zeros(mesh.n_elements)
-
-    # volume: L2, streamline, diffusion
-    c = eps_coeffs[V_h.dofmap]
-    vals = np.einsum("el,ql->eq", c, ec.vals)
-    grads = np.einsum("el,eqlk->eqk", c, ec.grads)
-    beta = problem.beta_fn(ec.qp)
-    bg = np.einsum("eqd,eqd->eq", beta, grads)
-    Kg = np.einsum("dk,eqk->eqd", problem.K_mat, grads)
-    ind2 += np.einsum("eq,eq->e", ec.dA, vals ** 2)
-    ind2 += mesh.h_elem * np.einsum("eq,eq->e", ec.dA, bg ** 2)
-    ind2 += np.einsum("eq,eqd,eqd->e", ec.dA, Kg, grads)
-
-    # interior faces: half of each term to both neighbors
-    if len(mesh.iface_h):
-        bvals = problem.beta_fn(fi.qp)
-        bn = np.einsum("fqd,fd->fq", bvals, mesh.iface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h, params.eta0)
-        (em, vm, _), (ep, vp, _) = fi.sides
-        jump = np.einsum("fl,fql->fq", eps_coeffs[V_h.dofmap[em]], vm) \
-            - np.einsum("fl,fql->fq", eps_coeffs[V_h.dofmap[ep]], vp)
-        t = np.einsum("fq,fq->f", fi.w * (0.5 * np.abs(bn) + eta[:, None]), jump ** 2)
-        np.add.at(ind2, em, 0.5 * t)
-        np.add.at(ind2, ep, 0.5 * t)
-
-    # boundary faces: full contribution to the owner
-    if len(mesh.bface_h):
-        bvals = problem.beta_fn(fb.qp)
-        bn = np.einsum("fqd,fd->fq", bvals, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
-        (eb, vb, _), = fb.sides
-        tr = np.einsum("fl,fql->fq", eps_coeffs[V_h.dofmap[eb]], vb)
-        t = np.einsum("fq,fq->f", fb.w * (0.5 * np.abs(bn) + eta[:, None]), tr ** 2)
-        np.add.at(ind2, eb, t)
-
+    ind2 = np.zeros(V_h.mesh.n_elements)
+    for dofs, blocks, owners in gram_blocks(problem, V_h, params or FormParams()):
+        c = eps_coeffs[dofs]
+        q = np.einsum("fi,fij,fj->f", c, blocks, c)
+        for elems, share in owners:
+            np.add.at(ind2, elems, share * q)
     total = float(np.sqrt(max(ind2.sum(), 0.0)))
     return ErrorIndicators(np.sqrt(np.maximum(ind2, 0.0)), total)
 
@@ -116,8 +85,6 @@ class AdaptRecord:
     overshoot: float
     newton_iterations: int
     newton_converged: bool
-    gamma_recomputed: bool
-    classification_recomputed: bool
     h_max: float
 
 
@@ -164,13 +131,6 @@ def prolong(u_coeffs, old_space, new_space):
     return out
 
 
-def _extrema(space, coeffs, degree):
-    """Min/max over element quadrature points and Lagrange nodes."""
-    ec = element_context(space, degree)
-    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
-    return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
-
-
 def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                         initial_mesh=None, exact=None, exact_grad=None):
     """Run solve -> estimate -> mark -> refine until a stopping rule fires.
@@ -178,8 +138,6 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
     pen_config None runs the linear (unpenalized) solver at every level.
     Returns partial records when Newton fails to converge at some level.
     """
-    from .report import error_norms
-
     params = params or FormParams()
     opts = opts or AdaptOptions()
     if initial_mesh is None:
@@ -207,13 +165,8 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                 return spla.spsolve(ops.G.tocsc(), ops.L - ops.B @ u0)
 
             def violation_of(u_c):
-                lo, hi = _extrema(U_h, u_c, params.vol_degree(opts.p))
-                v = 0.0
-                if pen_config.lower is not None:
-                    v += max(0.0, pen_config.lower - lo)
-                if pen_config.upper is not None:
-                    v += max(0.0, hi - pen_config.upper)
-                return v
+                lo, hi = extrema(U_h, u_c, params.vol_degree(opts.p))
+                return sum(violations(lo, hi, pen_config.lower, pen_config.upper))
 
             initial = None
             if opts.warm_start and prev is not None:
@@ -263,18 +216,16 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
             u, eps = res.u, res.eps
 
         ind = error_indicators(problem, V_h, eps, params)
-        lo, hi = _extrema(U_h, u, params.vol_degree(opts.p))
+        lo, hi = extrema(U_h, u, params.vol_degree(opts.p))
         # violations are reported against the problem bounds also for
         # unpenalized comparison runs
-        under = max(0.0, problem.u_min - lo) if problem.u_min is not None else 0.0
-        over = max(0.0, hi - problem.u_max) if problem.u_max is not None else 0.0
+        under, over = violations(lo, hi, problem.u_min, problem.u_max)
         err_l2 = err_vh = None
         if exact is not None:
             err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad, params)
         records.append(AdaptRecord(
             level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, ind.total,
             err_l2, err_vh, lo, hi, under, over, newton_iters, converged,
-            gamma_recomputed=True, classification_recomputed=True,
             h_max=mesh.h))
         result = AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
 
@@ -303,8 +254,7 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
 def write_records_csv(path, records):
     cols = ["level", "n_elements", "dofs_u", "dofs_v", "h_max", "estimator",
             "err_l2", "err_vh", "u_min", "u_max", "undershoot", "overshoot",
-            "newton_iterations", "newton_converged", "gamma_recomputed",
-            "classification_recomputed"]
+            "newton_iterations", "newton_converged"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
@@ -316,5 +266,4 @@ def write_records_csv(path, records):
                         repr(float(r.u_min)), repr(float(r.u_max)),
                         repr(float(r.undershoot)),
                         repr(float(r.overshoot)), r.newton_iterations,
-                        int(r.newton_converged), int(r.gamma_recomputed),
-                        int(r.classification_recomputed)])
+                        int(r.newton_converged)])

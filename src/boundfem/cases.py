@@ -76,8 +76,7 @@ def _smooth_problem(case):
         g = _smooth_grad(x)
         return (2.0 * np.pi ** 2 + 1.0) * _smooth_exact(x) + g[..., 0] + g[..., 1]
 
-    return ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=f, g=_smooth_exact,
-                       beta_div=0.0)
+    return ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=f, g=_smooth_exact)
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +99,7 @@ def _case1_grad(x):
 def _case1_problem(case):
     lo, hi = case.bounds
     return ProblemSpec(beta=(3.0 / _SQ10, 1.0 / _SQ10), K=0.0, sigma=0.0, f=0.0,
-                       g=_case1_exact, u_min=lo, u_max=hi, gamma0=case.gamma0,
-                       beta_div=0.0)
+                       g=_case1_exact, u_min=lo, u_max=hi, gamma0=case.gamma0)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +161,7 @@ def _case2_problem(case, K=0.0):
     lo, hi = case.bounds
     return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0,
                        g=_rot_g(case.layer_scaling), u_min=lo, u_max=hi,
-                       gamma0=case.gamma0, beta_div=0.0)
+                       gamma0=case.gamma0)
 
 
 CASES = {

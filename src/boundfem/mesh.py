@@ -1,4 +1,4 @@
-"""Conforming triangular meshes: construction, refinement, boundary classification.
+"""Conforming triangular meshes: construction, refinement, plain-text exchange.
 
 Conventions
 -----------
@@ -36,12 +36,6 @@ The plain-text exchange format (see `write_mesh` / `read_mesh`):
 """
 
 import numpy as np
-
-from .fields import vector_field
-
-INFLOW = -1
-CHARACTERISTIC = 0
-OUTFLOW = 1
 
 _CHAR_TOL_FACTOR = 1e-12
 
@@ -390,57 +384,14 @@ def bisect_marked(mesh, marks):
 
 
 # ----------------------------------------------------------------------
-# Boundary classification
+# Inflow tolerance
 # ----------------------------------------------------------------------
-
-class BoundaryClassification:
-    """Pointwise inflow/characteristic/outflow labels on the boundary skeleton.
-
-    `labels` has one row per boundary face and one column per quadrature
-    point; entries are INFLOW (-1), CHARACTERISTIC (0), or OUTFLOW (+1).
-    `face_labels` classifies whole faces at their midpoints.
-    """
-
-    def __init__(self, labels, b_dot_n, points, tol, face_labels):
-        self.labels = labels
-        self.b_dot_n = b_dot_n
-        self.points = points
-        self.tol = tol
-        self.face_labels = face_labels
-
 
 def char_tolerance(beta_values):
     """Sign tolerance for beta.n, scaled by the largest velocity component."""
     if beta_values.size == 0:
         return 0.0
     return _CHAR_TOL_FACTOR * float(np.abs(beta_values).max())
-
-
-def signed_labels(b_dot_n, tol):
-    labels = np.zeros(b_dot_n.shape, dtype=np.int8)
-    labels[b_dot_n < -tol] = INFLOW
-    labels[b_dot_n > tol] = OUTFLOW
-    return labels
-
-
-def classify_boundary_faces(mesh, beta, quad_degree=3):
-    """Classify boundary faces by the sign of beta.n at face quadrature points."""
-    from .quadrature import edge_rule
-
-    beta = vector_field(beta)
-    rule = edge_rule(quad_degree)
-    p0 = mesh.vertices[mesh.bface_vertices[:, 0]]
-    p1 = mesh.vertices[mesh.bface_vertices[:, 1]]
-    pts = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-    bvals = beta(pts)
-    b_dot_n = np.einsum("fqd,fd->fq", bvals, mesh.bface_normals)
-    tol = char_tolerance(bvals)
-    labels = signed_labels(b_dot_n, tol)
-
-    mid = 0.5 * (p0 + p1)
-    bmid = np.einsum("fd,fd->f", beta(mid), mesh.bface_normals)
-    face_labels = signed_labels(bmid, tol)
-    return BoundaryClassification(labels, b_dot_n, pts, tol, face_labels)
 
 
 # ----------------------------------------------------------------------

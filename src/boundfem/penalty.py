@@ -94,11 +94,6 @@ def compute_gammas(problem, mesh, gamma0=None):
     return gamma0 / denom
 
 
-def compute_gamma(problem, mesh, element, gamma0=None):
-    """gamma_T for a single element (see compute_gammas)."""
-    return float(compute_gammas(problem, mesh, gamma0)[element])
-
-
 def nodal_rule():
     """Vertex (mass-lumped) rule on the reference triangle, exact for degree 1."""
     return QuadratureRule("triangle", 1,
@@ -109,24 +104,21 @@ def nodal_rule():
 class StrongOperator:
     """Evaluator of A(u) - f = -div(K grad u) + beta.grad u + sigma u - f.
 
+    Evaluated at the quadrature points of the ElementContext `ec` on `space`.
     For p = 1 the second-order term vanishes identically (K is constant per
     problem) and is skipped; for p >= 2 it uses elementwise basis Hessians.
     """
 
-    def __init__(self, problem, space, degree=None, rule=None):
+    def __init__(self, problem, space, ec):
         self.problem = problem
         self.space = space
-        if rule is None:
-            degree = 2 * space.p + 2 if degree is None else degree
-            self.ec = ElementContext(space, degree)
-        else:
-            self.ec = ElementContext(space, rule.degree, rule=rule)
-        self.beta = problem.beta_fn(self.ec.qp)
-        self.sigma = problem.sigma_fn(self.ec.qp)
-        self.fvals = problem.f_fn(self.ec.qp)
+        self.ec = ec
+        self.beta = problem.beta_fn(ec.qp)
+        self.sigma = problem.sigma_fn(ec.qp)
+        self.fvals = problem.f_fn(ec.qp)
         # A applied to every basis function at the quadrature points
-        self.A_basis = np.einsum("eqd,eqld->eql", self.beta, self.ec.grads)
-        self.A_basis += self.sigma[:, :, None] * self.ec.vals[None, :, :]
+        self.A_basis = np.einsum("eqd,eqld->eql", self.beta, ec.grads)
+        self.A_basis += self.sigma[:, :, None] * ec.vals[None, :, :]
         if space.p >= 2 and problem.k_max > 0.0:
             self.A_basis -= self._div_K_grad_basis()
 
@@ -154,29 +146,6 @@ class StrongOperator:
         return np.einsum("el,ql->eq", c, self.ec.vals)
 
 
-def strong_residual(u, element, point, problem):
-    """A(u_h) - f at a single reference point of one element."""
-    space = u.space
-    refs = np.asarray(point, dtype=float).reshape(1, 2)
-    vals, gref = space.basis.eval(refs)
-    _, _, _, Binv = space.mesh.affine()
-    grads = gref[0] @ Binv[element]
-    c = u.coeffs[space.dofmap[element]]
-    B, b0, _, _ = space.mesh.affine()
-    x = b0[element] + B[element] @ refs[0]
-    Au = problem.beta_fn(x.reshape(1, 2))[0] @ (c @ grads) \
-        + problem.sigma_fn(x.reshape(1, 2))[0] * (c @ vals[0])
-    if space.p >= 2 and problem.k_max > 0.0:
-        href = space.basis.eval_hessians(refs)[0]
-        Hr = np.empty((space.n_local, 2, 2))
-        Hr[:, 0, 0] = href[:, 0]
-        Hr[:, 0, 1] = Hr[:, 1, 0] = href[:, 1]
-        Hr[:, 1, 1] = href[:, 2]
-        Hp = np.einsum("ri,lrs,sj->lij", Binv[element], Hr, Binv[element])
-        Au -= np.einsum("ij,l,lij->", problem.K_mat, c, Hp)
-    return float(Au - problem.f_fn(x.reshape(1, 2))[0])
-
-
 class PenaltyOperator:
     """Penalty residual and Jacobian assembly for a fixed mesh and space pair.
 
@@ -199,10 +168,10 @@ class PenaltyOperator:
         if config.quadrature == "nodal":
             if U_h.p != 1:
                 raise ValueError("nodal penalty quadrature requires p = 1")
-            self.strong = StrongOperator(problem, U_h, rule=nodal_rule())
+            ec = ElementContext(U_h, 1, rule=nodal_rule())
         else:
-            self.strong = StrongOperator(problem, U_h, degree=2 * U_h.p + 6)
-        ec = self.strong.ec
+            ec = ElementContext(U_h, 2 * U_h.p + 6)   # not kept: nothing else reads it
+        self.strong = StrongOperator(problem, U_h, ec)
         self.test_vals = ec.vals          # same reference basis for U_h and V_h
         self.dA = ec.dA
         self.inv_gamma = 1.0 / self.gammas

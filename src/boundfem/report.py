@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import ElementContext, FormParams, element_context, sipg_eta
-from .quadrature import edge_rule
+from .fields import scalar_field, vector_field
+from .forms import (ElementContext, FaceContext, FormParams, _norm_face_weight,
+                    element_context)
 
 
 @dataclass
@@ -30,19 +31,26 @@ class ViolationReport:
         return self.undershoot + self.overshoot
 
 
-def bound_violation_report(u, bounds, quad_degree=None):
+def extrema(space, coeffs, degree):
+    """Min/max of a discrete field over element quadrature points and Lagrange nodes."""
+    ec = element_context(space, degree)
+    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
+    return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
+
+
+def violations(lo, hi, lower, upper):
+    """(undershoot, overshoot) of the range [lo, hi] against optional bounds."""
+    return (max(0.0, lower - lo) if lower is not None else 0.0,
+            max(0.0, hi - upper) if upper is not None else 0.0)
+
+
+def bound_violation_report(u, bounds):
     """Violation report for a DiscreteFunction against (lower, upper) bounds."""
     lower, upper = bounds
     if lower is None and upper is None:
         raise ValueError("at least one bound is required")
-    space = u.space
-    degree = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ec = element_context(space, degree)
-    vals = np.einsum("el,ql->eq", u.coeffs[space.dofmap], ec.vals)
-    lo = float(min(vals.min(), u.coeffs.min()))
-    hi = float(max(vals.max(), u.coeffs.max()))
-    under = max(0.0, lower - lo) if lower is not None else 0.0
-    over = max(0.0, hi - upper) if upper is not None else 0.0
+    lo, hi = extrema(u.space, u.coeffs, 2 * u.space.p + 2)
+    under, over = violations(lo, hi, lower, upper)
     if lower is not None and upper is not None:
         span = upper - lower
         upct, opct = 100.0 * under / span, 100.0 * over / span
@@ -51,19 +59,17 @@ def bound_violation_report(u, bounds, quad_degree=None):
     return ViolationReport(lo, hi, under, over, upct, opct)
 
 
-def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None,
-                quad_degree=None):
+def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
     """L2 and dG-norm errors of a continuous discrete solution vs an exact one.
 
     The dG norm needs the exact gradient; without it only the L2 error is
     returned (err_vh None). The trial solution is continuous, so interior
-    jump terms vanish and only volume and boundary terms contribute.
+    jump terms vanish and only volume and boundary terms contribute. The
+    degree-(2p+4) tables are built here and not kept on the space.
     """
-    from .fields import scalar_field, vector_field
-
     params = params or FormParams()
     mesh = U_h.mesh
-    degree = 2 * U_h.p + 4 if quad_degree is None else quad_degree
+    degree = 2 * U_h.p + 4
     exact = scalar_field(exact)
     ec = ElementContext(U_h, degree)
     c = u_coeffs[U_h.dofmap]
@@ -83,19 +89,12 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None,
     err2 += np.einsum("e,eq->", mesh.h_elem, ec.dA * bg ** 2)
     err2 += np.einsum("eq,eqd,eqd->", ec.dA, Kg, gdiff)
 
-    # boundary faces: 1/2 |beta.n| (u - g)^2 + eta (u - g)^2 with u - g = u_h - u*
-    rule = edge_rule(degree)
-    p0 = mesh.vertices[mesh.bface_vertices[:, 0]]
-    p1 = mesh.vertices[mesh.bface_vertices[:, 1]]
-    qp = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-    w = rule.weights[None, :] * mesh.bface_h[:, None]
-    refs = mesh.to_reference(mesh.bface_elements[:, None], qp)
-    bvals, _ = U_h.basis.eval(refs)
-    tr = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[mesh.bface_elements]], bvals)
-    bdiff = tr - exact(qp)
-    bn = np.einsum("fqd,fd->fq", problem.beta_fn(qp), mesh.bface_normals)
-    eta = sipg_eta(U_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
-    err2 += np.einsum("fq,fq->", w * (0.5 * np.abs(bn) + eta[:, None]), bdiff ** 2)
+    # boundary faces: the dG norm's face term of u_h - u* = u_h - g
+    fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
+    (eb, vb, _), = fb.sides
+    bdiff = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[eb]], vb) - exact(fb.qp)
+    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h, params)
+    err2 += np.einsum("fq,fq->", w, bdiff ** 2)
     return err_l2, float(np.sqrt(max(err2, 0.0)))
 
 

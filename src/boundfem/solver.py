@@ -25,6 +25,7 @@ relative) is part of the interface.
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,25 +69,24 @@ class LinearOperators:
 
     U_h: object
     V_h: object
-    params: FormParams
     G: sp.csr_matrix
-    B_broken: sp.csr_matrix     # b_h on V_h x V_h
     B: sp.csr_matrix            # b_h composed with the embedding, V_h x U_h
     E: sp.csr_matrix
     L: np.ndarray
-    M_u: sp.csr_matrix          # trial-space mass matrix (stopping norm)
+
+    @functools.cached_property
+    def M_u(self):
+        """Trial-space mass matrix, the norm of Newton's increment test."""
+        return (self.E.T @ assemble_mass(self.V_h) @ self.E).tocsr()
 
 
 def build_operators(problem, U_h, V_h, params=None):
     params = params or FormParams()
     G = assemble_gram(problem, V_h, params)
-    B_broken = assemble_bh(problem, V_h, params)
     L = assemble_load(problem, V_h, params)
     E = trial_to_test_embedding(U_h, V_h)
-    B = (B_broken @ E).tocsr()
-    M_v = assemble_mass(V_h)
-    M_u = (E.T @ M_v @ E).tocsr()
-    return LinearOperators(U_h, V_h, params, G, B_broken, B, E, L, M_u)
+    B = (assemble_bh(problem, V_h, params) @ E).tocsr()
+    return LinearOperators(U_h, V_h, G, B, E, L)
 
 
 def _saddle_matrix(G, B):
@@ -210,17 +210,6 @@ class NewtonSystem:
     def residual_norm(self, x):
         r, _ = self.residual(x)
         return np.linalg.norm(r)
-
-
-def assemble_newton_system(problem, ops, pen_config, eps, u):
-    """Block Jacobian J and residual R of the penalized problem at (eps, u).
-
-    J = [[G, B_u], [B_u', 0]] with B_u the dG form plus the penalty
-    Jacobian at u; R = [L - G eps - B u - P(u); -B_u' eps].
-    """
-    system = NewtonSystem(problem, ops, pen_config)
-    r, Bu = system.residual(np.concatenate([eps, u]))
-    return _saddle_matrix(ops.G, Bu), r
 
 
 def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,

@@ -52,17 +52,3 @@ def export_vtk(mesh, fields, path, title="boundfem output"):
                 for v in vals:
                     fh.write(f"{float(v)!r}\n")
 
-
-def read_vtk_points(path):
-    """Read back the POINTS block of a legacy VTK file (testing helper)."""
-    pts = []
-    with open(path) as fh:
-        lines = fh.readlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("POINTS"):
-            n = int(ln.split()[1])
-            for k in range(n):
-                x, y, _ = lines[i + 1 + k].split()
-                pts.append((float(x), float(y)))
-            break
-    return np.array(pts)

@@ -5,8 +5,10 @@ from boundfem.adapt import (AdaptOptions, ErrorIndicators, adaptive_solve_loop,
                             dorfler_mark, error_indicators, prolong,
                             write_records_csv)
 from boundfem.fespace import DiscreteFunction, build_space
-from boundfem.forms import ProblemSpec, vh_norm
-from boundfem.mesh import bisect_marked, build_structured_mesh
+from boundfem.forms import (FormParams, ProblemSpec, _contexts, assemble_gram,
+                            sipg_eta, vh_norm)
+from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh,
+                           read_mesh, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import solve_linear_resmin
 
@@ -17,7 +19,7 @@ def smooth_problem():
         [np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
          np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])], axis=-1)
     f = lambda x: (2 * np.pi ** 2 + 1) * uex(x) + gex(x)[..., 0] + gex(x)[..., 1]
-    pr = ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=f, g=uex, beta_div=0.0)
+    pr = ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=f, g=uex)
     return pr, uex, gex
 
 
@@ -39,6 +41,59 @@ def test_indicator_sum_identity():
     ind = error_indicators(pr, V, sol.eps)
     total = vh_norm(sol.eps, sol.ops.G)
     assert abs(ind.squared.sum() - total ** 2) <= 1e-10 * total ** 2
+
+
+def localization_inputs(name, tmp_path):
+    """(problem, V_h) for the edge inputs of the localization identity."""
+    pr, _, _ = smooth_problem()
+    if name == "p2":
+        return pr, build_space(build_structured_mesh(3, 3), 2, "broken")
+    if name == "tensor_K":
+        rot = ProblemSpec(beta=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+                          K=[[2e-2, 5e-3], [5e-3, 1e-2]], sigma=0.5, f=0.0, g=0.0)
+        return rot, build_space(build_structured_mesh(3, 3), 1, "broken")
+    if name == "read_mesh":
+        mesh = bisect_marked(build_structured_mesh(3, 3), [0, 4, 7])
+        write_mesh(mesh, tmp_path / "mesh.txt")
+        return pr, build_space(read_mesh(tmp_path / "mesh.txt"), 1, "broken")
+    one = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    assert len(one.iface_h) == 0
+    return pr, build_space(one, 1, "broken")
+
+
+def reference_indicators(problem, V, eps):
+    """Squared indicators from the dG norm's terms evaluated on function values."""
+    params = FormParams()
+    mesh = V.mesh
+    ec, fi, fb = _contexts(V, params)
+    c = eps[V.dofmap]
+    grads = np.einsum("el,eqlk->eqk", c, ec.grads)
+    bg = np.einsum("eqd,eqd->eq", problem.beta_fn(ec.qp), grads)
+    ind2 = np.einsum("eq,eq->e", ec.dA, np.einsum("el,ql->eq", c, ec.vals) ** 2)
+    ind2 += mesh.h_elem * np.einsum("eq,eq->e", ec.dA, bg ** 2)
+    ind2 += np.einsum("eq,dk,eqk,eqd->e", ec.dA, problem.K_mat, grads, grads)
+    for ctx, normals, h, share in ((fi, mesh.iface_normals, mesh.iface_h, 0.5),
+                                   (fb, mesh.bface_normals, mesh.bface_h, 1.0)):
+        bn = np.einsum("fqd,fd->fq", problem.beta_fn(ctx.qp), normals)
+        eta = sipg_eta(V.p, 2, problem.k_max, h, params.eta0)
+        sides = [np.einsum("fl,fql->fq", eps[V.dofmap[e]], v) for e, v, _ in ctx.sides]
+        jump = sides[0] - sides[1] if len(sides) == 2 else sides[0]
+        t = np.einsum("fq,fq->f", ctx.w * (0.5 * np.abs(bn) + eta[:, None]), jump ** 2)
+        for e, _, _ in ctx.sides:
+            np.add.at(ind2, e, share * t)
+    return ind2
+
+
+@pytest.mark.parametrize("name", ["p2", "tensor_K", "read_mesh", "one_element"])
+def test_indicator_sum_identity_edge_inputs(name, tmp_path):
+    pr, V = localization_inputs(name, tmp_path)
+    eps = np.random.default_rng(5).standard_normal(V.n_dofs)
+    norm2 = eps @ (assemble_gram(pr, V) @ eps)
+    ind = error_indicators(pr, V, eps)
+    assert ind.values.shape == (V.mesh.n_elements,)
+    assert abs(ind.squared.sum() - norm2) <= 1e-12 * norm2
+    # the Gram blocks are the documented norm, term by term
+    np.testing.assert_allclose(ind.squared, reference_indicators(pr, V, eps), rtol=1e-12)
 
 
 def test_indicator_locality():
@@ -106,8 +161,6 @@ def test_smooth_adaptive_run_properties(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(ests, ests[1:]))
     dofs = [r.dofs_v for r in res.records]
     assert all(a < b for a, b in zip(dofs, dofs[1:]))
-    assert all(r.gamma_recomputed and r.classification_recomputed
-               for r in res.records)
     errs = [r.err_l2 for r in res.records]
     assert errs[-1] < errs[0]
     path = tmp_path / "levels.csv"
@@ -181,7 +234,8 @@ def test_operators_and_indicators_share_contexts(monkeypatch):
     sol = solve_linear_resmin(pr, U, V, ops=ops)
     error_indicators(pr, V, sol.eps)
     assert sum(kind == "FaceContext" for kind, *_ in built) == 2
-    assert sum(kind == "ElementContext" for kind, *_ in built) == 2   # volume and mass
+    # volume only: the trial mass matrix is built when Newton first reads it
+    assert sum(kind == "ElementContext" for kind, *_ in built) == 1
 
 
 def test_one_adaptive_level_builds_each_context_once(monkeypatch):
@@ -191,4 +245,5 @@ def test_one_adaptive_level_builds_each_context_once(monkeypatch):
                         initial_mesh=build_structured_mesh(3, 3),
                         exact=uex, exact_grad=gex)
     assert len(built) == len(set(built))
-    assert sum(kind == "FaceContext" for kind, *_ in built) == 2
+    # interior and boundary faces of V_h, and error_norms' boundary faces of U_h
+    assert sum(kind == "FaceContext" for kind, *_ in built) == 3

@@ -9,7 +9,15 @@ from boundfem.cli import main, read_config
 from boundfem.fespace import DiscreteFunction, build_space
 from boundfem.mesh import build_structured_mesh
 from boundfem.report import bound_violation_report, cross_section
-from boundfem.vtkio import export_vtk, read_vtk_points
+from boundfem.vtkio import export_vtk
+
+
+def read_vtk_points(path):
+    """The POINTS block of a legacy VTK file as an (n, 2) array."""
+    lines = open(path).read().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("POINTS"))
+    n = int(lines[k].split()[1])
+    return np.array([[float(t) for t in ln.split()[:2]] for ln in lines[k + 1:k + 1 + n]])
 
 
 def test_builtin_case_parameters_match_reference_values():

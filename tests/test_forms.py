@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from boundfem.fespace import build_space, trial_to_test_embedding
-from boundfem.forms import (FormParams, NumericalBreakdown, ProblemSpec,
-                            assemble_bh, assemble_gram, assemble_load,
-                            assemble_mass, sipg_eta, vh_norm)
-from boundfem.mesh import build_structured_mesh
+from boundfem.forms import (ElementContext, FaceContext, FormParams,
+                            NumericalBreakdown, ProblemSpec, assemble_bh,
+                            assemble_gram, assemble_load, assemble_mass,
+                            sipg_eta, vh_norm)
+from boundfem.mesh import Mesh, build_structured_mesh
 from boundfem.quadrature import edge_rule, triangle_rule
 
 
@@ -126,8 +127,7 @@ def test_consistency_with_linear_exact_solution():
 def test_continuous_arguments_reduce_to_volume_plus_boundary():
     # for embedded continuous w, v all jump terms vanish; compare the matrix
     # value against an independent quadrature of the jump-free form
-    pr = ProblemSpec(beta=(1.0, 0.5), K=0.7, sigma=0.3, f=0.0, g=0.0,
-                     beta_div=0.0)
+    pr = ProblemSpec(beta=(1.0, 0.5), K=0.7, sigma=0.3, f=0.0, g=0.0)
     params = FormParams()
     mesh = build_structured_mesh(2, 2)
     V = build_space(mesh, 1, "broken")
@@ -180,8 +180,7 @@ def test_continuous_arguments_reduce_to_volume_plus_boundary():
 def test_coercivity_smoke():
     # sigma - div(beta)/2 = 1 > 0 and eta0 = 3: the symmetric part of the dG
     # operator is positive on random nonzero functions
-    pr = ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=0.0, g=0.0,
-                     beta_div=0.0)
+    pr = ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=0.0, g=0.0)
     mesh = build_structured_mesh(3, 3)
     V = build_space(mesh, 1, "broken")
     B = assemble_bh(pr, V)
@@ -212,3 +211,29 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                     u_min=0.0, gamma0=2.0)
+
+
+def jittered_mesh(seed=3):
+    """A 4x4 structured mesh with interior vertices moved by up to 0.1 h."""
+    base = build_structured_mesh(4, 4)
+    rng = np.random.default_rng(seed)
+    shift = 0.2 * base.h * (rng.random(base.vertices.shape) - 0.5)
+    shift[np.unique(base.bface_vertices)] = 0.0
+    return Mesh(base.vertices + shift, base.elements)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_context_gradients_equal_einsum_form(p):
+    # the broadcast product must reproduce gref . Binv bit for bit
+    mesh = jittered_mesh()
+    V = build_space(mesh, p, "broken")
+    _, _, _, Binv = mesh.affine()
+    ec = ElementContext(V, 2 * p + 2)
+    _, gref = V.basis.eval(ec.rule.points)
+    assert np.array_equal(ec.grads, np.einsum("qlr,erk->eqlk", gref, Binv))
+    fc = FaceContext(V, mesh.iface_vertices,
+                     [mesh.iface_elements[:, 0], mesh.iface_elements[:, 1]],
+                     mesh.iface_h, 2 * p + 3)
+    for elems, _, grads in fc.sides:
+        _, gref = V.basis.eval(mesh.to_reference(elems[:, None], fc.qp))
+        assert np.array_equal(grads, np.einsum("fqlr,frk->fqlk", gref, Binv[elems]))

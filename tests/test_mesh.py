@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import loop_reference
-from boundfem.mesh import (CHARACTERISTIC, INFLOW, OUTFLOW, Mesh, _edge_normals,
-                           bisect_marked, build_structured_mesh,
-                           classify_boundary_faces, read_mesh,
+from boundfem.fespace import build_space
+from boundfem.forms import FaceContext, ProblemSpec, _face_data
+from boundfem.mesh import (Mesh, _edge_normals, bisect_marked,
+                           build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 
 
@@ -74,35 +75,45 @@ def test_structured_rejects_bad_input():
         build_structured_mesh(2, 2, (0.0, 0.0, 0.0, 1.0))
 
 
+def classify_boundary(mesh, beta):
+    """(beta.n, inflow mask) at the boundary face quadrature points, as the forms use them."""
+    V = build_space(mesh, 1, "broken")
+    ctx = FaceContext(V, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, 3)
+    problem = ProblemSpec(beta=beta, K=0.0, sigma=0.0, f=0.0, g=0.0)
+    return _face_data(problem, ctx, mesh.bface_normals)
+
+
+def boundary_midpoints(mesh):
+    return 0.5 * (mesh.vertices[mesh.bface_vertices[:, 0]]
+                  + mesh.vertices[mesh.bface_vertices[:, 1]])
+
+
 def test_classify_unit_square_diagonal_velocity():
     mesh = build_structured_mesh(3, 3)
-    beta = (3.0 / np.sqrt(10.0), 1.0 / np.sqrt(10.0))
-    cls = classify_boundary_faces(mesh, beta)
-    mids = 0.5 * (mesh.vertices[mesh.bface_vertices[:, 0]]
-                  + mesh.vertices[mesh.bface_vertices[:, 1]])
-    for mid, label in zip(mids, cls.face_labels):
+    bn, inflow = classify_boundary(mesh, (3.0 / np.sqrt(10.0), 1.0 / np.sqrt(10.0)))
+    for mid, bn_f, inflow_f in zip(boundary_midpoints(mesh), bn, inflow):
         if np.isclose(mid[0], 0.0) or np.isclose(mid[1], 0.0):
-            assert label == INFLOW
+            assert np.all(inflow_f)
         else:
-            assert label == OUTFLOW
-    assert np.array_equal(np.sign(cls.b_dot_n).astype(np.int8), cls.labels)
+            assert np.all(bn_f > 0.0) and not np.any(inflow_f)
+    assert np.array_equal(inflow, bn < 0.0)
 
 
 def test_classify_zero_velocity_is_characteristic():
     mesh = build_structured_mesh(2, 2)
-    cls = classify_boundary_faces(mesh, (0.0, 0.0))
-    assert np.all(cls.labels == CHARACTERISTIC)
-    assert np.all(cls.face_labels == CHARACTERISTIC)
+    bn, inflow = classify_boundary(mesh, (0.0, 0.0))
+    assert np.all(bn == 0.0)
+    assert not np.any(inflow)
 
 
 def test_classify_rotating_flow_left_edge_split():
     mesh = build_structured_mesh(2, 4, (0.0, 1.0, -1.0, 1.0))
-    cls = classify_boundary_faces(mesh, lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1))
-    mids = 0.5 * (mesh.vertices[mesh.bface_vertices[:, 0]]
-                  + mesh.vertices[mesh.bface_vertices[:, 1]])
+    bn, inflow = classify_boundary(mesh, lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1))
+    mids = boundary_midpoints(mesh)
     on_left = np.isclose(mids[:, 0], 0.0)
-    assert np.all(cls.face_labels[on_left & (mids[:, 1] < 0)] == INFLOW)
-    assert np.all(cls.face_labels[on_left & (mids[:, 1] > 0)] == OUTFLOW)
+    assert np.all(inflow[on_left & (mids[:, 1] < 0)])
+    assert np.all(bn[on_left & (mids[:, 1] > 0)] > 0.0)
+    assert not np.any(inflow[on_left & (mids[:, 1] > 0)])
 
 
 def test_red_refinement_counts_and_h():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from math import factorial
 
-from boundfem.quadrature import (composite_rule, edge_rule, quadrature_rule,
-                                 triangle_rule, MAX_DEGREE)
+from boundfem.quadrature import edge_rule, triangle_rule, MAX_DEGREE
 
 
 def exact_triangle_monomial(a, b):
@@ -12,14 +11,14 @@ def exact_triangle_monomial(a, b):
 
 
 def test_triangle_degree1_is_centroid_rule():
-    rule = quadrature_rule("triangle", 1)
+    rule = triangle_rule(1)
     assert len(rule) == 1
     np.testing.assert_allclose(rule.points[0], [1 / 3, 1 / 3], atol=1e-15)
     np.testing.assert_allclose(rule.weights, [0.5], atol=1e-16)
 
 
 def test_edge_degree3_is_two_point_gauss():
-    rule = quadrature_rule("edge", 3)
+    rule = edge_rule(3)
     assert len(rule) == 2
     np.testing.assert_allclose(sorted(rule.points),
                                [0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)],
@@ -56,23 +55,6 @@ def test_unsupported_degree_rejected():
         triangle_rule(MAX_DEGREE + 1)
     with pytest.raises(ValueError):
         edge_rule(-2)
-    with pytest.raises(ValueError):
-        quadrature_rule("square", 2)
-
-
-@pytest.mark.parametrize("depth", [0, 1, 3, 6])
-def test_composite_rule_stays_exact_and_reaches_corners(depth):
-    rule = composite_rule(4, depth)
-    assert np.all(rule.weights > 0)
-    assert abs(rule.weights.sum() - 0.5) < 1e-14
-    for a in range(5):
-        for b in range(5 - a):
-            got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
-            exact = exact_triangle_monomial(a, b)
-            assert abs(got - exact) <= 1e-13 * exact
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    reach = max(np.linalg.norm(rule.points - c, axis=1).min() for c in corners)
-    assert reach <= 0.25 * 2.0 ** (1 - depth)
 
 
 @pytest.mark.parametrize("rule_fn", [triangle_rule, edge_rule])

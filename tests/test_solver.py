@@ -7,8 +7,7 @@ from boundfem.forms import ProblemSpec, vh_norm
 from boundfem.mesh import build_structured_mesh
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
-                             _saddle_matrix, assemble_newton_system,
-                             build_operators, clip_inset, damped_update,
+                             _saddle_matrix, build_operators, clip_inset, damped_update,
                              newton_solve, solve_linear_resmin,
                              write_iteration_log)
 
@@ -197,13 +196,31 @@ def test_assemble_newton_system_inactive_penalty_matches_linear(manufactured):
     rng = np.random.default_rng(6)
     eps = 0.01 * rng.standard_normal(V.n_dofs)
     u = rng.uniform(0.0, 1.0, U.n_dofs)
-    J, r = assemble_newton_system(prb, ops, PenaltyConfig.from_problem(prb), eps, u)
+    r, Bu = NewtonSystem(prb, ops, PenaltyConfig.from_problem(prb)).residual(
+        np.concatenate([eps, u]))
+    J = _saddle_matrix(ops.G, Bu)
     expected_top = ops.L - ops.G @ eps - ops.B @ u
     expected_bottom = -(ops.B.T @ eps)
     np.testing.assert_allclose(r, np.concatenate([expected_top, expected_bottom]),
                                atol=1e-14)
     assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
     assert abs(J[:V.n_dofs, V.n_dofs:] - ops.B).max() == 0.0
+
+
+def test_trial_mass_matrix_built_on_first_use(manufactured, monkeypatch):
+    import boundfem.solver as solver
+    pr, U, V = manufactured
+    calls = []
+    assemble_mass = solver.assemble_mass
+    monkeypatch.setattr(solver, "assemble_mass",
+                        lambda space: calls.append(space) or assemble_mass(space))
+    ops = build_operators(pr, U, V)
+    solve_linear_resmin(pr, U, V, ops=ops)
+    assert calls == []
+    M_u = ops.M_u
+    assert ops.M_u is M_u and calls == [V]
+    ones = np.ones(U.n_dofs)
+    assert ones @ (M_u @ ones) == pytest.approx(1.0, rel=1e-13)   # |unit square|
 
 
 def test_clip_inset_strictly_interior():
