@@ -159,11 +159,6 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
             sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
             u, eps = sol.u, sol.eps
         else:
-            import scipy.sparse.linalg as spla
-
-            def riesz(u0):
-                return spla.spsolve(ops.G.tocsc(), ops.L - ops.B @ u0)
-
             def violation_of(u_c):
                 lo, hi = extrema(U_h, u_c, params.vol_degree(opts.p))
                 return sum(violations(lo, hi, pen_config.lower, pen_config.upper))
@@ -172,7 +167,7 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
             if opts.warm_start and prev is not None:
                 u0 = clip_inset(prolong(prev[1], prev[0], U_h),
                                 pen_config.lower, pen_config.upper)
-                initial = (riesz(u0), u0)
+                initial = (ops.riesz(ops.L - ops.B @ u0), u0)
             res = newton_solve(problem, U_h, V_h, pen_config, params,
                                opts=opts.newton, initial=initial, ops=ops)
             newton_iters = res.iterations
@@ -201,9 +196,9 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                     if viol <= 0.0:
                         break
                     u0 = clip_inset(res.u, pen_config.lower, pen_config.upper)
+                    start = (ops.riesz(ops.L - ops.B @ u0), u0)
                     retry = newton_solve(problem, U_h, V_h, pen_config, params,
-                                         opts=opts.newton, initial=(riesz(u0), u0),
-                                         ops=ops)
+                                         opts=opts.newton, initial=start, ops=ops)
                     if not retry.converged:
                         break
                     viol_retry = violation_of(retry.u)
@@ -243,7 +238,6 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
             break
         prev = (U_h, u)
         # the shared quadrature/geometry tables die with their level
-        U_h.contexts.clear()
         V_h.contexts.clear()
         mesh = bisect_marked(mesh, marks)
 

@@ -122,8 +122,9 @@ class FunctionSpace:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
         self._node_coords = None
-        # quadrature/geometry tables by (kind, degree); see forms.element_context
-        self.contexts = {}
+        # quadrature/geometry tables by (kind, degree), shared by every space
+        # of this mesh and degree; see forms.element_context
+        self.contexts = mesh.contexts.setdefault(self.p, {})
 
     def node_coords(self):
         """Physical coordinates of every global dof (nodal bases only)."""

@@ -86,6 +86,7 @@ class Mesh:
         self._build_faces()
         self._affine_cache = None
         self._locator = None
+        self.contexts = {}      # quadrature tables of the spaces on this mesh, by degree p
         _freeze(self.vertices, self.elements, self.edges, self.elem2edge,
                 self.element_area, self.h_elem)
 

@@ -196,13 +196,37 @@ class PenaltyOperator:
 
     def residual(self, u_coeffs):
         """Assembled penalty residual over V_h dofs."""
+        return self._residual(self._terms(u_coeffs))
+
+    def _residual(self, terms):
         out = np.zeros(self.V_h.n_dofs)
-        for sign, arg, _ in self._terms(u_coeffs):
+        for sign, arg, _ in terms:
             xi = negative_part(arg)
             w = sign * self.dA * self.inv_gamma[:, None] * xi
             local = np.einsum("eq,qi->ei", w, self.test_vals)
             np.add.at(out, self.V_h.dofmap.ravel(), local.ravel())
         return out
+
+    def residual_and_adjoint(self, u_coeffs, eps):
+        """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling dP(u).
+
+        Per element, dP(u)' eps = sum_q a (u_coef phi - gamma A phi) with
+        a = sign dA gamma^-1 ind eps(q), the transpose of `jacobian`'s blocks.
+        """
+        terms = self._terms(u_coeffs)
+        eps_q = eps[self.V_h.dofmap] @ self.test_vals.T       # eps at the points
+        a_sum = np.zeros_like(eps_q)        # sum over bounds of a
+        a_coef = np.zeros_like(eps_q)       # sum over bounds of u_coef * a
+        for sign, arg, u_coef in terms:
+            ind = 0.5 * (1.0 - np.sign(arg))
+            a = sign * self.dA * self.inv_gamma[:, None] * ind * eps_q
+            a_sum += a
+            a_coef += u_coef * a
+        local = a_coef @ self.test_vals
+        local -= self.gammas[:, None] * np.einsum("eq,eqj->ej", a_sum, self.strong.A_basis)
+        adjoint = np.bincount(self.U_h.dofmap.ravel(), local.ravel(),
+                              minlength=self.U_h.n_dofs)
+        return self._residual(terms), adjoint
 
     def jacobian(self, u_coeffs):
         """Assembled Gateaux derivative as a sparse V_h x U_h matrix.

@@ -211,13 +211,13 @@ def test_penalized_adaptive_smoke():
 
 
 def count_context_builds(monkeypatch):
-    """Record (kind, space, face set, degree) for every context built from now on."""
+    """Record (kind, mesh, degree p, face set, quadrature degree) for every context built."""
     import boundfem.forms as forms
     built = []
     for cls in (forms.ElementContext, forms.FaceContext):
         def counting(self, space, *args, _init=cls.__init__, _kind=cls.__name__, **kw):
             faces = id(args[0]) if _kind == "FaceContext" else None
-            built.append((_kind, id(space), faces, args[-1]))
+            built.append((_kind, id(space.mesh), space.p, faces, args[-1]))
             _init(self, space, *args, **kw)
         monkeypatch.setattr(cls, "__init__", counting)
     return built
@@ -247,3 +247,5 @@ def test_one_adaptive_level_builds_each_context_once(monkeypatch):
     assert len(built) == len(set(built))
     # interior and boundary faces of V_h, and error_norms' boundary faces of U_h
     assert sum(kind == "FaceContext" for kind, *_ in built) == 3
+    # the volume table, shared by V_h's forms and U_h's extrema, and error_norms'
+    assert sum(kind == "ElementContext" for kind, *_ in built) == 2

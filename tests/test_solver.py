@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from boundfem.cases import get_case
 from boundfem.fespace import build_space
 from boundfem.forms import ProblemSpec, vh_norm
-from boundfem.mesh import build_structured_mesh
+from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
+                           refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
-                             _saddle_matrix, build_operators, clip_inset, damped_update,
+                             _factorize, _saddle_matrix, _saddle_target,
+                             build_operators, clip_inset, damped_update,
                              newton_solve, solve_linear_resmin,
                              write_iteration_log)
+from test_mesh import jittered
 
 
 @pytest.fixture
@@ -249,3 +253,135 @@ def test_newton_on_flat_clipped_regions_converges():
     res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
                        opts=NewtonOptions(tol=1e-5))
     assert res.converged
+
+
+# ----------------------------------------------------------------------
+# Factorization paths, the Newton step check and matrix-free trial residuals
+# ----------------------------------------------------------------------
+
+def smooth_spaces(p, nx=4):
+    case = get_case("smooth")
+    mesh = build_structured_mesh(nx, nx)
+    return case.problem(), build_space(mesh, p, "continuous"), build_space(mesh, p, "broken")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_higher_degree_linear_solve_meets_contract(p):
+    pr, U, V = smooth_spaces(p)
+    sol = solve_linear_resmin(pr, U, V)
+    assert sol.block_residual <= 1e-10
+
+
+def test_p2_penalized_newton_runs_and_reports():
+    pr, U, V = smooth_spaces(2, nx=3)
+    prb = ProblemSpec(beta=pr.beta, K=pr.K, sigma=pr.sigma, f=pr.f, g=pr.g,
+                      u_min=0.05, gamma0=1e-4)
+    res = newton_solve(prb, U, V, PenaltyConfig.from_problem(prb),
+                       opts=NewtonOptions(tol=1e-6))
+    assert res.reason in ("residual at solver floor", "increment below tolerance",
+                          "damping retry cap exceeded", "iteration limit reached")
+    assert res.iterations >= 1 and np.all(np.isfinite(res.u))
+
+
+def p1_linear_inputs(tmp_path):
+    mesh = bisect_marked(refine_uniform_red(build_structured_mesh(4, 4)), [0, 5, 9, 30])
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    yield "jittered", jittered(refine_uniform_red(build_structured_mesh(5, 5)), 3)
+    yield "read_mesh", read_mesh(tmp_path / "mesh.txt")
+
+
+def relative_gap(K, b, x):
+    ref = spla.spsolve(K.tocsc(), b)
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_p1_symmetric_factorization_matches_spsolve(tmp_path):
+    pr = get_case("smooth").problem()
+    for name, mesh in p1_linear_inputs(tmp_path):
+        U = build_space(mesh, 1, "continuous")
+        V = build_space(mesh, 1, "broken")
+        sol = solve_linear_resmin(pr, U, V)
+        K = _saddle_matrix(sol.ops.G, sol.ops.B)
+        rhs = np.concatenate([sol.ops.L, np.zeros(U.n_dofs)])
+        assert relative_gap(K, rhs, np.concatenate([sol.eps, sol.u])) <= 1e-12, name
+        r = sol.ops.L - sol.ops.B @ sol.u
+        assert relative_gap(sol.ops.G, r, sol.ops.riesz(r)) <= 1e-12, name
+
+
+def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
+    pr, U, V = manufactured
+    prb = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
+                      f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
+                      u_min=0.2, u_max=0.8, gamma0=1e-3)
+    ops = build_operators(prb, U, V)
+    system = NewtonSystem(prb, ops, PenaltyConfig.from_problem(prb))
+    rng = np.random.default_rng(11)
+    x = np.concatenate([0.01 * rng.standard_normal(V.n_dofs), rng.uniform(0, 1, U.n_dofs)])
+    r, Bu = system.residual(x)
+    assert abs(Bu - ops.B).max() > 0.0          # the penalty is active
+    J = _saddle_matrix(ops.G, Bu)
+    dx = _factorize(J, _saddle_target(ops, "test")).solve(r)
+    assert relative_gap(J, r, dx) <= 1e-12
+
+
+def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
+    import boundfem.solver as solver
+    pr, U, V = manufactured
+    prb = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
+                      f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
+                      u_min=0.2, u_max=0.8, gamma0=1e-4)
+    factorize = solver._factorize
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(solver, "_factorize",
+                        lambda K, context: Perturbed(factorize(K, context)))
+    zeros = (np.zeros(V.n_dofs), np.zeros(U.n_dofs))
+    with pytest.raises(SolverBreakdown, match="step solve inaccurate"):
+        newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), initial=zeros)
+
+
+@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
+@pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
+@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
+def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
+    pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
+                     u_min=bounds[0], u_max=bounds[1], gamma0=1e-3)
+    mesh = jittered(build_structured_mesh(4, 4), 2)
+    U = build_space(mesh, p, "continuous")
+    V = build_space(mesh, p, "broken")
+    cfg = PenaltyConfig.from_problem(pr, upper_sign=upper_sign, quadrature=quadrature)
+    system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.standard_normal(V.n_dofs), rng.uniform(-0.2, 1.2, U.n_dofs)])
+    r, Bu = system.residual(x)
+    assert abs(Bu - system.ops.B).max() > 0.0    # the penalty is active
+    ref = np.linalg.norm(r)
+    assert abs(system.residual_norm(x) - ref) <= 1e-13 * ref
+
+
+def test_trial_points_assemble_no_jacobian(monkeypatch):
+    from boundfem.penalty import PenaltyOperator
+    case = get_case("case1")
+    pr = case.problem()
+    mesh = case.make_mesh()
+    U = build_space(mesh, 1, "continuous")
+    V = build_space(mesh, 1, "broken")
+    calls = []
+    jacobian = PenaltyOperator.jacobian
+    monkeypatch.setattr(PenaltyOperator, "jacobian",
+                        lambda self, u: calls.append("J") or jacobian(self, u))
+    residual_norm = NewtonSystem.residual_norm
+    monkeypatch.setattr(NewtonSystem, "residual_norm",
+                        lambda self, x: calls.append("trial") or residual_norm(self, x))
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
+                       opts=NewtonOptions(tol=case.tol))
+    assert res.iterations >= 1
+    assert calls.count("trial") >= res.iterations
+    # one at the start and one per accepted iterate, none at trial points
+    assert calls.count("J") == 1 + res.iterations
