@@ -24,7 +24,9 @@ symmetric indefinite, and only the block-residual contract (<= 1e-10
 relative) is part of the interface. Trial points of the damping loop need
 only |R|, so their bottom block is B'eps + dP(u)'eps, evaluated without
 assembling dP(u); the Jacobian is assembled at the start and at accepted
-iterates. G is factorized once per level (`LinearOperators.riesz`).
+iterates. `LinearOperators.riesz` factorizes G on each call and keeps no
+factor: the uniform studies solve with G once per level, and a kept factor
+would stay alive through every Newton factorization of that level.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -38,12 +40,13 @@ Two orderings, fixed here and not configurable (`_factorize`):
   is needed: without the pre-order minimum degree took 4.0-4.6 s, with
   partial pivoting 174 s, and a zero threshold lost all accuracy at p = 2.
 * Saddle systems with p >= 2 trial spaces keep plain `splu` (COLAMD with
-  partial pivoting). Their edge and bubble trial dofs have few neighbours,
-  so minimum degree eliminates them before the V_h dofs they couple to and
-  their zero pivots force off-diagonal pivots (1,297 rows at p = 2, 5,724
-  at p = 3): on the smooth mesh the symmetric path took 1.37 s instead of
-  0.91 s at p = 2 (16,513 rows), and 18.2 s with 27.3 M fill instead of
-  0.34 s with 3.5 M at p = 3 (7,521 rows).
+  partial pivoting; `_symmetric_saddle`). Their edge and bubble trial dofs
+  have few neighbours, so minimum degree eliminates them before the V_h
+  dofs they couple to and their zero pivots force off-diagonal pivots
+  (1,297 rows at p = 2, 5,724 at p = 3): on the smooth mesh the symmetric
+  path took 1.37 s instead of 0.91 s at p = 2 (16,513 rows), and 18.2 s
+  with 27.3 M fill instead of 0.34 s with 3.5 M at p = 3 (7,521 rows). No
+  benchmark workload has p >= 2; these timings come from one-off runs.
 """
 
 import csv
@@ -53,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .fespace import trial_to_test_embedding
 from .forms import FormParams, assemble_bh, assemble_gram, assemble_load, assemble_mass
@@ -89,7 +91,8 @@ def clip_inset(u, lower, upper):
 
 
 class SolverBreakdown(RuntimeError):
-    """Direct factorization of the saddle system failed."""
+    """A direct solve failed: its LU factorization broke down, or its
+    solution missed the system by more than SOLVE_RTOL relative."""
 
 
 @dataclass
@@ -108,13 +111,9 @@ class LinearOperators:
         """Trial-space mass matrix, the norm of Newton's increment test."""
         return (self.E.T @ assemble_mass(self.V_h) @ self.E).tocsr()
 
-    @functools.cached_property
-    def _G_lu(self):
-        return _factorize(self.G, _Target("Riesz solve with G", symmetric=True))
-
     def riesz(self, r):
-        """G^-1 r, the residual representative of r; G is factorized on first use."""
-        return self._G_lu.solve(r)
+        """G^-1 r, the residual representative of r; G is factorized anew."""
+        return _factorize(self.G, True).solve(r)
 
 
 def build_operators(problem, U_h, V_h, params=None):
@@ -130,17 +129,6 @@ def _saddle_matrix(G, B):
     return sp.bmat([[G, B], [B.T, None]], format="csc")
 
 
-@dataclass(frozen=True)
-class _Target:
-    """What `_factorize` factorizes: a name for errors, and its ordering."""
-
-    what: str
-    symmetric: bool
-
-    def __str__(self):
-        return self.what
-
-
 class _PermutedLU:
     """LU factors of K[perm][:, perm] that solve with K itself."""
 
@@ -154,21 +142,24 @@ class _PermutedLU:
         return x
 
 
-def _saddle_target(ops, what):
+def _symmetric_saddle(ops):
     """Saddle systems take the symmetric ordering only with P1 trial spaces."""
-    return _Target(what, symmetric=ops.U_h.p == 1)
+    return ops.U_h.p == 1
 
 
-def _factorize(K, context):
-    """Sparse LU of the symmetric matrix K, ordered as `context.symmetric` says."""
+def _factorize(K, symmetric):
+    """Sparse LU of the symmetric matrix K: the symmetric ordering, or COLAMD."""
     try:
-        if not context.symmetric:
+        if not symmetric:
             return spla.splu(K)
+        # imported here so that runs with no symmetric factorization skip it
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
         perm = reverse_cuthill_mckee(K, symmetric_mode=True)
         return _PermutedLU(spla.splu(K[perm][:, perm].tocsc(), **SYMMETRIC_LU), perm)
     except RuntimeError as exc:
+        ordering = "symmetric" if symmetric else "COLAMD"
         raise SolverBreakdown(
-            f"{context}: sparse LU failed ({exc}); "
+            f"sparse LU ({ordering} ordering) failed ({exc}); "
             f"matrix {K.shape[0]}x{K.shape[1]}, nnz={K.nnz}") from exc
 
 
@@ -186,7 +177,7 @@ def solve_linear_resmin(problem, U_h, V_h, params=None, ops=None):
     nv, nu = ops.V_h.n_dofs, ops.U_h.n_dofs
     K = _saddle_matrix(ops.G, ops.B)
     rhs = np.concatenate([ops.L, np.zeros(nu)])
-    lu = _factorize(K, _saddle_target(ops, "linear residual minimization"))
+    lu = _factorize(K, _symmetric_saddle(ops))
     x = lu.solve(rhs)
     eps, u = x[:nv], x[nv:]
     scale = max(np.linalg.norm(ops.L), 1e-300)
@@ -268,23 +259,23 @@ class NewtonSystem:
     def split(self, x):
         return x[:self.nv], x[self.nv:]
 
+    def _top(self, eps, u, P):
+        """The first block of R: L - G eps - B u - P(u)."""
+        return self.ops.L - self.ops.G @ eps - self.ops.B @ u - P
+
     def residual(self, x):
         """Block residual [L - G eps - B u - P(u); -(B + dP(u))' eps]."""
-        ops = self.ops
         eps, u = self.split(x)
-        top = ops.L - ops.G @ eps - ops.B @ u - self.pen.residual(u)
-        Bu = ops.B + self.pen.jacobian(u)
-        bottom = -(Bu.T @ eps)
-        return np.concatenate([top, bottom]), Bu
+        Bu = self.ops.B + self.pen.jacobian(u)
+        top = self._top(eps, u, self.pen.residual(u))
+        return np.concatenate([top, -(Bu.T @ eps)]), Bu
 
     def residual_norm(self, x):
         """|R(x)| without assembling dP(u): the bottom block is B'eps + dP(u)'eps."""
-        ops = self.ops
         eps, u = self.split(x)
         P, dPt_eps = self.pen.residual_and_adjoint(u, eps)
-        top = ops.L - ops.G @ eps - ops.B @ u - P
-        bottom = -(ops.B.T @ eps + dPt_eps)
-        return np.linalg.norm(np.concatenate([top, bottom]))
+        bottom = -(self.ops.B.T @ eps + dPt_eps)
+        return np.linalg.norm(np.concatenate([self._top(eps, u, P), bottom]))
 
 
 def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
@@ -320,7 +311,7 @@ def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
         J = _saddle_matrix(ops.G, Bu)
-        dx = _factorize(J, _saddle_target(ops, f"Newton iteration {k}")).solve(r)
+        dx = _factorize(J, _symmetric_saddle(ops)).solve(r)
         step_res = np.linalg.norm(J @ dx - r)
         if not step_res <= SOLVE_RTOL * rnorm:
             raise SolverBreakdown(

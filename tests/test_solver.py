@@ -9,7 +9,7 @@ from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
-                             _factorize, _saddle_matrix, _saddle_target,
+                             _factorize, _saddle_matrix, _symmetric_saddle,
                              build_operators, clip_inset, damped_update,
                              newton_solve, solve_linear_resmin,
                              write_iteration_log)
@@ -320,7 +320,7 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
     r, Bu = system.residual(x)
     assert abs(Bu - ops.B).max() > 0.0          # the penalty is active
     J = _saddle_matrix(ops.G, Bu)
-    dx = _factorize(J, _saddle_target(ops, "test")).solve(r)
+    dx = _factorize(J, _symmetric_saddle(ops)).solve(r)
     assert relative_gap(J, r, dx) <= 1e-12
 
 
@@ -340,7 +340,7 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
             return self.lu.solve(b) * (1.0 + 1e-6)
 
     monkeypatch.setattr(solver, "_factorize",
-                        lambda K, context: Perturbed(factorize(K, context)))
+                        lambda K, symmetric: Perturbed(factorize(K, symmetric)))
     zeros = (np.zeros(V.n_dofs), np.zeros(U.n_dofs))
     with pytest.raises(SolverBreakdown, match="step solve inaccurate"):
         newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), initial=zeros)
