@@ -44,9 +44,9 @@ def error_indicators(problem, V_h, eps_coeffs, params=None):
     ind2 = np.zeros(V_h.mesh.n_elements)
     for dofs, blocks, owners in gram_blocks(problem, V_h, params or FormParams()):
         c = eps_coeffs[dofs]
-        q = np.einsum("fi,fij,fj->f", c, blocks, c)
+        q = (c[:, None, :] @ blocks @ c[:, :, None])[:, 0, 0]
         for elems, share in owners:
-            np.add.at(ind2, elems, share * q)
+            ind2 += np.bincount(elems, share * q, minlength=len(ind2))
     total = float(np.sqrt(max(ind2.sum(), 0.0)))
     return ErrorIndicators(np.sqrt(np.maximum(ind2, 0.0)), total)
 
@@ -121,11 +121,11 @@ def prolong(u_coeffs, old_space, new_space):
     if new_mesh.parent_mesh is not old_mesh or new_mesh.parent_elements is None:
         raise ValueError("new mesh does not descend from the old space's mesh")
     B, b0, _, _ = new_mesh.affine()
-    nodes = b0[:, None, :] + np.einsum("eij,qj->eqi", B, new_space.basis.nodes)
+    nodes = b0[:, None, :] + new_space.basis.nodes @ B.swapaxes(1, 2)
     parents = new_mesh.parent_elements
     refs = old_mesh.to_reference(parents[:, None], nodes)
     vals, _ = old_space.basis.eval(refs)
-    local = np.einsum("el,eql->eq", u_coeffs[old_space.dofmap[parents]], vals)
+    local = (vals @ u_coeffs[old_space.dofmap[parents]][:, :, None])[..., 0]
     out = np.empty(new_space.n_dofs)
     out[new_space.dofmap.ravel()] = local.ravel()
     return out

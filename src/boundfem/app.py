@@ -4,7 +4,8 @@ Every run writes its artifacts into a per-case output directory:
 
     run_info.txt         all effective settings (for reproducibility)
     solution.vtk         final solution u and residual representative eps
-    iterations.csv       Newton log of the final (or only) solve
+    iterations.csv       Newton log of the final (or only) solve, one row per
+                         accepted step with its damping retries
     violation.txt        bound-violation report (when bounds are set)
     cross_section.csv    sampled line values (cases that define one)
     levels.csv           per-level records (adaptive runs)

@@ -130,7 +130,7 @@ class FunctionSpace:
         """Physical coordinates of every global dof (nodal bases only)."""
         if self._node_coords is None:
             B, b0, _, _ = self.mesh.affine()
-            phys = b0[:, None, :] + np.einsum("eij,qj->eqi", B, self.basis.nodes)
+            phys = b0[:, None, :] + self.basis.nodes @ B.swapaxes(1, 2)
             coords = np.empty((self.n_dofs, 2))
             coords[self.dofmap.ravel()] = phys.reshape(-1, 2)
             self._node_coords = coords
@@ -148,13 +148,12 @@ class FunctionSpace:
         vals, grads = self.basis.eval(ref_points)
         c = coeffs[self.dofmap[elems]]
         if vals.ndim == 2:  # shared reference points
-            u = np.einsum("el,ql->eq", c, vals)
-            gref = np.einsum("el,qlr->eqr", c, grads)
+            u = c @ vals.T
         else:
-            u = np.einsum("el,eql->eq", c, vals)
-            gref = np.einsum("el,eqlr->eqr", c, grads)
-        g = np.einsum("eqr,erk->eqk", gref, Binv[elems])
-        return u, g
+            u = (vals @ c[:, :, None])[..., 0]
+        gref = (c[:, None, None, :] @ grads)[..., 0, :]
+        Binv = Binv[elems][:, None]
+        return u, gref[..., 0, None] * Binv[..., 0, :] + gref[..., 1, None] * Binv[..., 1, :]
 
     def interpolate(self, fn):
         """Nodal interpolation of a scalar field, returning a coefficient array."""
@@ -238,5 +237,5 @@ class DiscreteFunction:
         if inside.any():
             vals, _ = self.space.basis.eval(refs[inside])
             c = self.coeffs[self.space.dofmap[elems[inside]]]
-            out[inside] = np.einsum("pl,pl->p", c, vals)
+            out[inside] = (c * vals).sum(axis=1)
         return out

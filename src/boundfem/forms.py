@@ -16,6 +16,14 @@ inflow/outflow classification).
 
 Matrices are scipy CSR; rows follow the broken element-major dof order,
 loads are plain numpy arrays over the same dofs.
+
+Kernel convention, shared by `penalty`, `report`, `adapt`, `fespace` and
+`mesh`: sums over quadrature points are batched matrix products a^T (w b)
+(a 2-D GEMM on a reshaped view where one factor is shared by all elements);
+per-element 2x2 maps and dot products over a length-2 axis are two-term
+broadcasts (`_matmul2`, `_dot2`); products with the constant K are one GEMM
+on the (..., 2) rows; scatters into global vectors are `np.bincount`. No
+kernel goes through einsum.
 """
 
 from dataclasses import dataclass
@@ -120,10 +128,17 @@ def sipg_eta(p, d, K, h_F, eta0=3.0):
 def _matmul2(a, b):
     """a @ b over a contracted axis of length 2, e.g. gradients times Jacobians.
 
-    A two-term broadcast product: several times faster than the equivalent
-    einsum or matmul on these small trailing axes, with the same result.
+    A two-term broadcast product: with a per-element 2x2 factor such as the
+    inverse Jacobians it is several times faster than the equivalent einsum
+    or batched matmul. A constant factor such as K is faster as one GEMM on
+    the (..., 2) rows.
     """
     return a[..., 0, None] * b[..., 0, :] + a[..., 1, None] * b[..., 1, :]
+
+
+def _dot2(a, b):
+    """Broadcast dot product over a trailing axis of length 2, e.g. beta.grad v."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 class ElementContext:
@@ -138,7 +153,7 @@ class ElementContext:
         rule = triangle_rule(degree) if rule is None else rule
         B, b0, detB, Binv = mesh.affine()
         self.rule = rule
-        self.qp = b0[:, None, :] + np.einsum("eij,qj->eqi", B, rule.points)
+        self.qp = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
         self.dA = rule.weights[None, :] * detB[:, None]
         vals, gref = space.basis.eval(rule.points)
         self.vals = vals                              # (nq, nl)
@@ -219,9 +234,30 @@ class _Accumulator:
 def _face_data(problem, ctx, normals):
     """beta.n values and inflow masks at the face quadrature points."""
     bvals = problem.beta_fn(ctx.qp)
-    bn = np.einsum("fqd,fd->fq", bvals, normals)
+    bn = _dot2(bvals, normals[:, None])
     tol = char_tolerance(bvals)
     return bn, bn < -tol
+
+
+def _diffusion_blocks(ec, K):
+    """Element blocks (K grad phi_j, grad phi_i): one product over (q, d) rows."""
+    ne, nq, nl, _ = ec.grads.shape
+    g = ec.grads.swapaxes(2, 3).reshape(ne, 2 * nq, nl)
+    Kg = (ec.grads.reshape(-1, 2) @ K.T).reshape(ec.grads.shape)
+    Kg = Kg.swapaxes(2, 3).reshape(ne, 2 * nq, nl)
+    return g.swapaxes(1, 2) @ (np.repeat(ec.dA[:, :, None], 2, axis=1) * Kg)
+
+
+def _boundary_traces(problem, V_h, fb, params):
+    """Boundary-face elements, traces v and K grad v.n, and the weak
+    Dirichlet test function theta K grad v.n + (eta + [beta.n]_inflow) v."""
+    mesh = V_h.mesh
+    bn, inflow = _face_data(problem, fb, mesh.bface_normals)
+    eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+    (eb, vb, gb), = fb.sides
+    Kn = _dot2(gb, (mesh.bface_normals @ problem.K_mat)[:, None, None])
+    test = params.theta * Kn + (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
+    return eb, vb, Kn, test
 
 
 # ----------------------------------------------------------------------
@@ -229,57 +265,46 @@ def _face_data(problem, ctx, normals):
 # ----------------------------------------------------------------------
 
 def assemble_bh(problem, V_h, params=None):
-    """Assemble the dG form b_h = b_h^diff + b_h^adv on V_h x V_h."""
+    """Assemble the dG form b_h = b_h^diff + b_h^adv on V_h x V_h.
+
+    Block rows are test dofs and columns trial dofs; interior faces form one
+    block over the [minus, plus] dofs, as in `gram_blocks`.
+    """
     params = params or FormParams()
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h, params)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
-    K = problem.K_mat
-    theta = params.theta
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
-    beta = problem.beta_fn(ec.qp)
-    sigma = problem.sigma_fn(ec.qp)
-    bg = np.einsum("eqd,eqld->eql", beta, ec.grads)
-    Kg = np.einsum("dk,eqlk->eqld", K, ec.grads)
-    blocks = np.einsum("eq,eqjd,eqid->eij", ec.dA, Kg, ec.grads)
-    blocks += np.einsum("eq,eqj,qi->eij", ec.dA,
-                        bg + sigma[:, :, None] * ec.vals[None, :, :], ec.vals)
+    adv = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
+    adv += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
+    blocks = _diffusion_blocks(ec, problem.K_mat)
+    blocks += ec.vals.T @ (ec.dA[:, :, None] * adv)
     acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
 
-    # interior faces
+    # interior faces: P^T (w jump) - jump^T (w avg flux) with
+    # P = theta avg flux + (eta + |b.n|/2) jump - (b.n) mean
     if len(mesh.iface_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h, params.eta0)
         (em, vm, gm), (ep, vp, gp) = fi.sides
-        Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, g), mesh.iface_normals)
-              for g in (gm, gp)]
-        vals = {0: vm, 1: vp}
-        dofs = {0: V_h.dofmap[em], 1: V_h.dofmap[ep]}
-        sign = {0: 1.0, 1: -1.0}
-        absbn = np.abs(bn)
-        for A in (0, 1):
-            for Bs in (0, 1):
-                sA, sB = sign[A], sign[Bs]
-                blk = np.einsum("fq,fqj,fqi->fij", fi.w * theta * sB * 0.5, vals[Bs], Kn[A])
-                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * sA * 0.5, Kn[Bs], vals[A])
-                blk += np.einsum("fq,fqj,fqi->fij", fi.w * (eta[:, None] * sA * sB), vals[Bs], vals[A])
-                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * bn * sB * 0.5, vals[Bs], vals[A])
-                blk += np.einsum("fq,fqj,fqi->fij", fi.w * absbn * 0.5 * sA * sB, vals[Bs], vals[A])
-                acc.add_blocks(dofs[A], dofs[Bs], blk)
+        Kn = (mesh.iface_normals @ problem.K_mat)[:, None, None]
+        jump = np.concatenate([vm, -vp], axis=-1)
+        avg = 0.5 * np.concatenate([_dot2(gm, Kn), _dot2(gp, Kn)], axis=-1)
+        P = params.theta * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
+        P -= 0.5 * bn[:, :, None] * np.concatenate([vm, vp], axis=-1)
+        w = fi.w[:, :, None]
+        dofs = np.hstack([V_h.dofmap[em], V_h.dofmap[ep]])
+        blocks = P.swapaxes(1, 2) @ (w * jump)
+        blocks -= jump.swapaxes(1, 2) @ (w * avg)
+        acc.add_blocks(dofs, dofs, blocks)
 
     # boundary faces
     if len(mesh.bface_h):
-        bn, inflow = _face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
-        (eb, vb, gb), = fb.sides
-        Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
+        eb, vb, Kn, test = _boundary_traces(problem, V_h, fb, params)
+        w = fb.w[:, :, None]
         dofs = V_h.dofmap[eb]
-        blk = np.einsum("fq,fqj,fqi->fij", fb.w * theta, vb, Kn)
-        blk -= np.einsum("fq,fqj,fqi->fij", fb.w, Kn, vb)
-        blk += np.einsum("fq,fqj,fqi->fij", fb.w * eta[:, None], vb, vb)
-        blk += np.einsum("fq,fqj,fqi->fij", fb.w * np.where(inflow, bn, 0.0), vb, vb)
-        acc.add_blocks(dofs, dofs, blk)
+        acc.add_blocks(dofs, dofs, test.swapaxes(1, 2) @ (w * vb) - vb.swapaxes(1, 2) @ (w * Kn))
 
     return acc.tocsr()
 
@@ -302,17 +327,12 @@ def gram_blocks(problem, V_h, params):
     """
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h, params)
-    # sums over quadrature points (and gradient components) are batched
-    # matrix products a^T (w b), several times faster than einsum here
-    ne, nq, nl, _ = ec.grads.shape
     dA = ec.dA[:, :, None]
-    bg = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), ec.grads)
-    g = ec.grads.swapaxes(2, 3).reshape(ne, 2 * nq, nl)       # rows (q, d)
-    Kg = _matmul2(ec.grads, problem.K_mat.T).swapaxes(2, 3).reshape(ne, 2 * nq, nl)
+    bg = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
     blocks = ec.vals.T @ (dA * ec.vals)
     blocks += bg.swapaxes(1, 2) @ (mesh.h_elem[:, None, None] * dA * bg)
-    blocks += g.swapaxes(1, 2) @ (np.repeat(dA, 2, axis=1) * Kg)
-    groups = [(V_h.dofmap, blocks, [(np.arange(ne), 1.0)])]
+    blocks += _diffusion_blocks(ec, problem.K_mat)
+    groups = [(V_h.dofmap, blocks, [(np.arange(mesh.n_elements), 1.0)])]
 
     coef = _norm_face_weight(problem, V_h, fi, mesh.iface_normals, mesh.iface_h, params)
     (em, vm, _), (ep, vp, _) = fi.sides
@@ -342,23 +362,13 @@ def assemble_load(problem, V_h, params=None):
     params = params or FormParams()
     mesh = V_h.mesh
     ec, _, fb = _contexts(V_h, params)
-    L = np.zeros(V_h.n_dofs)
-    K = problem.K_mat
-
-    fvals = problem.f_fn(ec.qp)
-    local = np.einsum("eq,qi->ei", ec.dA * fvals, ec.vals)
-    np.add.at(L, V_h.dofmap.ravel(), local.ravel())
+    local = (ec.dA * problem.f_fn(ec.qp)) @ ec.vals
+    L = np.bincount(V_h.dofmap.ravel(), local.ravel(), minlength=V_h.n_dofs)
 
     if len(mesh.bface_h):
-        bn, inflow = _face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
-        g = problem.g_fn(fb.qp)
-        (eb, vb, gb), = fb.sides
-        Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
-        coef = fb.w * g * (eta[:, None] + np.where(inflow, bn, 0.0))
-        local = np.einsum("fq,fqi->fi", coef, vb)
-        local += np.einsum("fq,fqi->fi", fb.w * g * params.theta, Kn)
-        np.add.at(L, V_h.dofmap[eb].ravel(), local.ravel())
+        eb, _, _, test = _boundary_traces(problem, V_h, fb, params)
+        local = ((fb.w * problem.g_fn(fb.qp))[:, None, :] @ test)[:, 0]
+        L += np.bincount(V_h.dofmap[eb].ravel(), local.ravel(), minlength=V_h.n_dofs)
     return L
 
 
@@ -370,8 +380,7 @@ def assemble_mass(space, degree=None):
     degree = 2 * space.p if degree is None else degree
     ec = ElementContext(space, degree)
     acc = _Accumulator((space.n_dofs, space.n_dofs))
-    blocks = np.einsum("eq,qj,qi->eij", ec.dA, ec.vals, ec.vals)
-    acc.add_blocks(space.dofmap, space.dofmap, blocks)
+    acc.add_blocks(space.dofmap, space.dofmap, ec.vals.T @ (ec.dA[:, :, None] * ec.vals))
     return acc.tocsr()
 
 

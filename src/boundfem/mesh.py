@@ -161,7 +161,8 @@ class Mesh:
         """Map physical points (..., 2) inside the given elements to reference coords."""
         B, b0, _, Binv = self.affine()
         d = points - b0[elems]
-        return np.einsum("...ij,...j->...i", Binv[elems], d)
+        Binv = Binv[elems]
+        return Binv[..., 0] * d[..., 0, None] + Binv[..., 1] * d[..., 1, None]
 
     def element_centroids(self):
         v = self.vertices

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, triangle_rule
-from .forms import ElementContext, _Accumulator
+from .forms import ElementContext, _Accumulator, _dot2
 
 UPPER_SIGNS = ("restoring", "paper")
 QUADRATURES = ("gauss", "nodal")
@@ -82,7 +82,7 @@ def compute_gammas(problem, mesh, gamma0=None):
     gamma0 = problem.gamma0 if gamma0 is None else gamma0
     rule = triangle_rule(4)
     B, b0, _, _ = mesh.affine()
-    pts = b0[:, None, :] + np.einsum("eij,qj->eqi", B, rule.points)
+    pts = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
     corners = mesh.vertices[mesh.elements]
     sample = np.concatenate([pts, corners], axis=1)
     beta_sup = np.linalg.norm(problem.beta_fn(sample), axis=-1).max(axis=1)
@@ -117,33 +117,29 @@ class StrongOperator:
         self.sigma = problem.sigma_fn(ec.qp)
         self.fvals = problem.f_fn(ec.qp)
         # A applied to every basis function at the quadrature points
-        self.A_basis = np.einsum("eqd,eqld->eql", self.beta, ec.grads)
-        self.A_basis += self.sigma[:, :, None] * ec.vals[None, :, :]
+        self.A_basis = _dot2(self.beta[:, :, None], ec.grads)
+        self.A_basis += self.sigma[:, :, None] * ec.vals
         if space.p >= 2 and problem.k_max > 0.0:
             self.A_basis -= self._div_K_grad_basis()
 
     def _div_K_grad_basis(self):
-        K = self.problem.K_mat
         href = self.space.basis.eval_hessians(self.ec.rule.points)  # (nq, nl, 3)
         Binv = self.ec.Binv
-        # physical Hessian H = Binv^T Href Binv per element (affine map)
-        Hr = np.empty(href.shape[:-1] + (2, 2))
-        Hr[..., 0, 0] = href[..., 0]
-        Hr[..., 0, 1] = Hr[..., 1, 0] = href[..., 1]
-        Hr[..., 1, 1] = href[..., 2]
-        Hp = np.einsum("eri,qlrs,esj->eqlij", Binv, Hr, Binv)
-        return np.einsum("ij,eqlij->eql", K, Hp)
+        # K : (Binv^T Href Binv) = Href : M with M = Binv K Binv^T per element
+        M = Binv @ self.problem.K_mat @ Binv.swapaxes(1, 2)
+        m = np.stack([M[:, 0, 0], M[:, 0, 1] + M[:, 1, 0], M[:, 1, 1]], axis=1)
+        return (m @ href.reshape(-1, 3).T).reshape(len(m), *href.shape[:-1])
 
     def residual(self, u_coeffs, dofmap=None):
         """A(u) - f at all quadrature points; shape (ne, nq)."""
         dofmap = self.space.dofmap if dofmap is None else dofmap
         c = np.asarray(u_coeffs, dtype=float)[dofmap]
-        return np.einsum("el,eql->eq", c, self.A_basis) - self.fvals
+        return (self.A_basis @ c[:, :, None])[..., 0] - self.fvals
 
     def values(self, u_coeffs, dofmap=None):
         dofmap = self.space.dofmap if dofmap is None else dofmap
         c = np.asarray(u_coeffs, dtype=float)[dofmap]
-        return np.einsum("el,ql->eq", c, self.ec.vals)
+        return c @ self.ec.vals.T
 
 
 class PenaltyOperator:
@@ -199,31 +195,34 @@ class PenaltyOperator:
         return self._residual(self._terms(u_coeffs))
 
     def _residual(self, terms):
-        out = np.zeros(self.V_h.n_dofs)
-        for sign, arg, _ in terms:
-            xi = negative_part(arg)
-            w = sign * self.dA * self.inv_gamma[:, None] * xi
-            local = np.einsum("eq,qi->ei", w, self.test_vals)
-            np.add.at(out, self.V_h.dofmap.ravel(), local.ravel())
-        return out
+        xi = sum(sign * negative_part(arg) for sign, arg, _ in terms)
+        local = (self.dA * self.inv_gamma[:, None] * xi) @ self.test_vals
+        return np.bincount(self.V_h.dofmap.ravel(), local.ravel(), minlength=self.V_h.n_dofs)
+
+    def _weights(self, terms):
+        """Sums over bounds of w = sign dA gamma^-1 ind and of u_coef * w.
+
+        ind = (1 - sgn(arg))/2 is the kink subgradient, 1/2 at the kink.
+        """
+        w_sum = np.zeros_like(self.dA)
+        w_coef = np.zeros_like(self.dA)
+        for sign, arg, u_coef in terms:
+            w = sign * self.dA * self.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg))
+            w_sum += w
+            w_coef += u_coef * w
+        return w_sum, w_coef
 
     def residual_and_adjoint(self, u_coeffs, eps):
         """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling dP(u).
 
-        Per element, dP(u)' eps = sum_q a (u_coef phi - gamma A phi) with
-        a = sign dA gamma^-1 ind eps(q), the transpose of `jacobian`'s blocks.
+        Per element, dP(u)' eps = sum_q eps(q) (w_coef phi - w_sum gamma A phi)
+        with `_weights`' sums, the transpose of `jacobian`'s blocks.
         """
         terms = self._terms(u_coeffs)
         eps_q = eps[self.V_h.dofmap] @ self.test_vals.T       # eps at the points
-        a_sum = np.zeros_like(eps_q)        # sum over bounds of a
-        a_coef = np.zeros_like(eps_q)       # sum over bounds of u_coef * a
-        for sign, arg, u_coef in terms:
-            ind = 0.5 * (1.0 - np.sign(arg))
-            a = sign * self.dA * self.inv_gamma[:, None] * ind * eps_q
-            a_sum += a
-            a_coef += u_coef * a
-        local = a_coef @ self.test_vals
-        local -= self.gammas[:, None] * np.einsum("eq,eqj->ej", a_sum, self.strong.A_basis)
+        w_sum, w_coef = self._weights(terms)
+        local = (w_coef * eps_q) @ self.test_vals
+        local -= self.gammas[:, None] * ((w_sum * eps_q)[:, None, :] @ self.strong.A_basis)[:, 0]
         adjoint = np.bincount(self.U_h.dofmap.ravel(), local.ravel(),
                               minlength=self.U_h.n_dofs)
         return self._residual(terms), adjoint
@@ -234,14 +233,11 @@ class PenaltyOperator:
         The kink subgradient uses sgn(0) = 0, i.e. indicator 1/2 exactly at
         the kink.
         """
+        w_sum, w_coef = self._weights(self._terms(u_coeffs))
+        phi = self.test_vals
+        blocks = phi.T @ (w_coef[:, :, None] * phi)
+        blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.strong.A_basis))
         acc = _Accumulator((self.V_h.n_dofs, self.U_h.n_dofs))
-        for sign, arg, u_coef in self._terms(u_coeffs):
-            ind = 0.5 * (1.0 - np.sign(arg))
-            dz = u_coef * np.broadcast_to(self.test_vals[None, :, :],
-                                          self.strong.A_basis.shape).copy()
-            dz -= self.gammas[:, None, None] * self.strong.A_basis
-            w = sign * self.dA * self.inv_gamma[:, None] * ind
-            blocks = np.einsum("eq,eqj,qi->eij", w, dz, self.test_vals)
-            acc.add_blocks(self.V_h.dofmap, self.U_h.dofmap, blocks)
+        acc.add_blocks(self.V_h.dofmap, self.U_h.dofmap, blocks)
         return acc.tocsr()
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import scalar_field, vector_field
-from .forms import (ElementContext, FaceContext, FormParams, _norm_face_weight,
+from .forms import (ElementContext, FaceContext, FormParams, _dot2, _norm_face_weight,
                     element_context)
 
 
@@ -34,7 +34,7 @@ class ViolationReport:
 def extrema(space, coeffs, degree):
     """Min/max of a discrete field over element quadrature points and Lagrange nodes."""
     ec = element_context(space, degree)
-    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
+    vals = coeffs[space.dofmap] @ ec.vals.T
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 
 
@@ -73,28 +73,24 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
     exact = scalar_field(exact)
     ec = ElementContext(U_h, degree)
     c = u_coeffs[U_h.dofmap]
-    vals = np.einsum("el,ql->eq", c, ec.vals)
-    diff = vals - exact(ec.qp)
-    err_l2 = float(np.sqrt(np.einsum("eq,eq->", ec.dA, diff ** 2)))
+    diff = c @ ec.vals.T - exact(ec.qp)
+    l2 = np.vdot(ec.dA, diff ** 2)
+    err_l2 = float(np.sqrt(l2))
     if exact_grad is None:
         return err_l2, None
 
     exact_grad = vector_field(exact_grad)
-    grads = np.einsum("el,eqlk->eqk", c, ec.grads)
-    gdiff = grads - exact_grad(ec.qp)
-    beta = problem.beta_fn(ec.qp)
-    bg = np.einsum("eqd,eqd->eq", beta, gdiff)
-    Kg = np.einsum("dk,eqk->eqd", problem.K_mat, gdiff)
-    err2 = np.einsum("eq,eq->", ec.dA, diff ** 2)
-    err2 += np.einsum("e,eq->", mesh.h_elem, ec.dA * bg ** 2)
-    err2 += np.einsum("eq,eqd,eqd->", ec.dA, Kg, gdiff)
+    gdiff = (c[:, None, None, :] @ ec.grads)[:, :, 0] - exact_grad(ec.qp)
+    bg = _dot2(problem.beta_fn(ec.qp), gdiff)
+    Kg = (gdiff.reshape(-1, 2) @ problem.K_mat.T).reshape(gdiff.shape)
+    err2 = l2 + np.vdot(mesh.h_elem[:, None] * ec.dA, bg ** 2) + np.vdot(ec.dA, _dot2(Kg, gdiff))
 
     # boundary faces: the dG norm's face term of u_h - u* = u_h - g
     fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
     (eb, vb, _), = fb.sides
-    bdiff = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[eb]], vb) - exact(fb.qp)
+    bdiff = (vb @ u_coeffs[U_h.dofmap[eb]][:, :, None])[..., 0] - exact(fb.qp)
     w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h, params)
-    err2 += np.einsum("fq,fq->", w, bdiff ** 2)
+    err2 += np.vdot(w, bdiff ** 2)
     return err_l2, float(np.sqrt(max(err2, 0.0)))
 
 

@@ -21,12 +21,12 @@ tolerance. Residual norms are Euclidean norms of the assembled block vector.
 
 Linear solves use a direct sparse LU factorization; saddle systems are
 symmetric indefinite, and only the block-residual contract (<= 1e-10
-relative) is part of the interface. Trial points of the damping loop need
-only |R|, so their bottom block is B'eps + dP(u)'eps, evaluated without
-assembling dP(u); the Jacobian is assembled at the start and at accepted
-iterates. `LinearOperators.riesz` factorizes G on each call and keeps no
-factor: the uniform studies solve with G once per level, and a kept factor
-would stay alive through every Newton factorization of that level.
+relative) is part of the interface. Every residual, at trial points and
+iterates alike, takes its bottom block B'eps + dP(u)'eps without assembling
+dP(u); the Jacobian is assembled once per iteration, right before the Newton
+matrix is factorized. `LinearOperators.riesz` factorizes G on each call and
+keeps no factor: the uniform studies solve with G once per level, and a kept
+factor would stay alive through every Newton factorization of that level.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -248,7 +248,7 @@ def damped_update(x, dx, rnorm, zeta, residual_norm_fn, omega=0.5, max_retries=2
 
 
 class NewtonSystem:
-    """Residual and Jacobian assembly for the penalized saddle problem."""
+    """Block residual of the penalized saddle problem, without assembling dP(u)."""
 
     def __init__(self, problem, ops, pen_config):
         self.ops = ops
@@ -259,23 +259,16 @@ class NewtonSystem:
     def split(self, x):
         return x[:self.nv], x[self.nv:]
 
-    def _top(self, eps, u, P):
-        """The first block of R: L - G eps - B u - P(u)."""
-        return self.ops.L - self.ops.G @ eps - self.ops.B @ u - P
-
     def residual(self, x):
-        """Block residual [L - G eps - B u - P(u); -(B + dP(u))' eps]."""
-        eps, u = self.split(x)
-        Bu = self.ops.B + self.pen.jacobian(u)
-        top = self._top(eps, u, self.pen.residual(u))
-        return np.concatenate([top, -(Bu.T @ eps)]), Bu
-
-    def residual_norm(self, x):
-        """|R(x)| without assembling dP(u): the bottom block is B'eps + dP(u)'eps."""
+        """Block residual [L - G eps - B u - P(u); -(B'eps + dP(u)'eps)]."""
         eps, u = self.split(x)
         P, dPt_eps = self.pen.residual_and_adjoint(u, eps)
-        bottom = -(self.ops.B.T @ eps + dPt_eps)
-        return np.linalg.norm(np.concatenate([self._top(eps, u, P), bottom]))
+        top = self.ops.L - self.ops.G @ eps - self.ops.B @ u - P
+        return np.concatenate([top, -(self.ops.B.T @ eps + dPt_eps)])
+
+    def residual_norm(self, x):
+        """|R(x)|, the measure of the damping loop's trial points."""
+        return np.linalg.norm(self.residual(x))
 
 
 def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
@@ -304,13 +297,13 @@ def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
     floor = RESIDUAL_FLOOR * max(1.0, np.linalg.norm(ops.L))
     log = []
     zeta = 0.0
-    r, Bu = system.residual(x)
+    r = system.residual(x)
     rnorm = np.linalg.norm(r)
     for k in range(opts.max_iter):
         if rnorm <= floor:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
-        J = _saddle_matrix(ops.G, Bu)
+        J = _saddle_matrix(ops.G, ops.B + system.pen.jacobian(system.split(x)[1]))
         dx = _factorize(J, _symmetric_saddle(ops)).solve(r)
         step_res = np.linalg.norm(J @ dx - r)
         if not step_res <= SOLVE_RTOL * rnorm:
@@ -328,20 +321,21 @@ def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
         inc = float(np.sqrt(max(du @ (ops.M_u @ du), 0.0)))
         log.append(IterationRecord(k, rnorm, t, zeta, inc, retries))
         x = x_new
-        r, Bu = system.residual(x)
-        rnorm = np.linalg.norm(r)
         if inc < opts.tol:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "increment below tolerance", log, ops)
+        r = system.residual(x)
+        rnorm = np.linalg.norm(r)
     eps, u = system.split(x)
     return NewtonResult(u, eps, False, "iteration limit reached", log, ops)
 
 
 def write_iteration_log(path, log):
-    """Iteration log as CSV with columns k, residual_norm, t, zeta, increment_norm."""
+    """Iteration log as CSV with columns k, residual_norm, t, zeta, increment_norm
+    and retries (rejected damping trials before the step was accepted)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "residual_norm", "t", "zeta", "increment_norm"])
+        w.writerow(["k", "residual_norm", "t", "zeta", "increment_norm", "retries"])
         for rec in log:
             w.writerow([rec.k, repr(float(rec.residual_norm)), repr(float(rec.t)),
-                        repr(float(rec.zeta)), repr(float(rec.increment_norm))])
+                        repr(float(rec.zeta)), repr(float(rec.increment_norm)), rec.retries])

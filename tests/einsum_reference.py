@@ -1,0 +1,253 @@
+"""Einsum versions of the level kernels in `boundfem`.
+
+These are the plain `np.einsum` formulations that the batched-product
+kernels in `forms`, `penalty`, `report`, `adapt`, `fespace` and `mesh` must
+reproduce up to round-off; only the tests use them. Each function takes the
+same inputs as the library function it mirrors and reads the library's
+shared quadrature/geometry tables, so only the arithmetic differs.
+"""
+
+import numpy as np
+
+from boundfem.forms import (ElementContext, FaceContext, FormParams, _Accumulator, _contexts,
+                            _norm_face_weight, element_context, gram_blocks, sipg_eta)
+from boundfem.fields import scalar_field, vector_field
+from boundfem.mesh import char_tolerance
+
+
+def physical_points(mesh, ref_points):
+    """ElementContext.qp: the affine images of shared reference points."""
+    B, b0, _, _ = mesh.affine()
+    return b0[:, None, :] + np.einsum("eij,qj->eqi", B, ref_points)
+
+
+def to_reference(mesh, elems, points):
+    _, b0, _, Binv = mesh.affine()
+    return np.einsum("...ij,...j->...i", Binv[elems], points - b0[elems])
+
+
+def face_data(problem, ctx, normals):
+    bvals = problem.beta_fn(ctx.qp)
+    bn = np.einsum("fqd,fd->fq", bvals, normals)
+    return bn, bn < -char_tolerance(bvals)
+
+
+def assemble_bh(problem, V_h, params=None):
+    params = params or FormParams()
+    mesh = V_h.mesh
+    ec, fi, fb = _contexts(V_h, params)
+    acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
+    K = problem.K_mat
+    theta = params.theta
+
+    beta = problem.beta_fn(ec.qp)
+    sigma = problem.sigma_fn(ec.qp)
+    bg = np.einsum("eqd,eqld->eql", beta, ec.grads)
+    Kg = np.einsum("dk,eqlk->eqld", K, ec.grads)
+    blocks = np.einsum("eq,eqjd,eqid->eij", ec.dA, Kg, ec.grads)
+    blocks += np.einsum("eq,eqj,qi->eij", ec.dA,
+                        bg + sigma[:, :, None] * ec.vals[None, :, :], ec.vals)
+    acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
+
+    if len(mesh.iface_h):
+        bn, _ = face_data(problem, fi, mesh.iface_normals)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h, params.eta0)
+        (em, vm, gm), (ep, vp, gp) = fi.sides
+        Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, g), mesh.iface_normals)
+              for g in (gm, gp)]
+        vals = {0: vm, 1: vp}
+        dofs = {0: V_h.dofmap[em], 1: V_h.dofmap[ep]}
+        sign = {0: 1.0, 1: -1.0}
+        absbn = np.abs(bn)
+        for A in (0, 1):
+            for Bs in (0, 1):
+                sA, sB = sign[A], sign[Bs]
+                blk = np.einsum("fq,fqj,fqi->fij", fi.w * theta * sB * 0.5, vals[Bs], Kn[A])
+                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * sA * 0.5, Kn[Bs], vals[A])
+                blk += np.einsum("fq,fqj,fqi->fij", fi.w * (eta[:, None] * sA * sB),
+                                 vals[Bs], vals[A])
+                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * bn * sB * 0.5, vals[Bs], vals[A])
+                blk += np.einsum("fq,fqj,fqi->fij", fi.w * absbn * 0.5 * sA * sB,
+                                 vals[Bs], vals[A])
+                acc.add_blocks(dofs[A], dofs[Bs], blk)
+
+    if len(mesh.bface_h):
+        bn, inflow = face_data(problem, fb, mesh.bface_normals)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+        (eb, vb, gb), = fb.sides
+        Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
+        dofs = V_h.dofmap[eb]
+        blk = np.einsum("fq,fqj,fqi->fij", fb.w * theta, vb, Kn)
+        blk -= np.einsum("fq,fqj,fqi->fij", fb.w, Kn, vb)
+        blk += np.einsum("fq,fqj,fqi->fij", fb.w * eta[:, None], vb, vb)
+        blk += np.einsum("fq,fqj,fqi->fij", fb.w * np.where(inflow, bn, 0.0), vb, vb)
+        acc.add_blocks(dofs, dofs, blk)
+    return acc.tocsr()
+
+
+def assemble_load(problem, V_h, params=None):
+    params = params or FormParams()
+    mesh = V_h.mesh
+    ec, _, fb = _contexts(V_h, params)
+    L = np.zeros(V_h.n_dofs)
+    K = problem.K_mat
+
+    local = np.einsum("eq,qi->ei", ec.dA * problem.f_fn(ec.qp), ec.vals)
+    np.add.at(L, V_h.dofmap.ravel(), local.ravel())
+    if len(mesh.bface_h):
+        bn, inflow = face_data(problem, fb, mesh.bface_normals)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+        g = problem.g_fn(fb.qp)
+        (eb, vb, gb), = fb.sides
+        Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
+        coef = fb.w * g * (eta[:, None] + np.where(inflow, bn, 0.0))
+        local = np.einsum("fq,fqi->fi", coef, vb)
+        local += np.einsum("fq,fqi->fi", fb.w * g * params.theta, Kn)
+        np.add.at(L, V_h.dofmap[eb].ravel(), local.ravel())
+    return L
+
+
+def assemble_mass(space, degree=None):
+    ec = ElementContext(space, 2 * space.p if degree is None else degree)
+    acc = _Accumulator((space.n_dofs, space.n_dofs))
+    acc.add_blocks(space.dofmap, space.dofmap,
+                   np.einsum("eq,qj,qi->eij", ec.dA, ec.vals, ec.vals))
+    return acc.tocsr()
+
+
+def strong_basis(strong):
+    """StrongOperator.A_basis: A applied to every basis function at the points."""
+    problem, space, ec = strong.problem, strong.space, strong.ec
+    A = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), ec.grads)
+    A += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals[None, :, :]
+    if space.p >= 2 and problem.k_max > 0.0:
+        href = space.basis.eval_hessians(ec.rule.points)
+        Hr = np.empty(href.shape[:-1] + (2, 2))
+        Hr[..., 0, 0] = href[..., 0]
+        Hr[..., 0, 1] = Hr[..., 1, 0] = href[..., 1]
+        Hr[..., 1, 1] = href[..., 2]
+        Hp = np.einsum("eri,qlrs,esj->eqlij", ec.Binv, Hr, ec.Binv)
+        A -= np.einsum("ij,eqlij->eql", problem.K_mat, Hp)
+    return A
+
+
+def strong_residual(strong, u_coeffs):
+    c = u_coeffs[strong.space.dofmap]
+    return np.einsum("el,eql->eq", c, strong_basis(strong)) - strong.fvals
+
+
+def penalty_terms(op, u_coeffs):
+    """PenaltyOperator._terms: (sign, arg, u_coef) per active bound."""
+    uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], op.strong.ec.vals)
+    s = strong_residual(op.strong, u_coeffs)
+    g = op.gammas[:, None]
+    cfg = op.config
+    terms = []
+    if cfg.lower is not None:
+        terms.append((+1.0, (uvals - cfg.lower) - g * s, +1.0))
+    if cfg.upper is not None:
+        sign = -1.0 if cfg.upper_sign == "restoring" else +1.0
+        terms.append((sign, (cfg.upper - uvals) - g * s, -1.0))
+    return terms
+
+
+def penalty_residual(op, u_coeffs):
+    out = np.zeros(op.V_h.n_dofs)
+    for sign, arg, _ in penalty_terms(op, u_coeffs):
+        xi = 0.5 * (arg - np.abs(arg))
+        w = sign * op.dA * op.inv_gamma[:, None] * xi
+        np.add.at(out, op.V_h.dofmap.ravel(), np.einsum("eq,qi->ei", w, op.test_vals).ravel())
+    return out
+
+
+def penalty_jacobian(op, u_coeffs):
+    acc = _Accumulator((op.V_h.n_dofs, op.U_h.n_dofs))
+    A_basis = strong_basis(op.strong)
+    for sign, arg, u_coef in penalty_terms(op, u_coeffs):
+        ind = 0.5 * (1.0 - np.sign(arg))
+        dz = u_coef * np.broadcast_to(op.test_vals[None, :, :], A_basis.shape).copy()
+        dz -= op.gammas[:, None, None] * A_basis
+        w = sign * op.dA * op.inv_gamma[:, None] * ind
+        acc.add_blocks(op.V_h.dofmap, op.U_h.dofmap,
+                       np.einsum("eq,eqj,qi->eij", w, dz, op.test_vals))
+    return acc.tocsr()
+
+
+def penalty_adjoint(op, u_coeffs, eps):
+    """dP(u)' eps over U_h dofs, per bound and without assembling dP(u)."""
+    A_basis = strong_basis(op.strong)
+    out = np.zeros(op.U_h.n_dofs)
+    eps_q = np.einsum("el,ql->eq", eps[op.V_h.dofmap], op.test_vals)
+    for sign, arg, u_coef in penalty_terms(op, u_coeffs):
+        a = sign * op.dA * op.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg)) * eps_q
+        local = u_coef * np.einsum("eq,qj->ej", a, op.test_vals)
+        local -= op.gammas[:, None] * np.einsum("eq,eqj->ej", a, A_basis)
+        np.add.at(out, op.U_h.dofmap.ravel(), local.ravel())
+    return out
+
+
+def extrema(space, coeffs, degree):
+    ec = element_context(space, degree)
+    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
+    return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
+
+
+def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
+    params = params or FormParams()
+    mesh = U_h.mesh
+    degree = 2 * U_h.p + 4
+    exact = scalar_field(exact)
+    ec = ElementContext(U_h, degree)
+    c = u_coeffs[U_h.dofmap]
+    diff = np.einsum("el,ql->eq", c, ec.vals) - exact(ec.qp)
+    err_l2 = float(np.sqrt(np.einsum("eq,eq->", ec.dA, diff ** 2)))
+    if exact_grad is None:
+        return err_l2, None
+    gdiff = np.einsum("el,eqlk->eqk", c, ec.grads) - vector_field(exact_grad)(ec.qp)
+    bg = np.einsum("eqd,eqd->eq", problem.beta_fn(ec.qp), gdiff)
+    Kg = np.einsum("dk,eqk->eqd", problem.K_mat, gdiff)
+    err2 = np.einsum("eq,eq->", ec.dA, diff ** 2)
+    err2 += np.einsum("e,eq->", mesh.h_elem, ec.dA * bg ** 2)
+    err2 += np.einsum("eq,eqd,eqd->", ec.dA, Kg, gdiff)
+    fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
+    (eb, vb, _), = fb.sides
+    bdiff = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[eb]], vb) - exact(fb.qp)
+    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h, params)
+    err2 += np.einsum("fq,fq->", w, bdiff ** 2)
+    return err_l2, float(np.sqrt(max(err2, 0.0)))
+
+
+def indicators_squared(problem, V_h, eps_coeffs, params=None):
+    """error_indicators(...).squared."""
+    ind2 = np.zeros(V_h.mesh.n_elements)
+    for dofs, blocks, owners in gram_blocks(problem, V_h, params or FormParams()):
+        c = eps_coeffs[dofs]
+        q = np.einsum("fi,fij,fj->f", c, blocks, c)
+        for elems, share in owners:
+            np.add.at(ind2, elems, share * q)
+    return np.maximum(ind2, 0.0)
+
+
+def prolong(u_coeffs, old_space, new_space):
+    old_mesh, new_mesh = old_space.mesh, new_space.mesh
+    nodes = physical_points(new_mesh, new_space.basis.nodes)
+    parents = new_mesh.parent_elements
+    vals, _ = old_space.basis.eval(to_reference(old_mesh, parents[:, None], nodes))
+    local = np.einsum("el,eql->eq", u_coeffs[old_space.dofmap[parents]], vals)
+    out = np.empty(new_space.n_dofs)
+    out[new_space.dofmap.ravel()] = local.ravel()
+    return out
+
+
+def eval_cells(space, coeffs, elems, ref_points):
+    """FunctionSpace.eval_cells: values and physical gradients."""
+    _, _, _, Binv = space.mesh.affine()
+    vals, grads = space.basis.eval(ref_points)
+    c = coeffs[space.dofmap[elems]]
+    if vals.ndim == 2:
+        u = np.einsum("el,ql->eq", c, vals)
+        gref = np.einsum("el,qlr->eqr", c, grads)
+    else:
+        u = np.einsum("el,eql->eq", c, vals)
+        gref = np.einsum("el,eqlr->eqr", c, grads)
+    return u, np.einsum("eqr,erk->eqk", gref, Binv[elems])

@@ -1,0 +1,138 @@
+"""The batched-product level kernels against their einsum forms.
+
+`einsum_reference` keeps the einsum expressions the kernels replaced. Every
+comparison allows round-off only: rtol 1e-13, with an absolute floor of
+1e-13 times the largest reference entry for entries that cancel.
+"""
+
+import numpy as np
+import pytest
+
+import einsum_reference as ref
+from boundfem.adapt import error_indicators, prolong
+from boundfem.fespace import DiscreteFunction, build_space
+from boundfem.forms import (ElementContext, ProblemSpec, assemble_bh, assemble_load,
+                            assemble_mass)
+from boundfem.mesh import Mesh, bisect_marked, build_structured_mesh, read_mesh, write_mesh
+from boundfem.penalty import PenaltyConfig, PenaltyOperator, StrongOperator
+from boundfem.report import error_norms, extrema
+from test_mesh import jittered
+
+MESHES = ["jittered", "read_mesh", "one_element"]
+
+
+def make_mesh(name, tmp_path):
+    if name == "jittered":
+        return jittered(build_structured_mesh(4, 4), 2)
+    if name == "read_mesh":
+        write_mesh(bisect_marked(build_structured_mesh(3, 3), [0, 4, 7]), tmp_path / "mesh.txt")
+        return read_mesh(tmp_path / "mesh.txt")
+    return Mesh([[0.0, 0.2], [1.0, 0.0], [0.3, 1.0]], [[0, 1, 2]])
+
+
+def problem(K=1e-2, **bounds):
+    return ProblemSpec(beta=lambda x: np.stack([1.0 + x[..., 1], 0.5 - x[..., 0]], axis=-1),
+                       K=K, sigma=lambda x: 0.5 + x[..., 0] * x[..., 1],
+                       f=lambda x: np.sin(3 * x[..., 0]) + x[..., 1],
+                       g=lambda x: np.cos(2 * x[..., 1]) - x[..., 0], **bounds)
+
+
+TENSOR_K = [[2e-2, 5e-3], [5e-3, 1e-2]]
+EXACT = (lambda x: np.sin(x[..., 0]) * (1 + x[..., 1]),
+         lambda x: np.stack([np.cos(x[..., 0]) * (1 + x[..., 1]), np.sin(x[..., 0])], axis=-1))
+
+
+def assert_close(actual, desired):
+    actual, desired = (np.asarray(a.toarray() if hasattr(a, "toarray") else a)
+                       for a in (actual, desired))
+    np.testing.assert_allclose(actual, desired, rtol=1e-13,
+                               atol=1e-13 * max(np.abs(desired).max(), 1e-300))
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("K", [1e-2, TENSOR_K])
+def test_forms_match_einsum(mesh_name, p, K, tmp_path):
+    mesh = make_mesh(mesh_name, tmp_path)
+    pr = problem(K)
+    V = build_space(mesh, p, "broken")
+    assert_close(assemble_bh(pr, V), ref.assemble_bh(pr, V))
+    assert_close(assemble_load(pr, V), ref.assemble_load(pr, V))
+    U = build_space(mesh, p, "continuous")
+    assert_close(assemble_mass(U), ref.assemble_mass(U))
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_geometry_kernels_match_einsum(mesh_name, tmp_path):
+    mesh = make_mesh(mesh_name, tmp_path)
+    V = build_space(mesh, 2, "broken")
+    ec = ElementContext(V, 6)
+    assert_close(ec.qp, ref.physical_points(mesh, ec.rule.points))
+    elems = np.arange(mesh.n_elements)
+    assert_close(mesh.to_reference(elems[:, None], ec.qp),
+                 ref.to_reference(mesh, elems[:, None], ec.qp))
+    assert_close(mesh.to_reference(elems, ec.qp[:, 0]), ref.to_reference(mesh, elems, ec.qp[:, 0]))
+    c = np.random.default_rng(1).standard_normal(V.n_dofs)
+    for pts in (ec.rule.points, mesh.to_reference(elems[:, None], ec.qp[::-1])):
+        for new, old in zip(V.eval_cells(c, elems, pts), ref.eval_cells(V, c, elems, pts)):
+            assert_close(new, old)
+    u = DiscreteFunction(V, c)
+    assert_close(u(ec.qp.reshape(-1, 2)), ref.eval_cells(V, c, elems, ec.rule.points)[0].ravel())
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_strong_operator_matches_einsum(mesh_name, p, tmp_path):
+    mesh = make_mesh(mesh_name, tmp_path)
+    pr = problem(TENSOR_K)
+    U = build_space(mesh, p, "continuous")
+    strong = StrongOperator(pr, U, ElementContext(U, 2 * p + 6))
+    c = np.random.default_rng(2).standard_normal(U.n_dofs)
+    assert_close(strong.A_basis, ref.strong_basis(strong))
+    assert_close(strong.residual(c), ref.strong_residual(strong, c))
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
+@pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
+@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
+def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, upper_sign, tmp_path):
+    mesh = make_mesh(mesh_name, tmp_path)
+    pr = problem(TENSOR_K, u_min=bounds[0], u_max=bounds[1], gamma0=1e-2)
+    U = build_space(mesh, p, "continuous")
+    V = build_space(mesh, p, "broken")
+    cfg = PenaltyConfig.from_problem(pr, upper_sign=upper_sign, quadrature=quadrature)
+    op = PenaltyOperator(pr, U, V, cfg)
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-0.2, 1.2, U.n_dofs)
+    eps = rng.standard_normal(V.n_dofs)
+    J = op.jacobian(u)
+    assert abs(J).max() > 0.0                    # the penalty is active
+    assert_close(J, ref.penalty_jacobian(op, u))
+    assert_close(op.residual(u), ref.penalty_residual(op, u))
+    P, adjoint = op.residual_and_adjoint(u, eps)
+    assert_close(P, ref.penalty_residual(op, u))
+    assert_close(adjoint, ref.penalty_adjoint(op, u, eps))
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("p", [1, 2])
+def test_report_and_adapt_kernels_match_einsum(mesh_name, p, tmp_path):
+    mesh = make_mesh(mesh_name, tmp_path)
+    pr = problem(TENSOR_K)
+    U = build_space(mesh, p, "continuous")
+    V = build_space(mesh, p, "broken")
+    rng = np.random.default_rng(4)
+    u = U.interpolate(EXACT[0]) + 1e-2 * rng.standard_normal(U.n_dofs)
+    for grad in (None, EXACT[1]):
+        new, old = error_norms(pr, U, u, EXACT[0], grad), ref.error_norms(pr, U, u, EXACT[0], grad)
+        assert_close(new[0], old[0])
+        assert (new[1] is None) == (old[1] is None)
+        if grad is not None:
+            assert_close(new[1], old[1])
+    assert extrema(U, u, 2 * p + 2) == pytest.approx(ref.extrema(U, u, 2 * p + 2),
+                                                     rel=1e-13, abs=0)
+    eps = rng.standard_normal(V.n_dofs)
+    assert_close(error_indicators(pr, V, eps).squared, ref.indicators_squared(pr, V, eps))
+    fine = build_space(bisect_marked(mesh, [0]), p, "continuous")
+    assert_close(prolong(u, U, fine), ref.prolong(u, U, fine))
