@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import build_space
-from .forms import FormParams, gram_blocks
+from .forms import gram_blocks
 from .mesh import bisect_marked
 from .report import error_norms, extrema, violations
 from .solver import (NewtonOptions, build_operators, clip_inset,
@@ -38,11 +38,11 @@ class ErrorIndicators:
         return self.values ** 2
 
 
-def error_indicators(problem, V_h, eps_coeffs, params=None):
+def error_indicators(problem, V_h, eps_coeffs):
     """Localize |eps_h|^2_{V_h} to elements; see the module docstring."""
     eps_coeffs = np.asarray(eps_coeffs, dtype=float)
     ind2 = np.zeros(V_h.mesh.n_elements)
-    for dofs, blocks, owners in gram_blocks(problem, V_h, params or FormParams()):
+    for dofs, blocks, owners in gram_blocks(problem, V_h):
         c = eps_coeffs[dofs]
         q = (c[:, None, :] @ blocks @ c[:, :, None])[:, 0, 0]
         for elems, share in owners:
@@ -95,7 +95,6 @@ class AdaptOptions:
     max_dofs: int | None = None          # cap on V_h dofs; level hitting it still solves
     p: int = 1
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-    warm_start: bool = True
 
 
 @dataclass
@@ -131,44 +130,44 @@ def prolong(u_coeffs, old_space, new_space):
     return out
 
 
-def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
-                        initial_mesh=None, exact=None, exact_grad=None):
+def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
+                        exact=None, exact_grad=None):
     """Run solve -> estimate -> mark -> refine until a stopping rule fires.
 
     pen_config None runs the linear (unpenalized) solver at every level.
     Returns partial records when Newton fails to converge at some level.
     """
-    params = params or FormParams()
     opts = opts or AdaptOptions()
     if initial_mesh is None:
         raise ValueError("an initial mesh is required")
+    if opts.max_levels < 1:
+        raise ValueError("max_levels must be at least 1")
 
     mesh = initial_mesh
     records = []
     prev = None  # (U_h, u) of the previous level
-    result = None
     stop_reason = "max_levels reached"
     for level in range(opts.max_levels):
         U_h = build_space(mesh, opts.p, "continuous")
         V_h = build_space(mesh, opts.p, "broken")
-        ops = build_operators(problem, U_h, V_h, params)
+        ops = build_operators(problem, U_h, V_h)
 
         newton_iters = 0
         converged = True
         if pen_config is None:
-            sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
+            sol = solve_linear_resmin(problem, U_h, V_h, ops=ops)
             u, eps = sol.u, sol.eps
         else:
             def violation_of(u_c):
-                lo, hi = extrema(U_h, u_c, params.vol_degree(opts.p))
+                lo, hi = extrema(U_h, u_c)
                 return sum(violations(lo, hi, pen_config.lower, pen_config.upper))
 
             initial = None
-            if opts.warm_start and prev is not None:
+            if prev is not None:
                 u0 = clip_inset(prolong(prev[1], prev[0], U_h),
                                 pen_config.lower, pen_config.upper)
                 initial = (ops.riesz(ops.L - ops.B @ u0), u0)
-            res = newton_solve(problem, U_h, V_h, pen_config, params,
+            res = newton_solve(problem, U_h, V_h, pen_config,
                                opts=opts.newton, initial=initial, ops=ops)
             newton_iters = res.iterations
             if pen_config.quadrature == "nodal" and initial is not None:
@@ -176,13 +175,13 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                 # stationary point is feasible up to the consistency slack
                 # and candidates are interchangeable in quality; take the
                 # one that violates least.
-                alt = newton_solve(problem, U_h, V_h, pen_config, params,
+                alt = newton_solve(problem, U_h, V_h, pen_config,
                                    opts=opts.newton, ops=ops)
                 newton_iters += alt.iterations
                 key = lambda r: (not r.converged, violation_of(r.u))
                 res = min((res, alt), key=key)
             elif not res.converged and initial is not None:
-                res = newton_solve(problem, U_h, V_h, pen_config, params,
+                res = newton_solve(problem, U_h, V_h, pen_config,
                                    opts=opts.newton, ops=ops)
                 newton_iters += res.iterations
             converged = res.converged
@@ -197,7 +196,7 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                         break
                     u0 = clip_inset(res.u, pen_config.lower, pen_config.upper)
                     start = (ops.riesz(ops.L - ops.B @ u0), u0)
-                    retry = newton_solve(problem, U_h, V_h, pen_config, params,
+                    retry = newton_solve(problem, U_h, V_h, pen_config,
                                          opts=opts.newton, initial=start, ops=ops)
                     if not retry.converged:
                         break
@@ -210,14 +209,14 @@ def adaptive_solve_loop(problem, pen_config, params=None, opts=None,
                     res, viol = retry, viol_retry
             u, eps = res.u, res.eps
 
-        ind = error_indicators(problem, V_h, eps, params)
-        lo, hi = extrema(U_h, u, params.vol_degree(opts.p))
+        ind = error_indicators(problem, V_h, eps)
+        lo, hi = extrema(U_h, u)
         # violations are reported against the problem bounds also for
         # unpenalized comparison runs
         under, over = violations(lo, hi, problem.u_min, problem.u_max)
         err_l2 = err_vh = None
         if exact is not None:
-            err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad, params)
+            err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad)
         records.append(AdaptRecord(
             level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, ind.total,
             err_l2, err_vh, lo, hi, under, over, newton_iters, converged,

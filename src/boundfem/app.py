@@ -4,7 +4,7 @@ Every run writes its artifacts into a per-case output directory:
 
     run_info.txt         all effective settings (for reproducibility)
     solution.vtk         final solution u and residual representative eps
-    iterations.csv       Newton log of the final (or only) solve, one row per
+    iterations.csv       Newton log of a penalized uniform run, one row per
                          accepted step with its damping retries
     violation.txt        bound-violation report (when bounds are set)
     cross_section.csv    sampled line values (cases that define one)
@@ -22,7 +22,7 @@ from . import __version__
 from .adapt import AdaptOptions, adaptive_solve_loop, write_records_csv
 from .cases import case_exact, get_case
 from .fespace import DiscreteFunction, build_space
-from .forms import FormParams, vh_norm
+from .forms import vh_norm
 from .mesh import refine_uniform_red
 from .penalty import PenaltyConfig
 from .report import (bound_violation_report, cross_section, error_norms,
@@ -32,13 +32,36 @@ from .solver import NewtonOptions, build_operators, newton_solve, \
 from .vtkio import export_vtk
 
 
-def _penalty_config(case, problem, upper_sign=None):
-    if not problem.has_bounds:
-        return None
-    return PenaltyConfig.from_problem(
-        problem,
-        upper_sign=upper_sign or case.upper_sign,
-        quadrature=case.penalty_quadrature)
+def _setup(name, with_penalty, overrides):
+    """The case with its overrides, its problem, and its penalty (None if unpenalized)."""
+    case = get_case(name).with_overrides(**overrides)
+    problem = case.problem()
+    pen = None
+    if with_penalty and problem.has_bounds:
+        pen = PenaltyConfig.from_problem(problem, upper_sign=case.upper_sign,
+                                         quadrature=case.penalty_quadrature)
+    return case, problem, pen
+
+
+def _adaptive(case, problem, pen):
+    opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
+                        max_dofs=case.max_dofs, p=case.p,
+                        newton=NewtonOptions(tol=case.tol))
+    exact, exact_grad = case_exact(case)
+    return adaptive_solve_loop(problem, pen, opts, initial_mesh=case.make_mesh(),
+                               exact=exact, exact_grad=exact_grad)
+
+
+def _solve_uniform(case, problem, pen, mesh):
+    """Linear or Newton solve on `mesh`; returns (U_h, V_h, solution, Newton log)."""
+    U_h = build_space(mesh, case.p, "continuous")
+    V_h = build_space(mesh, case.p, "broken")
+    ops = build_operators(problem, U_h, V_h)
+    V_h.contexts.clear()     # nothing else on this mesh uses them; free them before the solve
+    if pen is None:
+        return U_h, V_h, solve_linear_resmin(problem, U_h, V_h, ops=ops), []
+    res = newton_solve(problem, U_h, V_h, pen, opts=NewtonOptions(tol=case.tol), ops=ops)
+    return U_h, V_h, res, res.log
 
 
 def _write_run_info(path, case, problem, extra):
@@ -70,13 +93,12 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     """Execute a case's designated pipeline and write its artifacts.
 
     Overrides accept the CaseDefinition field names (gamma0, tol, p, levels,
-    theta_mark, upper_sign, layer_scaling, ...). `seed` is recorded for
-    reproducibility; the solver itself is deterministic.
+    theta_mark, upper_sign, layer_scaling, ...). Uniform cases solve once,
+    on the initial mesh; `levels` applies to adaptive runs (and to
+    `convergence_study`). `seed` is recorded for reproducibility; the solver
+    itself is deterministic.
     """
-    case = get_case(name).with_overrides(**overrides)
-    problem = case.problem()
-    pen = _penalty_config(case, problem) if with_penalty else None
-    params = FormParams()
+    case, problem, pen = _setup(name, with_penalty, overrides)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
@@ -85,13 +107,7 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     newton_log = []
     records = []
     if case.mode == "adaptive":
-        opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                            max_dofs=case.max_dofs, p=case.p,
-                            newton=NewtonOptions(tol=case.tol))
-        exact, exact_grad = case_exact(case)
-        result = adaptive_solve_loop(problem, pen, params, opts,
-                                     initial_mesh=case.make_mesh(),
-                                     exact=exact, exact_grad=exact_grad)
+        result = _adaptive(case, problem, pen)
         records = result.records
         mesh, U_h, V_h = result.mesh, result.U_h, result.V_h
         u, eps = result.u, result.eps
@@ -99,20 +115,10 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
             write_records_csv(os.path.join(out_dir, "levels.csv"), records)
     else:
         mesh = case.make_mesh()
-        U_h = build_space(mesh, case.p, "continuous")
-        V_h = build_space(mesh, case.p, "broken")
-        ops = build_operators(problem, U_h, V_h, params)
-        V_h.contexts.clear()     # nothing else on this mesh uses them; free them before the solve
-        if pen is None:
-            sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
-            u, eps = sol.u, sol.eps
-        else:
-            res = newton_solve(problem, U_h, V_h, pen, params,
-                               opts=NewtonOptions(tol=case.tol), ops=ops)
-            u, eps = res.u, res.eps
-            newton_log = res.log
-            if out_dir:
-                write_iteration_log(os.path.join(out_dir, "iterations.csv"), res.log)
+        U_h, V_h, sol, newton_log = _solve_uniform(case, problem, pen, mesh)
+        u, eps = sol.u, sol.eps
+        if out_dir and pen is not None:
+            write_iteration_log(os.path.join(out_dir, "iterations.csv"), newton_log)
 
     uh = DiscreteFunction(U_h, u)
     eh = DiscreteFunction(V_h, eps)
@@ -158,8 +164,7 @@ class StudyResult:
     slope_vh: float | None
 
 
-def convergence_study(name, levels=None, mode=None, with_penalty=False,
-                      out_dir=None, **overrides):
+def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overrides):
     """Uniform or adaptive error study of a case; returns rows and slopes.
 
     Error columns need the case's exact solution; otherwise only the
@@ -167,51 +172,28 @@ def convergence_study(name, levels=None, mode=None, with_penalty=False,
     against log(sqrt(dofs_u)); with uniform refinement sqrt(dofs) scales
     like 1/h, so -2 corresponds to second order in h.
     """
-    case = get_case(name).with_overrides(**overrides)
-    if levels is not None:
-        case = case.with_overrides(levels=levels)
-    mode = mode or case.mode
-    problem = case.problem()
-    pen = _penalty_config(case, problem) if with_penalty else None
-    params = FormParams()
-    exact, exact_grad = case_exact(case)
-
+    case, problem, pen = _setup(name, with_penalty, overrides)
     rows = []
-    if mode == "adaptive":
-        opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                            max_dofs=case.max_dofs, p=case.p,
-                            newton=NewtonOptions(tol=case.tol))
-        result = adaptive_solve_loop(problem, pen, params, opts,
-                                     initial_mesh=case.make_mesh(),
-                                     exact=exact, exact_grad=exact_grad)
-        for r in result.records:
+    if (mode or case.mode) == "adaptive":
+        for r in _adaptive(case, problem, pen).records:
             rows.append(StudyRow(r.level, r.h_max, r.dofs_u, r.dofs_v,
                                  r.err_l2, r.err_vh, r.estimator,
                                  r.undershoot, r.overshoot))
     else:
+        exact, exact_grad = case_exact(case)
         mesh = case.make_mesh()
         for level in range(case.levels):
-            U_h = build_space(mesh, case.p, "continuous")
-            V_h = build_space(mesh, case.p, "broken")
-            ops = build_operators(problem, U_h, V_h, params)
-            V_h.contexts.clear()     # free them before the solve, as in run_case
-            if pen is None:
-                sol = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
-                u, eps = sol.u, sol.eps
-            else:
-                res = newton_solve(problem, U_h, V_h, pen, params,
-                                   opts=NewtonOptions(tol=case.tol), ops=ops)
-                u, eps = res.u, res.eps
+            U_h, V_h, sol, _ = _solve_uniform(case, problem, pen, mesh)
             err_l2 = err_vh = None
             if exact is not None:
-                err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad, params)
+                err_l2, err_vh = error_norms(problem, U_h, sol.u, exact, exact_grad)
             under = over = 0.0
             if problem.has_bounds:
-                rep = bound_violation_report(DiscreteFunction(U_h, u),
+                rep = bound_violation_report(DiscreteFunction(U_h, sol.u),
                                              (problem.u_min, problem.u_max))
                 under, over = rep.undershoot, rep.overshoot
             rows.append(StudyRow(level, mesh.h, U_h.n_dofs, V_h.n_dofs,
-                                 err_l2, err_vh, vh_norm(eps, ops.G),
+                                 err_l2, err_vh, vh_norm(sol.eps, sol.ops.G),
                                  under, over))
             if level < case.levels - 1:
                 mesh = refine_uniform_red(mesh)

@@ -122,8 +122,8 @@ class FunctionSpace:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
         self._node_coords = None
-        # quadrature/geometry tables by (kind, degree), shared by every space
-        # of this mesh and degree; see forms.element_context
+        # quadrature/geometry tables by kind, shared by every space of this
+        # mesh and polynomial degree; see forms.volume_context
         self.contexts = mesh.contexts.setdefault(self.p, {})
 
     def node_coords(self):
@@ -164,19 +164,6 @@ class FunctionSpace:
 def build_space(mesh, p, continuity):
     """Build a FunctionSpace; `continuity` is "broken" or "continuous"."""
     return FunctionSpace(mesh, p, continuity)
-
-
-def eval_basis(space, element, point):
-    """All local shape functions of one element at a reference point.
-
-    Returns (values (n_local,), gradients (n_local, 2)) with gradients in
-    physical coordinates.
-    """
-    if not 0 <= element < space.mesh.n_elements:
-        raise IndexError(f"element id {element} out of range")
-    vals, gref = space.basis.eval(np.asarray(point, dtype=float).reshape(1, 2))
-    _, _, _, Binv = space.mesh.affine()
-    return vals[0], gref[0] @ Binv[element]
 
 
 def _continuous_dofmap(mesh, p):

@@ -1,8 +1,11 @@
 """Assembly of the upwind-SIPG dG bilinear form, its load, and the dG Gram matrix.
 
-The bilinear form combines SIPG diffusion (symmetry switch theta, face
-penalty eta) with upwinded advection-reaction; Dirichlet data enters weakly
-through the load. The Gram matrix is the polarization of the dG norm
+The bilinear form combines SIPG diffusion with upwinded advection-reaction;
+Dirichlet data enters weakly through the load. The discretization is fixed,
+not configurable: symmetric interior penalty (THETA = -1), face penalty
+eta(F) = ETA0 (p+1)(p+2) K / h_F with ETA0 = 3 and K the largest diffusion
+eigenvalue, and quadrature exact to degree 2p+2 on elements and 2p+3 on
+faces (`_contexts`). The Gram matrix is the polarization of the dG norm
 
     |w|^2 = |w|^2_{L2} + 1/2 ||bn|^(1/2) w|^2_boundary
           + 1/2 sum_interior |b.n| [[w]]^2 + sum_T h_T |b.grad w|^2_T
@@ -86,39 +89,15 @@ class ProblemSpec:
         return self.u_min is not None or self.u_max is not None
 
 
-@dataclass
-class FormParams:
-    """dG discretization parameters.
-
-    theta = -1 is SIPG; eta0 scales the face penalty
-    eta(F) = eta0 (p+1)(p+d) K / h_F with d = 2 and K the largest diffusion
-    eigenvalue. Quadrature exactness defaults to 2p+2 on elements and 2p+3
-    on faces; explicitly configured degrees below 2p are rejected.
-    """
-
-    theta: float = -1.0
-    eta0: float = 3.0
-    volume_degree: int | None = None
-    face_degree: int | None = None
-
-    def vol_degree(self, p):
-        deg = 2 * p + 2 if self.volume_degree is None else self.volume_degree
-        if deg < 2 * p:
-            raise ValueError(f"volume quadrature degree {deg} insufficient for p={p}")
-        return deg
-
-    def fac_degree(self, p):
-        deg = 2 * p + 3 if self.face_degree is None else self.face_degree
-        if deg < 2 * p:
-            raise ValueError(f"face quadrature degree {deg} insufficient for p={p}")
-        return deg
+THETA = -1.0    # symmetry switch of the diffusion face terms: SIPG
+ETA0 = 3.0      # scale of the SIPG face penalty
 
 
-def sipg_eta(p, d, K, h_F, eta0=3.0):
-    """SIPG face penalty eta0 (p+1)(p+d) K / h_F."""
+def sipg_eta(p, d, K, h_F):
+    """SIPG face penalty ETA0 (p+1)(p+d) K / h_F."""
     if np.any(np.asarray(h_F) <= 0):
         raise ValueError("face diameter must be positive")
-    return eta0 * (p + 1) * (p + d) * K / np.asarray(h_F, dtype=float)
+    return ETA0 * (p + 1) * (p + d) * K / np.asarray(h_F, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +123,8 @@ def _dot2(a, b):
 class ElementContext:
     """Per-element quadrature table: physical points, weights, basis traces.
 
-    All arrays are read-only, because one context is shared by every caller
-    on its space (see `element_context`).
+    All arrays are read-only, because the volume context is shared by every
+    caller on its space (see `volume_context`).
     """
 
     def __init__(self, space, degree, rule=None):
@@ -182,28 +161,28 @@ class FaceContext:
         _freeze(self.qp, self.w)
 
 
-def element_context(space, degree):
-    """The ElementContext of `space` at `degree`, built once and kept on the space."""
-    key = ("element", degree)
-    if key not in space.contexts:
-        space.contexts[key] = ElementContext(space, degree)
-    return space.contexts[key]
+def volume_context(space):
+    """The degree-(2p+2) ElementContext of `space`, built once and kept on the space."""
+    if "element" not in space.contexts:
+        space.contexts["element"] = ElementContext(space, 2 * space.p + 2)
+    return space.contexts["element"]
 
 
-def _contexts(space, params):
-    """(element, interior-face, boundary-face) contexts of `space`, built once per degree."""
-    p = space.p
-    degree = params.fac_degree(p)
-    key = ("faces", degree)
-    if key not in space.contexts:
+def _contexts(space):
+    """(element, interior-face, boundary-face) contexts of `space`, built once.
+
+    Faces use the degree-(2p+3) edge rule.
+    """
+    if "faces" not in space.contexts:
         mesh = space.mesh
-        space.contexts[key] = (
+        degree = 2 * space.p + 3
+        space.contexts["faces"] = (
             FaceContext(space, mesh.iface_vertices, [mesh.iface_elements[:, 0],
                                                      mesh.iface_elements[:, 1]],
                         mesh.iface_h, degree),
             FaceContext(space, mesh.bface_vertices, [mesh.bface_elements],
                         mesh.bface_h, degree))
-    return (element_context(space, params.vol_degree(p)), *space.contexts[key])
+    return (volume_context(space), *space.contexts["faces"])
 
 
 class _Accumulator:
@@ -248,15 +227,15 @@ def _diffusion_blocks(ec, K):
     return g.swapaxes(1, 2) @ (np.repeat(ec.dA[:, :, None], 2, axis=1) * Kg)
 
 
-def _boundary_traces(problem, V_h, fb, params):
+def _boundary_traces(problem, V_h, fb):
     """Boundary-face elements, traces v and K grad v.n, and the weak
-    Dirichlet test function theta K grad v.n + (eta + [beta.n]_inflow) v."""
+    Dirichlet test function THETA K grad v.n + (eta + [beta.n]_inflow) v."""
     mesh = V_h.mesh
     bn, inflow = _face_data(problem, fb, mesh.bface_normals)
-    eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+    eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
     (eb, vb, gb), = fb.sides
     Kn = _dot2(gb, (mesh.bface_normals @ problem.K_mat)[:, None, None])
-    test = params.theta * Kn + (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
+    test = THETA * Kn + (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
     return eb, vb, Kn, test
 
 
@@ -264,15 +243,14 @@ def _boundary_traces(problem, V_h, fb, params):
 # Operators
 # ----------------------------------------------------------------------
 
-def assemble_bh(problem, V_h, params=None):
+def assemble_bh(problem, V_h):
     """Assemble the dG form b_h = b_h^diff + b_h^adv on V_h x V_h.
 
     Block rows are test dofs and columns trial dofs; interior faces form one
     block over the [minus, plus] dofs, as in `gram_blocks`.
     """
-    params = params or FormParams()
     mesh = V_h.mesh
-    ec, fi, fb = _contexts(V_h, params)
+    ec, fi, fb = _contexts(V_h)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
@@ -283,15 +261,15 @@ def assemble_bh(problem, V_h, params=None):
     acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
 
     # interior faces: P^T (w jump) - jump^T (w avg flux) with
-    # P = theta avg flux + (eta + |b.n|/2) jump - (b.n) mean
+    # P = THETA avg flux + (eta + |b.n|/2) jump - (b.n) mean
     if len(mesh.iface_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h, params.eta0)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
         (em, vm, gm), (ep, vp, gp) = fi.sides
         Kn = (mesh.iface_normals @ problem.K_mat)[:, None, None]
         jump = np.concatenate([vm, -vp], axis=-1)
         avg = 0.5 * np.concatenate([_dot2(gm, Kn), _dot2(gp, Kn)], axis=-1)
-        P = params.theta * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
+        P = THETA * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
         P -= 0.5 * bn[:, :, None] * np.concatenate([vm, vp], axis=-1)
         w = fi.w[:, :, None]
         dofs = np.hstack([V_h.dofmap[em], V_h.dofmap[ep]])
@@ -301,7 +279,7 @@ def assemble_bh(problem, V_h, params=None):
 
     # boundary faces
     if len(mesh.bface_h):
-        eb, vb, Kn, test = _boundary_traces(problem, V_h, fb, params)
+        eb, vb, Kn, test = _boundary_traces(problem, V_h, fb)
         w = fb.w[:, :, None]
         dofs = V_h.dofmap[eb]
         acc.add_blocks(dofs, dofs, test.swapaxes(1, 2) @ (w * vb) - vb.swapaxes(1, 2) @ (w * Kn))
@@ -309,14 +287,14 @@ def assemble_bh(problem, V_h, params=None):
     return acc.tocsr()
 
 
-def _norm_face_weight(problem, space, ctx, normals, face_h, params):
+def _norm_face_weight(problem, space, ctx, normals, face_h):
     """Weights w (|beta.n|/2 + eta) of the dG norm's face terms at ctx's points."""
     bn, _ = _face_data(problem, ctx, normals)
-    eta = sipg_eta(space.p, 2, problem.k_max, face_h, params.eta0)
+    eta = sipg_eta(space.p, 2, problem.k_max, face_h)
     return ctx.w * (0.5 * np.abs(bn) + eta[:, None])
 
 
-def gram_blocks(problem, V_h, params):
+def gram_blocks(problem, V_h):
     """Local blocks of the dG norm: a list of (dofs, blocks, owners) groups.
 
     dofs (n, m) are the V_h dofs of each block, blocks (n, m, m) the local
@@ -326,7 +304,7 @@ def gram_blocks(problem, V_h, params):
     the jump [v-, -v+]; half to each neighbor), and the boundary-face blocks.
     """
     mesh = V_h.mesh
-    ec, fi, fb = _contexts(V_h, params)
+    ec, fi, fb = _contexts(V_h)
     dA = ec.dA[:, :, None]
     bg = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
     blocks = ec.vals.T @ (dA * ec.vals)
@@ -334,51 +312,49 @@ def gram_blocks(problem, V_h, params):
     blocks += _diffusion_blocks(ec, problem.K_mat)
     groups = [(V_h.dofmap, blocks, [(np.arange(mesh.n_elements), 1.0)])]
 
-    coef = _norm_face_weight(problem, V_h, fi, mesh.iface_normals, mesh.iface_h, params)
+    coef = _norm_face_weight(problem, V_h, fi, mesh.iface_normals, mesh.iface_h)
     (em, vm, _), (ep, vp, _) = fi.sides
     jump = np.concatenate([vm, -vp], axis=-1)
     groups.append((np.hstack([V_h.dofmap[em], V_h.dofmap[ep]]),
                    jump.swapaxes(1, 2) @ (coef[:, :, None] * jump),
                    [(em, 0.5), (ep, 0.5)]))
 
-    coef = _norm_face_weight(problem, V_h, fb, mesh.bface_normals, mesh.bface_h, params)
+    coef = _norm_face_weight(problem, V_h, fb, mesh.bface_normals, mesh.bface_h)
     (eb, vb, _), = fb.sides
     groups.append((V_h.dofmap[eb], vb.swapaxes(1, 2) @ (coef[:, :, None] * vb),
                    [(eb, 1.0)]))
     return groups
 
 
-def assemble_gram(problem, V_h, params=None):
+def assemble_gram(problem, V_h):
     """Assemble the Gram matrix of the dG inner product (polarized norm)."""
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
-    for dofs, blocks, _ in gram_blocks(problem, V_h, params or FormParams()):
+    for dofs, blocks, _ in gram_blocks(problem, V_h):
         acc.add_blocks(dofs, dofs, blocks)
     G = acc.tocsr()
     return 0.5 * (G + G.T)  # strip floating-point asymmetry
 
 
-def assemble_load(problem, V_h, params=None):
+def assemble_load(problem, V_h):
     """Assemble the load: source, weak Dirichlet, and inflow boundary data."""
-    params = params or FormParams()
     mesh = V_h.mesh
-    ec, _, fb = _contexts(V_h, params)
+    ec, _, fb = _contexts(V_h)
     local = (ec.dA * problem.f_fn(ec.qp)) @ ec.vals
     L = np.bincount(V_h.dofmap.ravel(), local.ravel(), minlength=V_h.n_dofs)
 
     if len(mesh.bface_h):
-        eb, _, _, test = _boundary_traces(problem, V_h, fb, params)
+        eb, _, _, test = _boundary_traces(problem, V_h, fb)
         local = ((fb.w * problem.g_fn(fb.qp))[:, None, :] @ test)[:, 0]
         L += np.bincount(V_h.dofmap[eb].ravel(), local.ravel(), minlength=V_h.n_dofs)
     return L
 
 
-def assemble_mass(space, degree=None):
+def assemble_mass(space):
     """Element-wise L2 mass matrix of a space (broken or continuous).
 
-    Its table is not kept on the space: nothing else reads that degree.
+    Its degree-2p table is not kept on the space: nothing else reads it.
     """
-    degree = 2 * space.p if degree is None else degree
-    ec = ElementContext(space, degree)
+    ec = ElementContext(space, 2 * space.p)
     acc = _Accumulator((space.n_dofs, space.n_dofs))
     acc.add_blocks(space.dofmap, space.dofmap, ec.vals.T @ (ec.dA[:, :, None] * ec.vals))
     return acc.tocsr()

@@ -130,15 +130,13 @@ class StrongOperator:
         m = np.stack([M[:, 0, 0], M[:, 0, 1] + M[:, 1, 0], M[:, 1, 1]], axis=1)
         return (m @ href.reshape(-1, 3).T).reshape(len(m), *href.shape[:-1])
 
-    def residual(self, u_coeffs, dofmap=None):
+    def residual(self, u_coeffs):
         """A(u) - f at all quadrature points; shape (ne, nq)."""
-        dofmap = self.space.dofmap if dofmap is None else dofmap
-        c = np.asarray(u_coeffs, dtype=float)[dofmap]
+        c = np.asarray(u_coeffs, dtype=float)[self.space.dofmap]
         return (self.A_basis @ c[:, :, None])[..., 0] - self.fvals
 
-    def values(self, u_coeffs, dofmap=None):
-        dofmap = self.space.dofmap if dofmap is None else dofmap
-        c = np.asarray(u_coeffs, dtype=float)[dofmap]
+    def values(self, u_coeffs):
+        c = np.asarray(u_coeffs, dtype=float)[self.space.dofmap]
         return c @ self.ec.vals.T
 
 

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import scalar_field, vector_field
-from .forms import (ElementContext, FaceContext, FormParams, _dot2, _norm_face_weight,
-                    element_context)
+from .forms import ElementContext, FaceContext, _dot2, _norm_face_weight, volume_context
 
 
 @dataclass
@@ -31,9 +30,9 @@ class ViolationReport:
         return self.undershoot + self.overshoot
 
 
-def extrema(space, coeffs, degree):
+def extrema(space, coeffs):
     """Min/max of a discrete field over element quadrature points and Lagrange nodes."""
-    ec = element_context(space, degree)
+    ec = volume_context(space)
     vals = coeffs[space.dofmap] @ ec.vals.T
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 
@@ -49,7 +48,7 @@ def bound_violation_report(u, bounds):
     lower, upper = bounds
     if lower is None and upper is None:
         raise ValueError("at least one bound is required")
-    lo, hi = extrema(u.space, u.coeffs, 2 * u.space.p + 2)
+    lo, hi = extrema(u.space, u.coeffs)
     under, over = violations(lo, hi, lower, upper)
     if lower is not None and upper is not None:
         span = upper - lower
@@ -59,7 +58,7 @@ def bound_violation_report(u, bounds):
     return ViolationReport(lo, hi, under, over, upct, opct)
 
 
-def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
+def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     """L2 and dG-norm errors of a continuous discrete solution vs an exact one.
 
     The dG norm needs the exact gradient; without it only the L2 error is
@@ -67,7 +66,6 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
     jump terms vanish and only volume and boundary terms contribute. The
     degree-(2p+4) tables are built here and not kept on the space.
     """
-    params = params or FormParams()
     mesh = U_h.mesh
     degree = 2 * U_h.p + 4
     exact = scalar_field(exact)
@@ -89,7 +87,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
     fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
     (eb, vb, _), = fb.sides
     bdiff = (vb @ u_coeffs[U_h.dofmap[eb]][:, :, None])[..., 0] - exact(fb.qp)
-    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h, params)
+    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h)
     err2 += np.vdot(w, bdiff ** 2)
     return err_l2, float(np.sqrt(max(err2, 0.0)))
 

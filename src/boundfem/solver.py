@@ -14,19 +14,22 @@ the block residual
     R(eps, u) = [L - G eps - B_lin u - P(u);  -(B_lin + dP(u))' eps]
 
 to zero with a damped Newton iteration: step t = 1/(1 + zeta |R|), candidate
-accepted when (1/t)(1 - |R_new|/|R_old|) >= omega, with zeta escalated
-(0 -> 1 -> 10 zeta) on rejection and relaxed (zeta/10) on acceptance. The
-iteration stops once the L2 norm of the trial-space update falls below the
-tolerance. Residual norms are Euclidean norms of the assembled block vector.
+accepted when (1/t)(1 - |R_new|/|R_old|) >= OMEGA, with zeta escalated
+(0 -> 1 -> 10 zeta) on rejection, at most MAX_RETRIES times per step, and
+relaxed (zeta/10) on acceptance. The iteration stops once the L2 norm of the
+trial-space update falls below the tolerance. Residual norms are Euclidean
+norms of the assembled block vector.
 
 Linear solves use a direct sparse LU factorization; saddle systems are
 symmetric indefinite, and only the block-residual contract (<= 1e-10
-relative) is part of the interface. Every residual, at trial points and
-iterates alike, takes its bottom block B'eps + dP(u)'eps without assembling
-dP(u); the Jacobian is assembled once per iteration, right before the Newton
-matrix is factorized. `LinearOperators.riesz` factorizes G on each call and
-keeps no factor: the uniform studies solve with G once per level, and a kept
-factor would stay alive through every Newton factorization of that level.
+relative) is part of the interface; `_solve_saddle` is the one saddle solve,
+for the linear system and every Newton step alike. Every residual, at trial
+points and iterates alike, takes its bottom block B'eps + dP(u)'eps without
+assembling dP(u); the Jacobian is assembled once per iteration, right before
+the Newton matrix is factorized. `LinearOperators.riesz` factorizes G on each
+call and keeps no factor: the uniform studies solve with G once per level,
+and a kept factor would stay alive through every Newton factorization of
+that level.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -40,7 +43,7 @@ Two orderings, fixed here and not configurable (`_factorize`):
   is needed: without the pre-order minimum degree took 4.0-4.6 s, with
   partial pivoting 174 s, and a zero threshold lost all accuracy at p = 2.
 * Saddle systems with p >= 2 trial spaces keep plain `splu` (COLAMD with
-  partial pivoting; `_symmetric_saddle`). Their edge and bubble trial dofs
+  partial pivoting). Their edge and bubble trial dofs
   have few neighbours, so minimum degree eliminates them before the V_h
   dofs they couple to and their zero pivots force off-diagonal pivots
   (1,297 rows at p = 2, 5,724 at p = 3): on the smooth mesh the symmetric
@@ -58,11 +61,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import trial_to_test_embedding
-from .forms import FormParams, assemble_bh, assemble_gram, assemble_load, assemble_mass
+from .forms import assemble_bh, assemble_gram, assemble_load, assemble_mass
 from .penalty import PenaltyOperator
 
 RESIDUAL_FLOOR = 1e-12
 SOLVE_RTOL = 1e-8       # a direct solve with a larger relative residual is a breakdown
+OMEGA = 0.5             # damping acceptance threshold, see the module docstring
+MAX_RETRIES = 20        # rejected damping trials allowed per Newton step
 
 # The symmetric ordering's splu arguments (after the RCM pre-order); the
 # measurements behind them are in the module docstring.
@@ -116,12 +121,11 @@ class LinearOperators:
         return _factorize(self.G, True).solve(r)
 
 
-def build_operators(problem, U_h, V_h, params=None):
-    params = params or FormParams()
-    G = assemble_gram(problem, V_h, params)
-    L = assemble_load(problem, V_h, params)
+def build_operators(problem, U_h, V_h):
+    G = assemble_gram(problem, V_h)
+    L = assemble_load(problem, V_h)
     E = trial_to_test_embedding(U_h, V_h)
-    B = (assemble_bh(problem, V_h, params) @ E).tocsr()
+    B = (assemble_bh(problem, V_h) @ E).tocsr()
     return LinearOperators(U_h, V_h, G, B, E, L)
 
 
@@ -140,11 +144,6 @@ class _PermutedLU:
         x = np.empty_like(b)
         x[self.perm] = self.lu.solve(b[self.perm])
         return x
-
-
-def _symmetric_saddle(ops):
-    """Saddle systems take the symmetric ordering only with P1 trial spaces."""
-    return ops.U_h.p == 1
 
 
 def _factorize(K, symmetric):
@@ -171,22 +170,27 @@ class ResMinSolution:
     ops: LinearOperators
 
 
-def solve_linear_resmin(problem, U_h, V_h, params=None, ops=None):
-    """Solve the linear residual-minimization saddle-point problem."""
-    ops = ops or build_operators(problem, U_h, V_h, params)
-    nv, nu = ops.V_h.n_dofs, ops.U_h.n_dofs
-    K = _saddle_matrix(ops.G, ops.B)
-    rhs = np.concatenate([ops.L, np.zeros(nu)])
-    lu = _factorize(K, _symmetric_saddle(ops))
-    x = lu.solve(rhs)
-    eps, u = x[:nv], x[nv:]
-    scale = max(np.linalg.norm(ops.L), 1e-300)
-    res = np.linalg.norm(K @ x - rhs) / scale
+def _solve_saddle(ops, B, rhs):
+    """Solve [[G, B], [B', 0]] x = rhs; returns x and |K x - rhs| / |rhs|.
+
+    Saddle systems take the symmetric ordering only with P1 trial spaces.
+    """
+    K = _saddle_matrix(ops.G, B)
+    x = _factorize(K, ops.U_h.p == 1).solve(rhs)
+    res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
-            f"saddle solve inaccurate (relative block residual {res:.3e}); "
+            f"saddle step solve inaccurate (relative residual {res:.3e}); "
             "the system is likely singular")
-    return ResMinSolution(u, eps, res, ops)
+    return x, res
+
+
+def solve_linear_resmin(problem, U_h, V_h, ops=None):
+    """Solve the linear residual-minimization saddle-point problem."""
+    ops = ops or build_operators(problem, U_h, V_h)
+    x, res = _solve_saddle(ops, ops.B, np.concatenate([ops.L, np.zeros(ops.U_h.n_dofs)]))
+    nv = ops.V_h.n_dofs
+    return ResMinSolution(x[nv:], x[:nv], res, ops)
 
 
 # ----------------------------------------------------------------------
@@ -195,10 +199,8 @@ def solve_linear_resmin(problem, U_h, V_h, params=None, ops=None):
 
 @dataclass
 class NewtonOptions:
-    omega: float = 0.5
     tol: float = 1e-5
     max_iter: int = 100
-    max_retries: int = 20
 
 
 @dataclass
@@ -225,12 +227,12 @@ class NewtonResult:
         return len(self.log)
 
 
-def damped_update(x, dx, rnorm, zeta, residual_norm_fn, omega=0.5, max_retries=20):
+def damped_update(x, dx, rnorm, zeta, residual_norm_fn):
     """One damped Newton acceptance loop.
 
     Returns (x_new, rnorm_new, t, zeta_new, retries); raises RuntimeError
     when the retry cap is hit. zeta grows 0 -> 1 -> 10 zeta while the
-    acceptance test (1/t)(1 - rnew/rold) >= omega fails, and relaxes to
+    acceptance test (1/t)(1 - rnew/rold) >= OMEGA fails, and relaxes to
     zeta/10 on acceptance.
     """
     retries = 0
@@ -238,11 +240,11 @@ def damped_update(x, dx, rnorm, zeta, residual_norm_fn, omega=0.5, max_retries=2
         t = 1.0 / (1.0 + zeta * rnorm)
         cand = x + t * dx
         rnew = residual_norm_fn(cand)
-        if (1.0 / t) * (1.0 - rnew / rnorm) < omega:
+        if (1.0 / t) * (1.0 - rnew / rnorm) < OMEGA:
             zeta = 1.0 if zeta == 0.0 else 10.0 * zeta
             retries += 1
-            if retries > max_retries:
-                raise RuntimeError(f"damping retry cap ({max_retries}) exceeded")
+            if retries > MAX_RETRIES:
+                raise RuntimeError(f"damping retry cap ({MAX_RETRIES}) exceeded")
         else:
             return cand, rnew, t, zeta / 10.0, retries
 
@@ -271,8 +273,7 @@ class NewtonSystem:
         return np.linalg.norm(self.residual(x))
 
 
-def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
-                 initial=None, ops=None):
+def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=None):
     """Damped Newton solve of the penalized residual-minimization problem.
 
     `initial` is an optional (eps, u) pair; by default the linear
@@ -281,11 +282,11 @@ def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
     iterate retained.
     """
     opts = opts or NewtonOptions()
-    ops = ops or build_operators(problem, U_h, V_h, params)
+    ops = ops or build_operators(problem, U_h, V_h)
     system = NewtonSystem(problem, ops, pen_config)
 
     if initial is None:
-        lin = solve_linear_resmin(problem, U_h, V_h, params, ops=ops)
+        lin = solve_linear_resmin(problem, U_h, V_h, ops=ops)
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
         u = clip_inset(lin.u, pen_config.lower, pen_config.upper)
@@ -303,17 +304,10 @@ def newton_solve(problem, U_h, V_h, pen_config, params=None, opts=None,
         if rnorm <= floor:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
-        J = _saddle_matrix(ops.G, ops.B + system.pen.jacobian(system.split(x)[1]))
-        dx = _factorize(J, _symmetric_saddle(ops)).solve(r)
-        step_res = np.linalg.norm(J @ dx - r)
-        if not step_res <= SOLVE_RTOL * rnorm:
-            raise SolverBreakdown(
-                f"Newton iteration {k}: step solve inaccurate (relative residual "
-                f"{step_res / rnorm:.3e})")
+        dx, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
         try:
             x_new, rnorm_new, t, zeta, retries = damped_update(
-                x, dx, rnorm, zeta, system.residual_norm,
-                omega=opts.omega, max_retries=opts.max_retries)
+                x, dx, rnorm, zeta, system.residual_norm)
         except RuntimeError:
             eps, u = system.split(x)
             return NewtonResult(u, eps, False, "damping retry cap exceeded", log, ops)

@@ -9,8 +9,8 @@ shared quadrature/geometry tables, so only the arithmetic differs.
 
 import numpy as np
 
-from boundfem.forms import (ElementContext, FaceContext, FormParams, _Accumulator, _contexts,
-                            _norm_face_weight, element_context, gram_blocks, sipg_eta)
+from boundfem.forms import (THETA, ElementContext, FaceContext, _Accumulator, _contexts,
+                            _norm_face_weight, gram_blocks, sipg_eta, volume_context)
 from boundfem.fields import scalar_field, vector_field
 from boundfem.mesh import char_tolerance
 
@@ -32,13 +32,12 @@ def face_data(problem, ctx, normals):
     return bn, bn < -char_tolerance(bvals)
 
 
-def assemble_bh(problem, V_h, params=None):
-    params = params or FormParams()
+def assemble_bh(problem, V_h):
     mesh = V_h.mesh
-    ec, fi, fb = _contexts(V_h, params)
+    ec, fi, fb = _contexts(V_h)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
     K = problem.K_mat
-    theta = params.theta
+    theta = THETA
 
     beta = problem.beta_fn(ec.qp)
     sigma = problem.sigma_fn(ec.qp)
@@ -51,7 +50,7 @@ def assemble_bh(problem, V_h, params=None):
 
     if len(mesh.iface_h):
         bn, _ = face_data(problem, fi, mesh.iface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h, params.eta0)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
         (em, vm, gm), (ep, vp, gp) = fi.sides
         Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, g), mesh.iface_normals)
               for g in (gm, gp)]
@@ -73,7 +72,7 @@ def assemble_bh(problem, V_h, params=None):
 
     if len(mesh.bface_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
         (eb, vb, gb), = fb.sides
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
         dofs = V_h.dofmap[eb]
@@ -85,10 +84,9 @@ def assemble_bh(problem, V_h, params=None):
     return acc.tocsr()
 
 
-def assemble_load(problem, V_h, params=None):
-    params = params or FormParams()
+def assemble_load(problem, V_h):
     mesh = V_h.mesh
-    ec, _, fb = _contexts(V_h, params)
+    ec, _, fb = _contexts(V_h)
     L = np.zeros(V_h.n_dofs)
     K = problem.K_mat
 
@@ -96,19 +94,19 @@ def assemble_load(problem, V_h, params=None):
     np.add.at(L, V_h.dofmap.ravel(), local.ravel())
     if len(mesh.bface_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h, params.eta0)
+        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
         g = problem.g_fn(fb.qp)
         (eb, vb, gb), = fb.sides
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
         coef = fb.w * g * (eta[:, None] + np.where(inflow, bn, 0.0))
         local = np.einsum("fq,fqi->fi", coef, vb)
-        local += np.einsum("fq,fqi->fi", fb.w * g * params.theta, Kn)
+        local += np.einsum("fq,fqi->fi", fb.w * g * THETA, Kn)
         np.add.at(L, V_h.dofmap[eb].ravel(), local.ravel())
     return L
 
 
-def assemble_mass(space, degree=None):
-    ec = ElementContext(space, 2 * space.p if degree is None else degree)
+def assemble_mass(space):
+    ec = ElementContext(space, 2 * space.p)
     acc = _Accumulator((space.n_dofs, space.n_dofs))
     acc.add_blocks(space.dofmap, space.dofmap,
                    np.einsum("eq,qj,qi->eij", ec.dA, ec.vals, ec.vals))
@@ -186,14 +184,13 @@ def penalty_adjoint(op, u_coeffs, eps):
     return out
 
 
-def extrema(space, coeffs, degree):
-    ec = element_context(space, degree)
+def extrema(space, coeffs):
+    ec = volume_context(space)
     vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 
 
-def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
-    params = params or FormParams()
+def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     mesh = U_h.mesh
     degree = 2 * U_h.p + 4
     exact = scalar_field(exact)
@@ -212,15 +209,15 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None, params=None):
     fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
     (eb, vb, _), = fb.sides
     bdiff = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[eb]], vb) - exact(fb.qp)
-    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h, params)
+    w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h)
     err2 += np.einsum("fq,fq->", w, bdiff ** 2)
     return err_l2, float(np.sqrt(max(err2, 0.0)))
 
 
-def indicators_squared(problem, V_h, eps_coeffs, params=None):
+def indicators_squared(problem, V_h, eps_coeffs):
     """error_indicators(...).squared."""
     ind2 = np.zeros(V_h.mesh.n_elements)
-    for dofs, blocks, owners in gram_blocks(problem, V_h, params or FormParams()):
+    for dofs, blocks, owners in gram_blocks(problem, V_h):
         c = eps_coeffs[dofs]
         q = np.einsum("fi,fij,fj->f", c, blocks, c)
         for elems, share in owners:

@@ -16,7 +16,7 @@ from boundfem.adapt import AdaptOptions, adaptive_solve_loop, error_indicators
 from boundfem.app import convergence_study
 from boundfem.cases import get_case
 from boundfem.fespace import DiscreteFunction, build_space
-from boundfem.forms import FormParams, vh_norm
+from boundfem.forms import vh_norm
 from boundfem.mesh import refine_uniform_red
 from boundfem.penalty import PenaltyConfig, PenaltyOperator
 from boundfem.report import bound_violation_report, cross_section
@@ -89,7 +89,7 @@ def case3_run():
     pen = PenaltyConfig.from_problem(problem, quadrature=case.penalty_quadrature)
     t0 = time.perf_counter()
     result = adaptive_solve_loop(
-        problem, pen, FormParams(),
+        problem, pen,
         AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
                      p=case.p, newton=NewtonOptions(tol=case.tol)),
         initial_mesh=case.make_mesh())
@@ -106,8 +106,8 @@ def case2_runs():
                         newton=NewtonOptions(tol=case.tol))
     t0 = time.perf_counter()
     pen = adaptive_solve_loop(problem, PenaltyConfig.from_problem(problem),
-                              FormParams(), opts, initial_mesh=case.make_mesh())
-    unpen = adaptive_solve_loop(problem, None, FormParams(), opts,
+                              opts, initial_mesh=case.make_mesh())
+    unpen = adaptive_solve_loop(problem, None, opts,
                                 initial_mesh=case.make_mesh())
     elapsed = time.perf_counter() - t0
     return dict(case=case, pen=pen, unpen=unpen, elapsed=elapsed)

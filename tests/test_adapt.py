@@ -5,8 +5,7 @@ from boundfem.adapt import (AdaptOptions, ErrorIndicators, adaptive_solve_loop,
                             dorfler_mark, error_indicators, prolong,
                             write_records_csv)
 from boundfem.fespace import DiscreteFunction, build_space
-from boundfem.forms import (FormParams, ProblemSpec, _contexts, assemble_gram,
-                            sipg_eta, vh_norm)
+from boundfem.forms import ProblemSpec, _contexts, assemble_gram, sipg_eta, vh_norm
 from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh,
                            read_mesh, write_mesh)
 from boundfem.penalty import PenaltyConfig
@@ -63,9 +62,8 @@ def localization_inputs(name, tmp_path):
 
 def reference_indicators(problem, V, eps):
     """Squared indicators from the dG norm's terms evaluated on function values."""
-    params = FormParams()
     mesh = V.mesh
-    ec, fi, fb = _contexts(V, params)
+    ec, fi, fb = _contexts(V)
     c = eps[V.dofmap]
     grads = np.einsum("el,eqlk->eqk", c, ec.grads)
     bg = np.einsum("eqd,eqd->eq", problem.beta_fn(ec.qp), grads)
@@ -75,7 +73,7 @@ def reference_indicators(problem, V, eps):
     for ctx, normals, h, share in ((fi, mesh.iface_normals, mesh.iface_h, 0.5),
                                    (fb, mesh.bface_normals, mesh.bface_h, 1.0)):
         bn = np.einsum("fqd,fd->fq", problem.beta_fn(ctx.qp), normals)
-        eta = sipg_eta(V.p, 2, problem.k_max, h, params.eta0)
+        eta = sipg_eta(V.p, 2, problem.k_max, h)
         sides = [np.einsum("fl,fql->fq", eps[V.dofmap[e]], v) for e, v, _ in ctx.sides]
         jump = sides[0] - sides[1] if len(sides) == 2 else sides[0]
         t = np.einsum("fq,fq->f", ctx.w * (0.5 * np.abs(bn) + eta[:, None]), jump ** 2)
@@ -149,6 +147,14 @@ def test_zero_data_loop_exits_converged():
     assert len(res.records) == 1
     assert res.stop_reason == "estimator vanished"
     assert res.records[0].estimator == 0.0
+
+
+@pytest.mark.parametrize("max_levels", [0, -1])
+def test_loop_rejects_fewer_than_one_level(max_levels):
+    pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.0)
+    with pytest.raises(ValueError, match="max_levels must be at least 1"):
+        adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=max_levels),
+                            initial_mesh=build_structured_mesh(2, 2))
 
 
 def test_smooth_adaptive_run_properties(tmp_path):

@@ -206,6 +206,8 @@ def test_cli_overrides_reach_solver(tmp_path):
     under = float(text.splitlines()[2].split("=")[1])
     over = float(text.splitlines()[3].split("=")[1])
     assert under + over >= 1e-2
+    # --no-penalty (with_penalty=False) solves linearly: no Newton log
+    assert not (out / "iterations.csv").exists()
 
 
 def test_case3_export_contains_both_fields(tmp_path):
@@ -217,6 +219,19 @@ def test_case3_export_contains_both_fields(tmp_path):
     assert (out / "levels.csv").exists()
     assert (out / "cross_section.csv").exists()
     assert len(result.records) == 3
+
+
+def test_adaptive_run_with_zero_levels_raises():
+    with pytest.raises(ValueError, match="max_levels must be at least 1"):
+        run_case("case3", levels=0)
+
+
+def test_penalized_uniform_run_writes_iteration_log(tmp_path):
+    out = tmp_path / "pen"
+    result = run_case("case1", out_dir=str(out))
+    lines = (out / "iterations.csv").read_text().splitlines()
+    assert lines[0] == "k,residual_norm,t,zeta,increment_norm,retries"
+    assert len(lines) - 1 == len(result.newton_log) > 0
 
 
 def test_study_csv_deterministic(tmp_path):

@@ -122,21 +122,6 @@ def test_interpolation_and_node_coords():
     np.testing.assert_allclose(u(pts), f(pts), atol=1e-13)
 
 
-def test_eval_basis_physical_gradients():
-    from boundfem.fespace import eval_basis
-    mesh = build_structured_mesh(2, 2)
-    space = build_space(mesh, 1, BROKEN)
-    vals, grads = eval_basis(space, 0, (1 / 3, 1 / 3))
-    np.testing.assert_allclose(vals, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
-    np.testing.assert_allclose(grads.sum(axis=0), 0.0, atol=1e-13)
-    # gradient of the local interpolant of x is (1, 0)
-    corners = mesh.vertices[mesh.elements[0]]
-    gx = corners[:, 0] @ grads
-    np.testing.assert_allclose(gx, [1.0, 0.0], atol=1e-13)
-    with pytest.raises(IndexError):
-        eval_basis(space, 99, (0.2, 0.2))
-
-
 def dofmap_meshes():
     from boundfem.cases import get_case
     from boundfem.mesh import Mesh, bisect_marked

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from boundfem.fespace import build_space, trial_to_test_embedding
-from boundfem.forms import (ElementContext, FaceContext, FormParams,
+from boundfem.forms import (THETA, ElementContext, FaceContext,
                             NumericalBreakdown, ProblemSpec, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass,
                             sipg_eta, vh_norm)
@@ -128,12 +128,11 @@ def test_continuous_arguments_reduce_to_volume_plus_boundary():
     # for embedded continuous w, v all jump terms vanish; compare the matrix
     # value against an independent quadrature of the jump-free form
     pr = ProblemSpec(beta=(1.0, 0.5), K=0.7, sigma=0.3, f=0.0, g=0.0)
-    params = FormParams()
     mesh = build_structured_mesh(2, 2)
     V = build_space(mesh, 1, "broken")
     U = build_space(mesh, 1, "continuous")
     E = trial_to_test_embedding(U, V)
-    B = E.T @ assemble_bh(pr, V, params) @ E
+    B = E.T @ assemble_bh(pr, V) @ E
     rng = np.random.default_rng(9)
     cu = rng.standard_normal(U.n_dofs)
     cv = rng.standard_normal(U.n_dofs)
@@ -171,7 +170,7 @@ def test_continuous_arguments_reduce_to_volume_plus_boundary():
         bn = np.array([1.0, 0.5]) @ n
         eta = sipg_eta(1, 2, pr.k_max, h)
         w = erule.weights * h
-        ref += np.sum(w * (params.theta * uq * Kgv_n - Kgu_n * vq + eta * uq * vq))
+        ref += np.sum(w * (THETA * uq * Kgv_n - Kgu_n * vq + eta * uq * vq))
         if bn < 0:
             ref += np.sum(w * bn * uq * vq)
     assert got == pytest.approx(ref, rel=1e-11)
@@ -189,14 +188,6 @@ def test_coercivity_smoke():
     for _ in range(100):
         w = rng.standard_normal(V.n_dofs)
         assert w @ (S @ w) > 0.0
-
-
-def test_quadrature_degree_guard():
-    params = FormParams(volume_degree=1)
-    with pytest.raises(ValueError):
-        params.vol_degree(2)
-    with pytest.raises(ValueError):
-        FormParams(face_degree=1).fac_degree(1)
 
 
 def test_problem_spec_validation():

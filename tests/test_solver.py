@@ -9,7 +9,7 @@ from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
-                             _factorize, _saddle_matrix, _symmetric_saddle,
+                             MAX_RETRIES, _factorize, _saddle_matrix,
                              build_operators, clip_inset, damped_update,
                              newton_solve, solve_linear_resmin,
                              write_iteration_log)
@@ -104,9 +104,8 @@ def test_damped_update_escalates_and_caps():
         return 100.0
 
     with pytest.raises(RuntimeError):
-        damped_update(np.zeros(1), np.ones(1), 1.0, 0.0, stuck,
-                      omega=0.5, max_retries=5)
-    assert len(calls) == 6  # initial try plus five retries
+        damped_update(np.zeros(1), np.ones(1), 1.0, 0.0, stuck)
+    assert len(calls) == MAX_RETRIES + 1  # initial try plus every retry
 
 
 def test_newton_trivial_bounds_single_full_step(manufactured):
@@ -332,7 +331,7 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
     r, Bu = assembled_residual(system, x)
     assert abs(Bu - ops.B).max() > 0.0          # the penalty is active
     J = _saddle_matrix(ops.G, Bu)
-    dx = _factorize(J, _symmetric_saddle(ops)).solve(r)
+    dx = _factorize(J, True).solve(r)
     assert relative_gap(J, r, dx) <= 1e-12
 
 
