@@ -86,6 +86,7 @@ class AdaptRecord:
     newton_iterations: int
     newton_converged: bool
     h_max: float
+    newton_log: list = field(default_factory=list)   # of the solve whose u is recorded
 
 
 @dataclass
@@ -153,6 +154,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
         ops = build_operators(problem, U_h, V_h)
 
         newton_iters = 0
+        newton_log = []
         converged = True
         if pen_config is None:
             sol = solve_linear_resmin(problem, U_h, V_h, ops=ops)
@@ -207,7 +209,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                             res = retry
                         break
                     res, viol = retry, viol_retry
-            u, eps = res.u, res.eps
+            u, eps, newton_log = res.u, res.eps, res.log
 
         ind = error_indicators(problem, V_h, eps)
         lo, hi = extrema(U_h, u)
@@ -220,7 +222,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
         records.append(AdaptRecord(
             level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, ind.total,
             err_l2, err_vh, lo, hi, under, over, newton_iters, converged,
-            h_max=mesh.h))
+            h_max=mesh.h, newton_log=newton_log))
         result = AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
 
         if not converged:

@@ -4,8 +4,10 @@ Every run writes its artifacts into a per-case output directory:
 
     run_info.txt         all effective settings (for reproducibility)
     solution.vtk         final solution u and residual representative eps
-    iterations.csv       Newton log of a penalized uniform run, one row per
-                         accepted step with its damping retries
+    iterations.csv       Newton log of a penalized run, one row per accepted
+                         step with its damping retries and the active-set
+                         size of the iterate it started from; adaptive runs
+                         add a leading level column
     violation.txt        bound-violation report (when bounds are set)
     cross_section.csv    sampled line values (cases that define one)
     levels.csv           per-level records (adaptive runs)
@@ -113,6 +115,10 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
         u, eps = result.u, result.eps
         if out_dir:
             write_records_csv(os.path.join(out_dir, "levels.csv"), records)
+            if pen is not None:
+                write_iteration_log(os.path.join(out_dir, "iterations.csv"),
+                                    [rec for r in records for rec in r.newton_log],
+                                    levels=[r.level for r in records for _ in r.newton_log])
     else:
         mesh = case.make_mesh()
         U_h, V_h, sol, newton_log = _solve_uniform(case, problem, pen, mesh)
@@ -180,6 +186,8 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
                                  r.err_l2, r.err_vh, r.estimator,
                                  r.undershoot, r.overshoot))
     else:
+        if case.levels < 1:
+            raise ValueError("levels must be at least 1")
         exact, exact_grad = case_exact(case)
         mesh = case.make_mesh()
         for level in range(case.levels):

@@ -188,6 +188,14 @@ class PenaltyOperator:
             terms.append((sign, (cfg.upper - uvals) - g * s, -1.0))
         return terms
 
+    def active_count(self, u_coeffs):
+        """Number of (element, quadrature point, bound) triples with arg <= 0.
+
+        Zero means that P(u) and dP(u) both vanish: [arg]_- is 0 and so is
+        its kink indicator, which is 1/2 at arg = 0 itself.
+        """
+        return sum(int(np.count_nonzero(~(arg > 0.0))) for _, arg, _ in self._terms(u_coeffs))
+
     def residual(self, u_coeffs):
         """Assembled penalty residual over V_h dofs."""
         return self._residual(self._terms(u_coeffs))

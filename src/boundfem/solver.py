@@ -25,11 +25,25 @@ symmetric indefinite, and only the block-residual contract (<= 1e-10
 relative) is part of the interface; `_solve_saddle` is the one saddle solve,
 for the linear system and every Newton step alike. Every residual, at trial
 points and iterates alike, takes its bottom block B'eps + dP(u)'eps without
-assembling dP(u); the Jacobian is assembled once per iteration, right before
-the Newton matrix is factorized. `LinearOperators.riesz` factorizes G on each
-call and keeps no factor: the uniform studies solve with G once per level,
-and a kept factor would stay alive through every Newton factorization of
-that level.
+assembling dP(u); the Jacobian is assembled at most once per iteration,
+right before the Newton matrix is factorized. `LinearOperators.riesz`
+factorizes G on each call and keeps no factor: the uniform studies solve
+with G once per level, and a kept factor would stay alive through every
+Newton factorization of that level.
+
+Step rule. An iterate is inactive when every bound argument is strictly
+positive at every penalty quadrature point (`PenaltyOperator.active_count`
+is 0; at arg = 0 the kink indicator is 1/2, so dP(u) != 0 there). At an
+inactive iterate P(u) = 0 and dP(u) = 0 exactly, so the Newton matrix is the
+linear saddle matrix K and R(x) = [L; 0] - K x; the Newton step is then
+x_lin - x, with x_lin the linear solution. A solve started from the linear
+solution (no `initial`) knows x_lin and takes that step without assembling
+dP(u) or factorizing anything. The step is still checked blockwise
+(G d_eps + B d_u and B' d_eps against R) to SOLVE_RTOL; if it misses, the
+iteration falls back to the factorized step. Every level of the case1 study
+starts inactive, so its Newton solves factorize only the linear K and G.
+Keeping the linear LU alive for reuse instead would overlap that factor with
+the Riesz factorization of G, the peak of each level's memory.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -211,6 +225,7 @@ class IterationRecord:
     zeta: float
     increment_norm: float
     retries: int = 0
+    active: int = 0         # arg <= 0 triples at the iterate the step starts from
 
 
 @dataclass
@@ -273,20 +288,43 @@ class NewtonSystem:
         return np.linalg.norm(self.residual(x))
 
 
+def _newton_step(system, x, r, x_lin):
+    """Newton step dx at x, and the iterate's active count.
+
+    From an inactive iterate, with the linear solution x_lin known, dx is
+    x_lin - x (module docstring) if it meets r to SOLVE_RTOL, checked
+    blockwise; otherwise J is assembled and factorized.
+    """
+    ops = system.ops
+    u = system.split(x)[1]
+    active = system.pen.active_count(u)
+    if active == 0 and x_lin is not None:
+        dx = x_lin - x
+        d_eps, du = system.split(dx)
+        Kdx = np.concatenate([ops.G @ d_eps + ops.B @ du, ops.B.T @ d_eps])
+        if np.linalg.norm(Kdx - r) <= SOLVE_RTOL * np.linalg.norm(r):
+            return dx, active
+    dx, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(u), r)
+    return dx, active
+
+
 def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=None):
     """Damped Newton solve of the penalized residual-minimization problem.
 
     `initial` is an optional (eps, u) pair; by default the linear
-    (unpenalized) solution is used as the starting guess. Returns a
-    NewtonResult; nonconvergence is reported, not raised, with the last
-    iterate retained.
+    (unpenalized) solution, clipped into the bounds, is the starting guess,
+    and only then do inactive iterates step to the linear solution without a
+    factorization (module docstring). Returns a NewtonResult; nonconvergence
+    is reported, not raised, with the last iterate retained.
     """
     opts = opts or NewtonOptions()
     ops = ops or build_operators(problem, U_h, V_h)
     system = NewtonSystem(problem, ops, pen_config)
 
+    x_lin = None
     if initial is None:
         lin = solve_linear_resmin(problem, U_h, V_h, ops=ops)
+        x_lin = np.concatenate([lin.eps, lin.u])
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
         u = clip_inset(lin.u, pen_config.lower, pen_config.upper)
@@ -304,7 +342,7 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
         if rnorm <= floor:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
-        dx, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
+        dx, active = _newton_step(system, x, r, x_lin)
         try:
             x_new, rnorm_new, t, zeta, retries = damped_update(
                 x, dx, rnorm, zeta, system.residual_norm)
@@ -313,7 +351,7 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
             return NewtonResult(u, eps, False, "damping retry cap exceeded", log, ops)
         du = system.split(x_new)[1] - system.split(x)[1]
         inc = float(np.sqrt(max(du @ (ops.M_u @ du), 0.0)))
-        log.append(IterationRecord(k, rnorm, t, zeta, inc, retries))
+        log.append(IterationRecord(k, rnorm, t, zeta, inc, retries, active))
         x = x_new
         if inc < opts.tol:
             eps, u = system.split(x)
@@ -324,12 +362,22 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
     return NewtonResult(u, eps, False, "iteration limit reached", log, ops)
 
 
-def write_iteration_log(path, log):
-    """Iteration log as CSV with columns k, residual_norm, t, zeta, increment_norm
-    and retries (rejected damping trials before the step was accepted)."""
+def write_iteration_log(path, log, levels=None):
+    """Iteration log as CSV with columns k, residual_norm, t, zeta,
+    increment_norm, retries (rejected damping trials before the step was
+    accepted) and active (`PenaltyOperator.active_count` at the iterate the
+    step started from; at 0, a solve started from the linear solution steps
+    to it without a factorization).
+
+    `levels`, when given, holds each record's refinement level and is written
+    as a leading `level` column.
+    """
+    cols = ["k", "residual_norm", "t", "zeta", "increment_norm", "retries", "active"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "residual_norm", "t", "zeta", "increment_norm", "retries"])
-        for rec in log:
-            w.writerow([rec.k, repr(float(rec.residual_norm)), repr(float(rec.t)),
-                        repr(float(rec.zeta)), repr(float(rec.increment_norm)), rec.retries])
+        w.writerow(cols if levels is None else ["level"] + cols)
+        for i, rec in enumerate(log):
+            row = [rec.k, repr(float(rec.residual_norm)), repr(float(rec.t)),
+                   repr(float(rec.zeta)), repr(float(rec.increment_norm)), rec.retries,
+                   rec.active]
+            w.writerow(row if levels is None else [levels[i]] + row)

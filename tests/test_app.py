@@ -230,8 +230,42 @@ def test_penalized_uniform_run_writes_iteration_log(tmp_path):
     out = tmp_path / "pen"
     result = run_case("case1", out_dir=str(out))
     lines = (out / "iterations.csv").read_text().splitlines()
-    assert lines[0] == "k,residual_norm,t,zeta,increment_norm,retries"
+    assert lines[0] == "k,residual_norm,t,zeta,increment_norm,retries,active"
     assert len(lines) - 1 == len(result.newton_log) > 0
+
+
+def test_penalized_adaptive_run_writes_iteration_log(tmp_path):
+    out = tmp_path / "case3"
+    result = run_case("case3", out_dir=str(out))
+    lines = (out / "iterations.csv").read_text().splitlines()
+    assert lines[0] == "level,k,residual_norm,t,zeta,increment_norm,retries,active"
+    rows = [line.split(",") for line in lines[1:]]
+    expected = [(r.level, rec.k, rec.retries, rec.active)
+                for r in result.records for rec in r.newton_log]
+    assert [(int(row[0]), int(row[1]), int(row[6]), int(row[7])) for row in rows] == expected
+    assert len(rows) > 0
+    # every level records the log of the solve whose u it keeps
+    assert all(0 < len(r.newton_log) <= r.newton_iterations for r in result.records)
+
+
+def test_unpenalized_adaptive_run_writes_no_iteration_log(tmp_path):
+    out = tmp_path / "case3"
+    run_case("case3", out_dir=str(out), with_penalty=False, levels=2)
+    assert (out / "levels.csv").exists()
+    assert not (out / "iterations.csv").exists()
+
+
+def test_uniform_study_with_zero_levels_raises(tmp_path):
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        convergence_study("smooth", levels=0, out_dir=str(tmp_path))
+    assert not (tmp_path / "study.csv").exists()
+
+
+def test_cli_study_with_zero_levels_fails(tmp_path):
+    # used to exit 0 with a header-only study.csv
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        main(["study", "smooth", "--levels", "0", "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "study.csv").exists()
 
 
 def test_study_csv_deterministic(tmp_path):

@@ -9,9 +9,9 @@ from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
-                             MAX_RETRIES, _factorize, _saddle_matrix,
-                             build_operators, clip_inset, damped_update,
-                             newton_solve, solve_linear_resmin,
+                             MAX_RETRIES, _factorize, _newton_step, _saddle_matrix,
+                             _solve_saddle, build_operators, clip_inset,
+                             damped_update, newton_solve, solve_linear_resmin,
                              write_iteration_log)
 from test_mesh import jittered
 
@@ -164,10 +164,16 @@ def test_newton_monotone_accepted_residuals_and_log(tmp_path):
     path = tmp_path / "log.csv"
     write_iteration_log(path, res.log)
     header = path.read_text().splitlines()[0]
-    assert header == "k,residual_norm,t,zeta,increment_norm,retries"
-    rows = path.read_text().splitlines()[1:]
+    assert header == "k,residual_norm,t,zeta,increment_norm,retries,active"
+    rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
     assert len(rows) == len(res.log)
-    assert [int(row.split(",")[-1]) for row in rows] == [rec.retries for rec in res.log]
+    assert [int(row[-2]) for row in rows] == [rec.retries for rec in res.log]
+    assert [int(row[-1]) for row in rows] == [rec.active for rec in res.log]
+    # an adaptive log leads with the level of each record
+    write_iteration_log(path, res.log, levels=[7] * len(res.log))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "level," + header
+    assert all(line.startswith("7,") for line in lines[1:])
 
 
 def test_newton_deterministic():
@@ -377,24 +383,147 @@ def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
     assert abs(system.residual_norm(x) - ref) <= 1e-13 * ref
 
 
-def test_trial_points_assemble_no_jacobian(monkeypatch):
+def count_calls(monkeypatch, calls):
+    """Record "J" per penalty Jacobian, "LU" per factorization, "trial" per trial point."""
+    import boundfem.solver as solver
     from boundfem.penalty import PenaltyOperator
-    case = get_case("case1")
-    pr = case.problem()
-    mesh = case.make_mesh()
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
-    calls = []
     jacobian = PenaltyOperator.jacobian
     monkeypatch.setattr(PenaltyOperator, "jacobian",
                         lambda self, u: calls.append("J") or jacobian(self, u))
+    factorize = solver._factorize
+    monkeypatch.setattr(solver, "_factorize",
+                        lambda K, symmetric: calls.append("LU") or factorize(K, symmetric))
     residual_norm = NewtonSystem.residual_norm
     monkeypatch.setattr(NewtonSystem, "residual_norm",
                         lambda self, x: calls.append("trial") or residual_norm(self, x))
+
+
+def case1_level0():
+    case = get_case("case1")
+    mesh = case.make_mesh()
+    return case, case.problem(), build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+
+
+def test_trial_points_assemble_no_jacobian(monkeypatch):
+    case, pr, U, V = case1_level0()
+    calls = []
+    count_calls(monkeypatch, calls)
     res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
                        opts=NewtonOptions(tol=case.tol))
     assert res.iterations >= 1
     assert calls.count("trial") >= res.iterations
-    # one per Newton iteration, right before its factorization; none at
-    # trial points or at the iterate that passes the increment test
-    assert calls.count("J") == res.iterations
+    # one Jacobian per iteration whose iterate is active, right before its
+    # factorization; none at trial points, at inactive iterates or at the
+    # iterate that passes the increment test
+    assert calls.count("J") == sum(rec.active > 0 for rec in res.log) == 0
+    # the linear saddle matrix K and the Riesz solve's G, nothing else
+    assert calls.count("LU") == 2
+
+
+def case1_default_start():
+    """(problem, U_h, V_h, ops, x, x_lin) with x newton_solve's default start on case1 L0."""
+    _, pr, U, V = case1_level0()
+    ops = build_operators(pr, U, V)
+    lin = solve_linear_resmin(pr, U, V, ops=ops)
+    u = clip_inset(lin.u, pr.u_min, pr.u_max)
+    return (pr, U, V, ops, np.concatenate([ops.riesz(ops.L - ops.B @ u), u]),
+            np.concatenate([lin.eps, lin.u]))
+
+
+def inactive_inputs(tmp_path):
+    """(name, problem, U_h, V_h, ops, x, x_lin): an inactive iterate x off the linear solution.
+
+    case1 L0 uses newton_solve's default start; the other meshes take a smooth
+    problem with bounds far outside its range and perturb its linear solution.
+    """
+    yield ("case1",) + case1_default_start()
+    sm = get_case("smooth").problem()
+    prb = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
+                      u_min=-5.0, u_max=5.0, gamma0=1e-4)
+    rng = np.random.default_rng(3)
+    for name, mesh in p1_linear_inputs(tmp_path):
+        U = build_space(mesh, 1, "continuous")
+        V = build_space(mesh, 1, "broken")
+        ops = build_operators(prb, U, V)
+        lin = solve_linear_resmin(prb, U, V, ops=ops)
+        x_lin = np.concatenate([lin.eps, lin.u])
+        yield name, prb, U, V, ops, x_lin + 0.1 * rng.standard_normal(len(x_lin)), x_lin
+
+
+def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
+    for name, pr, U, V, ops, x, x_lin in inactive_inputs(tmp_path):
+        system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+        r = system.residual(x)
+        u = system.split(x)[1]
+        ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(u), r)
+        calls = []
+        with monkeypatch.context() as m:
+            count_calls(m, calls)
+            dx, active = _newton_step(system, x, r, x_lin)
+        assert active == 0 and calls == [], name
+        assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_inactive_step_falls_back_when_check_fails(monkeypatch):
+    # a wrong x_lin misses the residual check: the factorized step is taken
+    pr, U, V, ops, x, x_lin = case1_default_start()
+    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    r = system.residual(x)
+    ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
+    calls = []
+    count_calls(monkeypatch, calls)
+    dx, active = _newton_step(system, x, r, 2.0 * x_lin)
+    assert active == 0 and calls == ["J", "LU"]
+    assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kink_and_active_iterates_factorize(monkeypatch):
+    # pure reaction, A u - f = u: at a vertex where u = u_min = 0 the lower
+    # argument (u - u_min) - gamma (A u - f) is exactly 0 under the nodal rule;
+    # a corner vertex of one triangle makes it the only argument <= 0
+    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.5,
+                     u_min=0.0, u_max=10.0, gamma0=1e-3)
+    mesh = build_structured_mesh(3, 3)
+    U = build_space(mesh, 1, "continuous")
+    V = build_space(mesh, 1, "broken")
+    ops = build_operators(pr, U, V)
+    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr, quadrature="nodal"))
+    lin = solve_linear_resmin(pr, U, V, ops=ops)
+    x_lin = np.concatenate([lin.eps, lin.u])
+    corner = np.flatnonzero(np.bincount(U.dofmap.ravel()) == 1)[0]
+    for value in (0.0, -0.1):
+        u = np.full(U.n_dofs, 0.5)
+        u[corner] = value
+        x = np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
+        calls = []
+        with monkeypatch.context() as m:
+            count_calls(m, calls)
+            _, active = _newton_step(system, x, system.residual(x), x_lin)
+        assert active == 1 and calls == ["J", "LU"]
+    # just above the kink the argument is positive: inactive
+    u[corner] = 1e-300
+    assert system.pen.active_count(u) == 0
+
+
+def test_case1_active_start_factorizes(monkeypatch):
+    # the unclipped linear solution overshoots the bounds: an active start
+    pr, U, V, ops, _, x_lin = case1_default_start()
+    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    calls = []
+    count_calls(monkeypatch, calls)
+    _, active = _newton_step(system, x_lin, system.residual(x_lin), x_lin)
+    assert active > 0 and calls == ["J", "LU"]
+
+
+def test_warm_start_never_takes_the_linear_step(monkeypatch):
+    # the default start of case1 L0 is inactive, but given as `initial` it
+    # has no linear solution to step to: every iteration factorizes J
+    pr, U, V, ops, x, _ = case1_default_start()
+    case = get_case("case1")
+    calls = []
+    count_calls(monkeypatch, calls)
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
+                       opts=NewtonOptions(tol=case.tol), ops=ops,
+                       initial=(x[:V.n_dofs], x[V.n_dofs:]))
+    assert res.iterations >= 1 and res.log[0].active == 0
+    assert calls.count("J") == calls.count("LU") == res.iterations
