@@ -42,11 +42,11 @@ def error_indicators(problem, V_h, eps_coeffs):
     """Localize |eps_h|^2_{V_h} to elements; see the module docstring."""
     eps_coeffs = np.asarray(eps_coeffs, dtype=float)
     ind2 = np.zeros(V_h.mesh.n_elements)
-    for dofs, blocks, owners in gram_blocks(problem, V_h):
-        c = eps_coeffs[dofs]
+    for elems, blocks in gram_blocks(problem, V_h):
+        c = eps_coeffs[V_h.dofmap[elems].reshape(blocks.shape[:2])]
         q = (c[:, None, :] @ blocks @ c[:, :, None])[:, 0, 0]
-        for elems, share in owners:
-            ind2 += np.bincount(elems, share * q, minlength=len(ind2))
+        for col in elems.T:
+            ind2 += np.bincount(col, q / elems.shape[1], minlength=len(ind2))
     total = float(np.sqrt(max(ind2.sum(), 0.0)))
     return ErrorIndicators(np.sqrt(np.maximum(ind2, 0.0)), total)
 
@@ -86,6 +86,8 @@ class AdaptRecord:
     newton_iterations: int
     newton_converged: bool
     h_max: float
+    h_min: float
+    efficiency: float | None    # estimator / err_vh; None if err_vh is None or 0
     newton_log: list = field(default_factory=list)   # of the solve whose u is recorded
 
 
@@ -222,7 +224,9 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
         records.append(AdaptRecord(
             level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, ind.total,
             err_l2, err_vh, lo, hi, under, over, newton_iters, converged,
-            h_max=mesh.h, newton_log=newton_log))
+            h_max=mesh.h, h_min=float(mesh.h_elem.min()),
+            efficiency=ind.total / err_vh if err_vh else None,
+            newton_log=newton_log))
         result = AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
 
         if not converged:
@@ -247,9 +251,11 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
 
 
 def write_records_csv(path, records):
+    """Per-level records as CSV; `efficiency` (estimator / err_vh) is empty
+    when there is no exact solution."""
     cols = ["level", "n_elements", "dofs_u", "dofs_v", "h_max", "estimator",
             "err_l2", "err_vh", "u_min", "u_max", "undershoot", "overshoot",
-            "newton_iterations", "newton_converged"]
+            "newton_iterations", "newton_converged", "h_min", "efficiency"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
@@ -261,4 +267,5 @@ def write_records_csv(path, records):
                         repr(float(r.u_min)), repr(float(r.u_max)),
                         repr(float(r.undershoot)),
                         repr(float(r.overshoot)), r.newton_iterations,
-                        int(r.newton_converged)])
+                        int(r.newton_converged), repr(float(r.h_min)),
+                        "" if r.efficiency is None else repr(float(r.efficiency))])

@@ -119,6 +119,14 @@ def main(argv=None):
             print(f"  {name:8s} {case.title}", file=sys.stderr)
         return 2
 
+    try:
+        return _run(args)
+    except ValueError as exc:       # a bad setting, from the flags or the config file
+        print(f"boundfem: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args):
     over = _merge_bounds(args.case, _collect_overrides(args))
     if args.command == "run":
         result = run_case(args.case, out_dir=args.out_dir,

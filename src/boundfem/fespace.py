@@ -199,10 +199,16 @@ def trial_to_test_embedding(U_h, V_h):
         raise ValueError("spaces must share the same polynomial degree")
     if U_h.continuity != CONTINUOUS or V_h.continuity != BROKEN:
         raise ValueError("embedding maps a continuous space into a broken one")
-    rows = V_h.dofmap.ravel()
-    cols = U_h.dofmap.ravel()
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(V_h.n_dofs, U_h.n_dofs))
+    return gather_matrix(U_h)
+
+
+def gather_matrix(space):
+    """One-hot matrix S with S c = c[space.dofmap].ravel(), the element-major
+    local values of coefficients c; for a continuous space U_h this is the
+    embedding into the broken space of the same degree."""
+    n = space.dofmap.size
+    return sp.csr_matrix((np.ones(n), space.dofmap.ravel(), np.arange(n + 1)),
+                         shape=(n, space.n_dofs))
 
 
 class DiscreteFunction:

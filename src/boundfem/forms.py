@@ -26,14 +26,21 @@ Kernel convention, shared by `penalty`, `report`, `adapt`, `fespace` and
 per-element 2x2 maps and dot products over a length-2 axis are two-term
 broadcasts (`_matmul2`, `_dot2`); products with the constant K are one GEMM
 on the (..., 2) rows; scatters into global vectors are `np.bincount`. No
-kernel goes through einsum.
+kernel goes through einsum. Matrices are summed as element-pair blocks, with
+no COO triplets: V_h x V_h operators are block-sparse over element adjacency
+(`_block_pattern`), and each group of local blocks is added straight into
+the block data (`_block_matrix`), which is converted to CSR once.
+Block-diagonal operators (the mass, the penalty Jacobian) gather a
+continuous space through its one-hot dofmap matrix (`fespace.gather_matrix`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .fespace import BROKEN, gather_matrix
 from .fields import scalar_field, vector_field
 from .mesh import _freeze, char_tolerance
 from .quadrature import edge_rule, triangle_rule
@@ -124,7 +131,10 @@ class ElementContext:
     """Per-element quadrature table: physical points, weights, basis traces.
 
     All arrays are read-only, because the volume context is shared by every
-    caller on its space (see `volume_context`).
+    caller on its space (see `volume_context`). The physical gradients
+    `grads` (ne, nq, nl, 2) are formed on first use from the reference
+    gradients `gref` (nq, nl, 2); tables that only need beta.grad (the
+    penalty's) contract beta with Binv instead and never form them.
     """
 
     def __init__(self, space, degree, rule=None):
@@ -134,11 +144,14 @@ class ElementContext:
         self.rule = rule
         self.qp = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
         self.dA = rule.weights[None, :] * detB[:, None]
-        vals, gref = space.basis.eval(rule.points)
-        self.vals = vals                              # (nq, nl)
-        self.grads = _matmul2(gref, Binv[:, None, None])  # (ne, nq, nl, 2)
+        self.vals, self.gref = space.basis.eval(rule.points)   # (nq, nl), (nq, nl, 2)
         self.Binv = Binv
-        _freeze(self.qp, self.dA, self.vals, self.grads)
+        _freeze(self.qp, self.dA, self.vals, self.gref)
+
+    @functools.cached_property
+    def grads(self):
+        """Physical basis gradients (ne, nq, nl, 2), formed on first use."""
+        return _freeze(_matmul2(self.gref, self.Binv[:, None, None]))[0]
 
 
 class FaceContext:
@@ -185,29 +198,78 @@ def _contexts(space):
     return (volume_context(space), *space.contexts["faces"])
 
 
-class _Accumulator:
-    """COO triplet collector for a sparse matrix of fixed shape."""
+# ----------------------------------------------------------------------
+# Element-pair block assembly
+# ----------------------------------------------------------------------
 
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows = []
-        self.cols = []
-        self.data = []
+def _block_pattern(space):
+    """Block pattern of operators on the broken space `space`, built once.
 
-    def add_blocks(self, row_dofs, col_dofs, blocks):
-        """row_dofs (n, ni), col_dofs (n, nj), blocks (n, ni, nj)."""
-        n, ni, nj = blocks.shape
-        self.rows.append(np.broadcast_to(row_dofs[:, :, None], (n, ni, nj)).ravel())
-        self.cols.append(np.broadcast_to(col_dofs[:, None, :], (n, ni, nj)).ravel())
-        self.data.append(blocks.ravel())
+    Broken dofs are element-major, so an operator coupling neighbours through
+    faces has one n_l x n_l block per element (e, e) and the two blocks
+    (e, f), (f, e) per interior face. Returns the BSR (indptr, indices)
+    and the block slots: `diag` (ne,) of every (e, e), and `face` (nf, 2, 2)
+    of the [minus, plus] x [minus, plus] blocks of every interior face.
+    """
+    if "pattern" not in space.contexts:
+        mesh = space.mesh
+        ne = mesh.n_elements
+        em, ep = mesh.iface_elements.T
+        nf = len(em)
+        rows = np.concatenate([np.arange(ne), em, ep])
+        cols = np.concatenate([np.arange(ne), ep, em])
+        keys, slot = np.unique(rows * ne + cols, return_inverse=True)
+        diag = slot[:ne]
+        face = np.stack([diag[em], slot[ne:ne + nf], slot[ne + nf:], diag[ep]],
+                        axis=1).reshape(nf, 2, 2)
+        indptr = np.searchsorted(keys, np.arange(ne + 1) * ne)
+        space.contexts["pattern"] = _freeze(indptr, keys % ne, diag, face)
+    return space.contexts["pattern"]
 
-    def tocsr(self):
-        if not self.data:
-            return sp.csr_matrix(self.shape)
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
-        return sp.coo_matrix((data, (rows, cols)), shape=self.shape).tocsr()
+
+def _block_matrix(space, element, iface, bface, symmetrize=False):
+    """CSR operator on the broken `space` from element, interior-face and
+    boundary-face blocks (any may be None), summed on `_block_pattern`.
+
+    Interior-face blocks (nf, 2 n_l, 2 n_l) run over the [minus, plus] dofs of
+    the mesh's interior faces, boundary-face blocks over their element's dofs.
+    Each group is added into the block data with one `np.add.at`, in the
+    order element, interior face, boundary face: unlike a `np.bincount`
+    scatter it allocates no output array, and each entry sums its terms in
+    the order the COO triplets it replaces mostly did. `symmetrize` averages
+    the operator with its transpose, which on the block data is a transpose
+    of every block plus a swap of each face's two off-diagonal slots. Exact
+    zeros are dropped, so the CSR pattern is that of the nonzero entries.
+    """
+    indptr, indices, diag, face = _block_pattern(space)
+    mesh = space.mesh
+    nl = space.n_local
+    n = len(indices) * nl * nl
+    local = np.arange(nl * nl).reshape(nl, 1, nl)         # i * nl + j at axes (i, -, j)
+    data = np.zeros(n)
+    for slots, blocks in ((diag[:, None, None], element), (face, iface),
+                          (diag[mesh.bface_elements][:, None, None], bface)):
+        if blocks is not None:
+            idx = slots[:, :, None, :, None] * (nl * nl) + local
+            np.add.at(data, idx.ravel(), blocks.ravel())
+    data = data.reshape(-1, nl, nl)
+    if symmetrize:
+        swap = np.arange(len(data))
+        swap[face[:, 0, 1]], swap[face[:, 1, 0]] = face[:, 1, 0], face[:, 0, 1]
+        sym = data.transpose(0, 2, 1)[swap]
+        sym += data
+        sym *= 0.5
+        data = sym
+    M = sp.bsr_matrix((data, indices, indptr), shape=(space.n_dofs,) * 2).tocsr()
+    M.eliminate_zeros()
+    return M
+
+
+def _block_diagonal(blocks):
+    """CSR matrix with the element blocks (ne, m, m) on its diagonal."""
+    ne, m, _ = blocks.shape
+    return sp.bsr_matrix((blocks, np.arange(ne), np.arange(ne + 1)),
+                         shape=(ne * m, ne * m)).tocsr()
 
 
 def _face_data(problem, ctx, normals):
@@ -251,40 +313,36 @@ def assemble_bh(problem, V_h):
     """
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h)
-    acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
     adv = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
     adv += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
-    blocks = _diffusion_blocks(ec, problem.K_mat)
-    blocks += ec.vals.T @ (ec.dA[:, :, None] * adv)
-    acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
+    element = _diffusion_blocks(ec, problem.K_mat)
+    element += ec.vals.T @ (ec.dA[:, :, None] * adv)
 
     # interior faces: P^T (w jump) - jump^T (w avg flux) with
     # P = THETA avg flux + (eta + |b.n|/2) jump - (b.n) mean
+    iface = bface = None
     if len(mesh.iface_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
-        (em, vm, gm), (ep, vp, gp) = fi.sides
+        (_, vm, gm), (_, vp, gp) = fi.sides
         Kn = (mesh.iface_normals @ problem.K_mat)[:, None, None]
         jump = np.concatenate([vm, -vp], axis=-1)
         avg = 0.5 * np.concatenate([_dot2(gm, Kn), _dot2(gp, Kn)], axis=-1)
         P = THETA * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
         P -= 0.5 * bn[:, :, None] * np.concatenate([vm, vp], axis=-1)
         w = fi.w[:, :, None]
-        dofs = np.hstack([V_h.dofmap[em], V_h.dofmap[ep]])
-        blocks = P.swapaxes(1, 2) @ (w * jump)
-        blocks -= jump.swapaxes(1, 2) @ (w * avg)
-        acc.add_blocks(dofs, dofs, blocks)
+        iface = P.swapaxes(1, 2) @ (w * jump)
+        iface -= jump.swapaxes(1, 2) @ (w * avg)
 
     # boundary faces
     if len(mesh.bface_h):
-        eb, vb, Kn, test = _boundary_traces(problem, V_h, fb)
+        _, vb, Kn, test = _boundary_traces(problem, V_h, fb)
         w = fb.w[:, :, None]
-        dofs = V_h.dofmap[eb]
-        acc.add_blocks(dofs, dofs, test.swapaxes(1, 2) @ (w * vb) - vb.swapaxes(1, 2) @ (w * Kn))
+        bface = test.swapaxes(1, 2) @ (w * vb) - vb.swapaxes(1, 2) @ (w * Kn)
 
-    return acc.tocsr()
+    return _block_matrix(V_h, element, iface, bface)
 
 
 def _norm_face_weight(problem, space, ctx, normals, face_h):
@@ -295,13 +353,14 @@ def _norm_face_weight(problem, space, ctx, normals, face_h):
 
 
 def gram_blocks(problem, V_h):
-    """Local blocks of the dG norm: a list of (dofs, blocks, owners) groups.
+    """Local blocks of the dG norm: (elements, blocks) pairs for the element
+    blocks, the interior-face blocks and the boundary-face blocks, in that order.
 
-    dofs (n, m) are the V_h dofs of each block, blocks (n, m, m) the local
-    Gram matrices, and owners a list of (elements, share) pairs that split
-    each block's quadratic form among elements. The groups are the element
-    blocks, the interior-face blocks over the [minus, plus] dofs (the norm of
-    the jump [v-, -v+]; half to each neighbor), and the boundary-face blocks.
+    elements (n, k) are the elements of each block and blocks (n, k n_l, k n_l)
+    the local Gram matrices over their dofs: k = 1 for element and boundary
+    faces, and k = 2 for interior faces, whose blocks run over the [minus,
+    plus] dofs (the norm of the jump [v-, -v+]). Each block's quadratic form
+    is shared equally among its k elements.
     """
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h)
@@ -310,29 +369,27 @@ def gram_blocks(problem, V_h):
     blocks = ec.vals.T @ (dA * ec.vals)
     blocks += bg.swapaxes(1, 2) @ (mesh.h_elem[:, None, None] * dA * bg)
     blocks += _diffusion_blocks(ec, problem.K_mat)
-    groups = [(V_h.dofmap, blocks, [(np.arange(mesh.n_elements), 1.0)])]
+    groups = [(np.arange(mesh.n_elements)[:, None], blocks)]
 
     coef = _norm_face_weight(problem, V_h, fi, mesh.iface_normals, mesh.iface_h)
-    (em, vm, _), (ep, vp, _) = fi.sides
+    (_, vm, _), (_, vp, _) = fi.sides
     jump = np.concatenate([vm, -vp], axis=-1)
-    groups.append((np.hstack([V_h.dofmap[em], V_h.dofmap[ep]]),
-                   jump.swapaxes(1, 2) @ (coef[:, :, None] * jump),
-                   [(em, 0.5), (ep, 0.5)]))
+    groups.append((mesh.iface_elements, jump.swapaxes(1, 2) @ (coef[:, :, None] * jump)))
 
     coef = _norm_face_weight(problem, V_h, fb, mesh.bface_normals, mesh.bface_h)
     (eb, vb, _), = fb.sides
-    groups.append((V_h.dofmap[eb], vb.swapaxes(1, 2) @ (coef[:, :, None] * vb),
-                   [(eb, 1.0)]))
+    groups.append((eb[:, None], vb.swapaxes(1, 2) @ (coef[:, :, None] * vb)))
     return groups
 
 
 def assemble_gram(problem, V_h):
-    """Assemble the Gram matrix of the dG inner product (polarized norm)."""
-    acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
-    for dofs, blocks, _ in gram_blocks(problem, V_h):
-        acc.add_blocks(dofs, dofs, blocks)
-    G = acc.tocsr()
-    return 0.5 * (G + G.T)  # strip floating-point asymmetry
+    """Assemble the Gram matrix of the dG inner product (polarized norm).
+
+    The average with the transpose strips the floating-point asymmetry of
+    the local blocks.
+    """
+    return _block_matrix(V_h, *(blocks for _, blocks in gram_blocks(problem, V_h)),
+                         symmetrize=True)
 
 
 def assemble_load(problem, V_h):
@@ -352,12 +409,17 @@ def assemble_load(problem, V_h):
 def assemble_mass(space):
     """Element-wise L2 mass matrix of a space (broken or continuous).
 
-    Its degree-2p table is not kept on the space: nothing else reads it.
+    The element blocks form a block-diagonal matrix over element-major local
+    dofs; a continuous space gathers it through its one-hot dofmap matrix S
+    as S' M S. Its degree-2p table is not kept on the space: nothing else
+    reads it.
     """
     ec = ElementContext(space, 2 * space.p)
-    acc = _Accumulator((space.n_dofs, space.n_dofs))
-    acc.add_blocks(space.dofmap, space.dofmap, ec.vals.T @ (ec.dA[:, :, None] * ec.vals))
-    return acc.tocsr()
+    M = _block_diagonal(ec.vals.T @ (ec.dA[:, :, None] * ec.vals))
+    if space.continuity == BROKEN:
+        return M
+    S = gather_matrix(space)
+    return (S.T @ M @ S).tocsr()
 
 
 def vh_norm(coeffs, G):

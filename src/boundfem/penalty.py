@@ -27,6 +27,14 @@ Two quadrature variants back the elementwise pairing:
 Sign convention for the upper bound: the default "restoring" mode subtracts
 the xi_max term so that overshoot produces a force pushing the solution back
 below u_max; "paper" keeps the plain additive variant.
+
+Tables. A PenaltyOperator evaluates on one quadrature table and keeps only
+what its residual, adjoint and Jacobian read: A applied to every basis
+function at the points (`StrongOperator.A_basis`, (ne, nq, nl)), f and the
+weights dA at the points (ne, nq), the reference basis values (nq, nl) and
+gamma_T. The points, beta and sigma are dropped after construction, and
+beta.grad phi is formed from reference gradients, so no (ne, nq, nl, 2)
+physical-gradient table is ever built.
 """
 
 from dataclasses import dataclass
@@ -34,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, triangle_rule
-from .forms import ElementContext, _Accumulator, _dot2
+from .fespace import gather_matrix
+from .forms import ElementContext, _block_diagonal, _dot2
 
 UPPER_SIGNS = ("restoring", "paper")
 QUADRATURES = ("gauss", "nodal")
@@ -105,30 +114,23 @@ class StrongOperator:
     """Evaluator of A(u) - f = -div(K grad u) + beta.grad u + sigma u - f.
 
     Evaluated at the quadrature points of the ElementContext `ec` on `space`.
-    For p = 1 the second-order term vanishes identically (K is constant per
-    problem) and is skipped; for p >= 2 it uses elementwise basis Hessians.
+    It keeps A applied to every basis function at the points (`A_basis`), f
+    at the points and the basis values; the context, beta and sigma are not
+    kept. beta.grad phi is formed as (Binv beta).grad_ref phi, so no
+    physical-gradient table is built. For p = 1 the second-order term
+    vanishes identically (K is constant per problem) and is skipped; for
+    p >= 2 it uses elementwise basis Hessians.
     """
 
     def __init__(self, problem, space, ec):
-        self.problem = problem
         self.space = space
-        self.ec = ec
-        self.beta = problem.beta_fn(ec.qp)
-        self.sigma = problem.sigma_fn(ec.qp)
+        self.vals = ec.vals
         self.fvals = problem.f_fn(ec.qp)
-        # A applied to every basis function at the quadrature points
-        self.A_basis = _dot2(self.beta[:, :, None], ec.grads)
-        self.A_basis += self.sigma[:, :, None] * ec.vals
+        bref = _dot2(ec.Binv[:, None], problem.beta_fn(ec.qp)[:, :, None])   # (ne, nq, 2)
+        self.A_basis = _dot2(bref[:, :, None], ec.gref)
+        self.A_basis += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
         if space.p >= 2 and problem.k_max > 0.0:
-            self.A_basis -= self._div_K_grad_basis()
-
-    def _div_K_grad_basis(self):
-        href = self.space.basis.eval_hessians(self.ec.rule.points)  # (nq, nl, 3)
-        Binv = self.ec.Binv
-        # K : (Binv^T Href Binv) = Href : M with M = Binv K Binv^T per element
-        M = Binv @ self.problem.K_mat @ Binv.swapaxes(1, 2)
-        m = np.stack([M[:, 0, 0], M[:, 0, 1] + M[:, 1, 0], M[:, 1, 1]], axis=1)
-        return (m @ href.reshape(-1, 3).T).reshape(len(m), *href.shape[:-1])
+            self.A_basis -= _div_K_grad_basis(problem, space, ec)
 
     def residual(self, u_coeffs):
         """A(u) - f at all quadrature points; shape (ne, nq)."""
@@ -137,7 +139,17 @@ class StrongOperator:
 
     def values(self, u_coeffs):
         c = np.asarray(u_coeffs, dtype=float)[self.space.dofmap]
-        return c @ self.ec.vals.T
+        return c @ self.vals.T
+
+
+def _div_K_grad_basis(problem, space, ec):
+    """div(K grad phi) of every basis function at ec's points; (ne, nq, nl)."""
+    href = space.basis.eval_hessians(ec.rule.points)  # (nq, nl, 3)
+    Binv = ec.Binv
+    # K : (Binv^T Href Binv) = Href : M with M = Binv K Binv^T per element
+    M = Binv @ problem.K_mat @ Binv.swapaxes(1, 2)
+    m = np.stack([M[:, 0, 0], M[:, 0, 1] + M[:, 1, 0], M[:, 1, 1]], axis=1)
+    return (m @ href.reshape(-1, 3).T).reshape(len(m), *href.shape[:-1])
 
 
 class PenaltyOperator:
@@ -234,7 +246,8 @@ class PenaltyOperator:
         return self._residual(terms), adjoint
 
     def jacobian(self, u_coeffs):
-        """Assembled Gateaux derivative as a sparse V_h x U_h matrix.
+        """Assembled Gateaux derivative as a sparse V_h x U_h matrix: the
+        block-diagonal V_h x V_h matrix of its element blocks times E.
 
         The kink subgradient uses sgn(0) = 0, i.e. indicator 1/2 exactly at
         the kink.
@@ -243,7 +256,5 @@ class PenaltyOperator:
         phi = self.test_vals
         blocks = phi.T @ (w_coef[:, :, None] * phi)
         blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.strong.A_basis))
-        acc = _Accumulator((self.V_h.n_dofs, self.U_h.n_dofs))
-        acc.add_blocks(self.V_h.dofmap, self.U_h.dofmap, blocks)
-        return acc.tocsr()
+        return _block_diagonal(blocks) @ gather_matrix(self.U_h)
 

@@ -22,14 +22,15 @@ norms of the assembled block vector.
 
 Linear solves use a direct sparse LU factorization; saddle systems are
 symmetric indefinite, and only the block-residual contract (<= 1e-10
-relative) is part of the interface; `_solve_saddle` is the one saddle solve,
-for the linear system and every Newton step alike. Every residual, at trial
-points and iterates alike, takes its bottom block B'eps + dP(u)'eps without
-assembling dP(u); the Jacobian is assembled at most once per iteration,
-right before the Newton matrix is factorized. `LinearOperators.riesz`
-factorizes G on each call and keeps no factor: the uniform studies solve
-with G once per level, and a kept factor would stay alive through every
-Newton factorization of that level.
+relative) is part of the interface; `_solve_saddle` solves the linear
+system and every Newton step from an active iterate, and steps from
+inactive iterates solve with a kept factor of K (step rule below). Every
+residual, at trial points and iterates alike, takes its bottom block
+B'eps + dP(u)'eps without assembling dP(u); the Jacobian is assembled at
+most once per iteration, right before the Newton matrix is factorized.
+`LinearOperators.riesz` factorizes G on each call and keeps no factor: the
+uniform studies solve with G once per level, and a kept factor would stay
+alive through every Newton factorization of that level.
 
 Step rule. An iterate is inactive when every bound argument is strictly
 positive at every penalty quadrature point (`PenaltyOperator.active_count`
@@ -40,10 +41,15 @@ x_lin - x, with x_lin the linear solution. A solve started from the linear
 solution (no `initial`) knows x_lin and takes that step without assembling
 dP(u) or factorizing anything. The step is still checked blockwise
 (G d_eps + B d_u and B' d_eps against R) to SOLVE_RTOL; if it misses, the
-iteration falls back to the factorized step. Every level of the case1 study
+iteration falls back to a solve with K. Every level of the case1 study
 starts inactive, so its Newton solves factorize only the linear K and G.
 Keeping the linear LU alive for reuse instead would overlap that factor with
-the Riesz factorization of G, the peak of each level's memory.
+the Riesz factorization of G, the peak of each level's memory. A
+warm-started solve (`initial` given) has no x_lin: it factorizes K at its
+first inactive iterate and solves with that factor at every inactive iterate
+after it, assembling no dP(u). An active iterate drops the K factor before J
+is factorized, so at most one saddle LU is alive, and a later inactive
+iterate factorizes K again. The fallback above uses the same kept factor.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -191,12 +197,16 @@ def _solve_saddle(ops, B, rhs):
     """
     K = _saddle_matrix(ops.G, B)
     x = _factorize(K, ops.U_h.p == 1).solve(rhs)
-    res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return x, _checked(np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
+
+
+def _checked(res):
+    """The relative residual `res` of a saddle solve; raises above SOLVE_RTOL."""
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
             f"saddle step solve inaccurate (relative residual {res:.3e}); "
             "the system is likely singular")
-    return x, res
+    return res
 
 
 def solve_linear_resmin(problem, U_h, V_h, ops=None):
@@ -265,13 +275,18 @@ def damped_update(x, dx, rnorm, zeta, residual_norm_fn):
 
 
 class NewtonSystem:
-    """Block residual of the penalized saddle problem, without assembling dP(u)."""
+    """Block residual of the penalized saddle problem, without assembling dP(u).
+
+    `K_lu` holds the factor of the linear saddle matrix K while the iterates
+    are inactive (module docstring); it is dropped before J is factorized.
+    """
 
     def __init__(self, problem, ops, pen_config):
         self.ops = ops
         self.pen = PenaltyOperator(problem, ops.U_h, ops.V_h, pen_config)
         self.nv = ops.V_h.n_dofs
         self.nu = ops.U_h.n_dofs
+        self.K_lu = None
 
     def split(self, x):
         return x[:self.nv], x[self.nv:]
@@ -287,23 +302,36 @@ class NewtonSystem:
         """|R(x)|, the measure of the damping loop's trial points."""
         return np.linalg.norm(self.residual(x))
 
+    def linear_misfit(self, dx, r):
+        """|K dx - r| / |r| for the linear saddle matrix K, computed blockwise."""
+        d_eps, du = self.split(dx)
+        Kdx = np.concatenate([self.ops.G @ d_eps + self.ops.B @ du, self.ops.B.T @ d_eps])
+        return np.linalg.norm(Kdx - r) / max(np.linalg.norm(r), 1e-300)
+
 
 def _newton_step(system, x, r, x_lin):
     """Newton step dx at x, and the iterate's active count.
 
-    From an inactive iterate, with the linear solution x_lin known, dx is
-    x_lin - x (module docstring) if it meets r to SOLVE_RTOL, checked
-    blockwise; otherwise J is assembled and factorized.
+    At an inactive iterate J = K (module docstring): with the linear solution
+    x_lin known, dx is x_lin - x if it meets r to SOLVE_RTOL; otherwise dx
+    solves with the K factor, which is kept for the next inactive iterate.
+    At an active iterate the K factor is dropped, then J is assembled and
+    factorized.
     """
     ops = system.ops
     u = system.split(x)[1]
     active = system.pen.active_count(u)
-    if active == 0 and x_lin is not None:
-        dx = x_lin - x
-        d_eps, du = system.split(dx)
-        Kdx = np.concatenate([ops.G @ d_eps + ops.B @ du, ops.B.T @ d_eps])
-        if np.linalg.norm(Kdx - r) <= SOLVE_RTOL * np.linalg.norm(r):
-            return dx, active
+    if active == 0:
+        if x_lin is not None:
+            dx = x_lin - x
+            if system.linear_misfit(dx, r) <= SOLVE_RTOL:
+                return dx, active
+        if system.K_lu is None:
+            system.K_lu = _factorize(_saddle_matrix(ops.G, ops.B), ops.U_h.p == 1)
+        dx = system.K_lu.solve(r)
+        _checked(system.linear_misfit(dx, r))
+        return dx, active
+    system.K_lu = None          # at most one saddle LU alive
     dx, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(u), r)
     return dx, active
 

@@ -9,10 +9,38 @@ shared quadrature/geometry tables, so only the arithmetic differs.
 
 import numpy as np
 
-from boundfem.forms import (THETA, ElementContext, FaceContext, _Accumulator, _contexts,
+import scipy.sparse as sp
+
+from boundfem.forms import (THETA, ElementContext, FaceContext, _contexts,
                             _norm_face_weight, gram_blocks, sipg_eta, volume_context)
 from boundfem.fields import scalar_field, vector_field
 from boundfem.mesh import char_tolerance
+from boundfem.penalty import nodal_rule
+
+
+class _Accumulator:
+    """COO triplet collector for a sparse matrix of fixed shape."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.rows = []
+        self.cols = []
+        self.data = []
+
+    def add_blocks(self, row_dofs, col_dofs, blocks):
+        """row_dofs (n, ni), col_dofs (n, nj), blocks (n, ni, nj)."""
+        n, ni, nj = blocks.shape
+        self.rows.append(np.broadcast_to(row_dofs[:, :, None], (n, ni, nj)).ravel())
+        self.cols.append(np.broadcast_to(col_dofs[:, None, :], (n, ni, nj)).ravel())
+        self.data.append(blocks.ravel())
+
+    def tocsr(self):
+        if not self.data:
+            return sp.csr_matrix(self.shape)
+        rows = np.concatenate(self.rows)
+        cols = np.concatenate(self.cols)
+        data = np.concatenate(self.data)
+        return sp.coo_matrix((data, (rows, cols)), shape=self.shape).tocsr()
 
 
 def physical_points(mesh, ref_points):
@@ -84,6 +112,16 @@ def assemble_bh(problem, V_h):
     return acc.tocsr()
 
 
+def assemble_gram(problem, V_h):
+    """forms.assemble_gram as COO triplets of `gram_blocks`, symmetrized as 0.5 (G + G')."""
+    acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
+    for elems, blocks in gram_blocks(problem, V_h):
+        dofs = V_h.dofmap[elems].reshape(blocks.shape[:2])
+        acc.add_blocks(dofs, dofs, blocks)
+    G = acc.tocsr()
+    return 0.5 * (G + G.T)
+
+
 def assemble_load(problem, V_h):
     mesh = V_h.mesh
     ec, _, fb = _contexts(V_h)
@@ -113,9 +151,15 @@ def assemble_mass(space):
     return acc.tocsr()
 
 
-def strong_basis(strong):
-    """StrongOperator.A_basis: A applied to every basis function at the points."""
-    problem, space, ec = strong.problem, strong.space, strong.ec
+def penalty_context(op):
+    """The quadrature table PenaltyOperator evaluates on (it keeps none of it)."""
+    if op.config.quadrature == "nodal":
+        return ElementContext(op.U_h, 1, rule=nodal_rule())
+    return ElementContext(op.U_h, 2 * op.U_h.p + 6)
+
+
+def strong_basis(problem, space, ec):
+    """StrongOperator.A_basis: A applied to every basis function at ec's points."""
     A = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), ec.grads)
     A += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals[None, :, :]
     if space.p >= 2 and problem.k_max > 0.0:
@@ -129,15 +173,16 @@ def strong_basis(strong):
     return A
 
 
-def strong_residual(strong, u_coeffs):
-    c = u_coeffs[strong.space.dofmap]
-    return np.einsum("el,eql->eq", c, strong_basis(strong)) - strong.fvals
+def strong_residual(problem, space, ec, u_coeffs):
+    c = u_coeffs[space.dofmap]
+    return np.einsum("el,eql->eq", c, strong_basis(problem, space, ec)) - problem.f_fn(ec.qp)
 
 
 def penalty_terms(op, u_coeffs):
     """PenaltyOperator._terms: (sign, arg, u_coef) per active bound."""
-    uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], op.strong.ec.vals)
-    s = strong_residual(op.strong, u_coeffs)
+    ec = penalty_context(op)
+    uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], ec.vals)
+    s = strong_residual(op.problem, op.U_h, ec, u_coeffs)
     g = op.gammas[:, None]
     cfg = op.config
     terms = []
@@ -160,7 +205,7 @@ def penalty_residual(op, u_coeffs):
 
 def penalty_jacobian(op, u_coeffs):
     acc = _Accumulator((op.V_h.n_dofs, op.U_h.n_dofs))
-    A_basis = strong_basis(op.strong)
+    A_basis = strong_basis(op.problem, op.U_h, penalty_context(op))
     for sign, arg, u_coef in penalty_terms(op, u_coeffs):
         ind = 0.5 * (1.0 - np.sign(arg))
         dz = u_coef * np.broadcast_to(op.test_vals[None, :, :], A_basis.shape).copy()
@@ -173,7 +218,7 @@ def penalty_jacobian(op, u_coeffs):
 
 def penalty_adjoint(op, u_coeffs, eps):
     """dP(u)' eps over U_h dofs, per bound and without assembling dP(u)."""
-    A_basis = strong_basis(op.strong)
+    A_basis = strong_basis(op.problem, op.U_h, penalty_context(op))
     out = np.zeros(op.U_h.n_dofs)
     eps_q = np.einsum("el,ql->eq", eps[op.V_h.dofmap], op.test_vals)
     for sign, arg, u_coef in penalty_terms(op, u_coeffs):
@@ -217,11 +262,11 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
 def indicators_squared(problem, V_h, eps_coeffs):
     """error_indicators(...).squared."""
     ind2 = np.zeros(V_h.mesh.n_elements)
-    for dofs, blocks, owners in gram_blocks(problem, V_h):
-        c = eps_coeffs[dofs]
+    for elems, blocks in gram_blocks(problem, V_h):
+        c = eps_coeffs[V_h.dofmap[elems].reshape(blocks.shape[:2])]
         q = np.einsum("fi,fij,fj->f", c, blocks, c)
-        for elems, share in owners:
-            np.add.at(ind2, elems, share * q)
+        for col in elems.T:
+            np.add.at(ind2, col, q / elems.shape[1])
     return np.maximum(ind2, 0.0)
 
 

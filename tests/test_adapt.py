@@ -174,6 +174,19 @@ def test_smooth_adaptive_run_properties(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 9
     assert lines[0].startswith("level,n_elements,dofs_u,dofs_v")
+    assert lines[0].endswith(",h_min,efficiency")
+    for r, line in zip(res.records, lines[1:]):
+        h_min, efficiency = (float(v) for v in line.split(",")[-2:])
+        assert 0.0 < h_min == r.h_min <= r.h_max
+        assert efficiency == r.efficiency == r.estimator / r.err_vh
+    # bisection halves the smallest elements: h_min shrinks, h_max need not
+    assert res.records[-1].h_min < res.records[0].h_min
+    # no exact solution: the efficiency column is empty
+    unknown = adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=1),
+                                  initial_mesh=build_structured_mesh(4, 4))
+    assert unknown.records[0].efficiency is None
+    write_records_csv(path, unknown.records)
+    assert path.read_text().splitlines()[1].endswith(",")
 
 
 def test_marked_elements_are_refined():

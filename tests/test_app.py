@@ -261,11 +261,23 @@ def test_uniform_study_with_zero_levels_raises(tmp_path):
     assert not (tmp_path / "study.csv").exists()
 
 
-def test_cli_study_with_zero_levels_fails(tmp_path):
+def test_cli_study_with_zero_levels_fails(tmp_path, capsys):
     # used to exit 0 with a header-only study.csv
-    with pytest.raises(ValueError, match="levels must be at least 1"):
-        main(["study", "smooth", "--levels", "0", "--out-dir", str(tmp_path)])
+    assert main(["study", "smooth", "--levels", "0", "--out-dir", str(tmp_path)]) == 2
+    assert "levels must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "study.csv").exists()
+
+
+def test_cli_bad_gamma0_exits_2(tmp_path, capsys):
+    assert main(["run", "case1", "--gamma0", "2", "--out-dir", str(tmp_path / "run")]) == 2
+    assert "gamma0 must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_bad_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nonsense.key = 3\n")
+    assert main(["run", "case1", "--config", str(cfg)]) == 2
+    assert "unknown config key 'nonsense.key'" in capsys.readouterr().err
 
 
 def test_study_csv_deterministic(tmp_path):

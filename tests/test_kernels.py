@@ -1,20 +1,26 @@
 """The batched-product level kernels against their einsum forms.
 
-`einsum_reference` keeps the einsum expressions the kernels replaced. Every
+`einsum_reference` keeps the einsum expressions the kernels replaced, and
+the COO-triplet assembly the element-pair block assembly replaced. Every
 comparison allows round-off only: rtol 1e-13, with an absolute floor of
 1e-13 times the largest reference entry for entries that cancel.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import einsum_reference as ref
 from boundfem.adapt import error_indicators, prolong
-from boundfem.fespace import DiscreteFunction, build_space
-from boundfem.forms import (ElementContext, ProblemSpec, assemble_bh, assemble_load,
-                            assemble_mass)
-from boundfem.mesh import Mesh, bisect_marked, build_structured_mesh, read_mesh, write_mesh
+from boundfem.cases import get_case
+from boundfem.fespace import DiscreteFunction, build_space, trial_to_test_embedding
+from boundfem.forms import (ElementContext, ProblemSpec, _contexts, assemble_bh,
+                            assemble_gram, assemble_load, assemble_mass)
+from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh,
+                           refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig, PenaltyOperator, StrongOperator
+from boundfem.quadrature import triangle_rule
 from boundfem.report import error_norms, extrema
 from test_mesh import jittered
 
@@ -49,6 +55,12 @@ def assert_close(actual, desired):
                                atol=1e-13 * max(np.abs(desired).max(), 1e-300))
 
 
+def assert_same_pattern(actual, desired):
+    actual, desired = actual.sorted_indices(), desired.sorted_indices()
+    assert np.array_equal(actual.indptr, desired.indptr)
+    assert np.array_equal(actual.indices, desired.indices)
+
+
 @pytest.mark.parametrize("mesh_name", MESHES)
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("K", [1e-2, TENSOR_K])
@@ -56,10 +68,60 @@ def test_forms_match_einsum(mesh_name, p, K, tmp_path):
     mesh = make_mesh(mesh_name, tmp_path)
     pr = problem(K)
     V = build_space(mesh, p, "broken")
-    assert_close(assemble_bh(pr, V), ref.assemble_bh(pr, V))
+    bh, bh_ref = assemble_bh(pr, V), ref.assemble_bh(pr, V)
+    assert_close(bh, bh_ref)
     assert_close(assemble_load(pr, V), ref.assemble_load(pr, V))
     U = build_space(mesh, p, "continuous")
     assert_close(assemble_mass(U), ref.assemble_mass(U))
+    # G and B = b_h E summed as element-pair blocks have the values and the
+    # CSR pattern of the COO assembly (exact zeros dropped as before)
+    G, G_ref = assemble_gram(pr, V), ref.assemble_gram(pr, V)
+    assert_close(G, G_ref)
+    assert np.array_equal(G.indptr, G_ref.indptr)
+    assert np.array_equal(G.indices, G_ref.indices)
+    assert (G != G.T).nnz == 0
+    E = trial_to_test_embedding(U, V)
+    assert_same_pattern(bh @ E, bh_ref @ E)
+
+
+def test_assembly_transient_memory():
+    # on the case1 mesh refined twice (3,872 elements) the COO triplets made
+    # assemble_gram peak at 13.7x G's bytes and assemble_bh at 16.7x; the
+    # block scatter stays below 10x for both
+    case = get_case("case1")
+    pr = case.problem()
+    V = build_space(refine_uniform_red(refine_uniform_red(case.make_mesh())), 1, "broken")
+    _contexts(V)[0].grads      # the shared tables are not assembly temporaries
+    peaks = {}
+    for assemble in (assemble_gram, assemble_bh):
+        tracemalloc.start()
+        try:
+            assemble(pr, V)
+            peaks[assemble.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    G = assemble_gram(pr, V)
+    g_bytes = G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
+    assert peaks["assemble_gram"] < 10 * g_bytes, peaks
+    assert peaks["assemble_bh"] < 10 * g_bytes, peaks
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_penalty_keeps_no_gradient_table(p, monkeypatch):
+    # A_basis is formed from reference gradients, and the operator keeps no
+    # (ne, nq, nl, 2) table nor the context it was evaluated on
+    mesh = jittered(build_structured_mesh(4, 4), 2)
+    pr = problem(TENSOR_K, u_min=0.2, u_max=0.8, gamma0=1e-2)
+    U = build_space(mesh, p, "continuous")
+    monkeypatch.setattr(ElementContext, "grads",
+                        property(lambda ec: pytest.fail("physical gradients formed")))
+    op = PenaltyOperator(pr, U, build_space(mesh, p, "broken"), PenaltyConfig.from_problem(pr))
+    kept = [v for obj in (op, op.strong) for v in vars(obj).values()]
+    assert not any(isinstance(v, ElementContext) for v in kept)
+    arrays = [v for v in kept if isinstance(v, np.ndarray)]
+    nq = len(triangle_rule(2 * p + 6).weights)
+    assert op.strong.A_basis.shape == (mesh.n_elements, nq, U.n_local)
+    assert all(a.size != mesh.n_elements * nq * U.n_local * 2 for a in arrays)
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)
@@ -86,10 +148,11 @@ def test_strong_operator_matches_einsum(mesh_name, p, tmp_path):
     mesh = make_mesh(mesh_name, tmp_path)
     pr = problem(TENSOR_K)
     U = build_space(mesh, p, "continuous")
-    strong = StrongOperator(pr, U, ElementContext(U, 2 * p + 6))
+    ec = ElementContext(U, 2 * p + 6)
+    strong = StrongOperator(pr, U, ec)
     c = np.random.default_rng(2).standard_normal(U.n_dofs)
-    assert_close(strong.A_basis, ref.strong_basis(strong))
-    assert_close(strong.residual(c), ref.strong_residual(strong, c))
+    assert_close(strong.A_basis, ref.strong_basis(pr, U, ec))
+    assert_close(strong.residual(c), ref.strong_residual(pr, U, ec, c))
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

@@ -473,7 +473,7 @@ def test_inactive_step_falls_back_when_check_fails(monkeypatch):
     calls = []
     count_calls(monkeypatch, calls)
     dx, active = _newton_step(system, x, r, 2.0 * x_lin)
-    assert active == 0 and calls == ["J", "LU"]
+    assert active == 0 and calls == ["LU"]       # K, with no all-zero dP(u)
     assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -517,7 +517,7 @@ def test_case1_active_start_factorizes(monkeypatch):
 
 def test_warm_start_never_takes_the_linear_step(monkeypatch):
     # the default start of case1 L0 is inactive, but given as `initial` it
-    # has no linear solution to step to: every iteration factorizes J
+    # has no linear solution to step to: it solves with a factor of K
     pr, U, V, ops, x, _ = case1_default_start()
     case = get_case("case1")
     calls = []
@@ -526,4 +526,60 @@ def test_warm_start_never_takes_the_linear_step(monkeypatch):
                        opts=NewtonOptions(tol=case.tol), ops=ops,
                        initial=(x[:V.n_dofs], x[V.n_dofs:]))
     assert res.iterations >= 1 and res.log[0].active == 0
-    assert calls.count("J") == calls.count("LU") == res.iterations
+    n_active = sum(rec.active > 0 for rec in res.log)
+    assert calls.count("J") == n_active
+    assert calls.count("LU") == 1 + n_active
+
+
+def test_warm_start_reuses_one_K_factor(monkeypatch):
+    # case2 L0 refined once, warm-started from the prolonged, clipped L0
+    # solution as adaptive_solve_loop does: every iterate is inactive, one K
+    # factor serves every step, and each step equals the old path's (J = K
+    # assembled with an all-zero dP(u) and factorized anew) to 1e-12
+    import boundfem.solver as solver
+    from boundfem.adapt import prolong
+    case = get_case("case2")
+    pr = case.problem()
+    cfg = PenaltyConfig.from_problem(pr)
+    mesh0 = case.make_mesh()
+    U0 = build_space(mesh0, 1, "continuous")
+    res0 = newton_solve(pr, U0, build_space(mesh0, 1, "broken"), cfg,
+                        opts=NewtonOptions(tol=case.tol))
+    mesh = refine_uniform_red(mesh0)
+    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    ops = build_operators(pr, U, V)
+    u0 = clip_inset(prolong(res0.u, U0, U), pr.u_min, pr.u_max)
+    initial = (ops.riesz(ops.L - ops.B @ u0), u0)
+    newton_step = solver._newton_step
+    steps, calls = [], []
+
+    def recorded(system, x, r, x_lin):
+        dx, active = newton_step(system, x, r, x_lin)
+        steps.append((system, x, r, dx))
+        return dx, active
+
+    with monkeypatch.context() as m:
+        count_calls(m, calls)
+        m.setattr(solver, "_newton_step", recorded)
+        res = newton_solve(pr, U, V, cfg, opts=NewtonOptions(tol=case.tol), ops=ops,
+                           initial=initial)
+    n_active = sum(rec.active > 0 for rec in res.log)
+    assert res.iterations >= 3 and n_active == 0 and len(steps) == res.iterations
+    assert calls.count("LU") == 1 + n_active and calls.count("J") == n_active
+    for system, x, r, dx in steps:
+        ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
+        assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_active_iterate_drops_the_K_factor(monkeypatch):
+    # at an active iterate the kept K factor is dropped before J is factorized
+    import boundfem.solver as solver
+    pr, U, V, ops, _, x_lin = case1_default_start()
+    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    system.K_lu = object()
+    factorize = solver._factorize
+    monkeypatch.setattr(solver, "_factorize",
+                        lambda K, symmetric: factorize(K, symmetric) if system.K_lu is None
+                        else pytest.fail("K factor alive during the J factorization"))
+    _, active = _newton_step(system, x_lin, system.residual(x_lin), x_lin)
+    assert active > 0 and system.K_lu is None
