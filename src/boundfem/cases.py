@@ -197,7 +197,7 @@ CASES = {
         make_problem=lambda case: _case2_problem(case, K=0.0),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0)),
-        exact=None,      # set in problem(); depends on layer_scaling
+        exact=None,      # case_exact() supplies it; depends on layer_scaling
         gamma0=1e-5,
         tol=1e-5,
         levels=60,

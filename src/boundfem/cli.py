@@ -62,8 +62,6 @@ def make_parser():
     common.add_argument("--tol", type=float, help="Newton stopping tolerance")
     common.add_argument("--levels", type=int, help="refinement levels")
     common.add_argument("--theta-mark", type=float, help="bulk-marking fraction")
-    common.add_argument("--no-penalty", action="store_true",
-                        help="skip the bound penalty (linear solves)")
     common.add_argument("--upper-sign", choices=("restoring", "paper"),
                         help="sign convention of the upper-bound term")
     common.add_argument("--layer-scaling", choices=("sharp", "shallow"),
@@ -71,7 +69,9 @@ def make_parser():
     common.add_argument("--out-dir", help="artifact output directory")
     common.add_argument("--seed", type=int, help="recorded for reproducibility")
 
-    sub.add_parser("run", parents=[common], help="run one case end to end")
+    run = sub.add_parser("run", parents=[common], help="run one case end to end")
+    run.add_argument("--no-penalty", action="store_true",
+                     help="skip the bound penalty (linear solves)")
     st = sub.add_parser("study", parents=[common], help="convergence study")
     st.add_argument("--mode", choices=("uniform", "adaptive"),
                     help="refinement mode (defaults to the case's mode)")

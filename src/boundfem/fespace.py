@@ -136,25 +136,6 @@ class FunctionSpace:
             self._node_coords = coords
         return self._node_coords
 
-    def eval_cells(self, coeffs, elems, ref_points):
-        """Evaluate the function on elements `elems` at reference points.
-
-        ref_points may be shared, shape (nq, 2), or per-element (ne, nq, 2).
-        Returns (values (ne, nq), gradients (ne, nq, 2)) in physical coords.
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        elems = np.asarray(elems, dtype=np.int64)
-        _, _, _, Binv = self.mesh.affine()
-        vals, grads = self.basis.eval(ref_points)
-        c = coeffs[self.dofmap[elems]]
-        if vals.ndim == 2:  # shared reference points
-            u = c @ vals.T
-        else:
-            u = (vals @ c[:, :, None])[..., 0]
-        gref = (c[:, None, None, :] @ grads)[..., 0, :]
-        Binv = Binv[elems][:, None]
-        return u, gref[..., 0, None] * Binv[..., 0, :] + gref[..., 1, None] * Binv[..., 1, :]
-
     def interpolate(self, fn):
         """Nodal interpolation of a scalar field, returning a coefficient array."""
         from .fields import scalar_field

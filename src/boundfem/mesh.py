@@ -412,13 +412,29 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Read the plain-text format written by `write_mesh`."""
+    """Read the plain-text format written by `write_mesh`.
+
+    A malformed file raises ValueError naming the file, and the line when one
+    line is at fault.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.lstrip().startswith("#")]
-    nv, ne = map(int, lines[0].split())
+    if not lines:
+        raise ValueError(f"mesh file {path}: no data lines")
+
+    def parse(n, tokens, conv, width):
+        if len(tokens) != width:
+            raise ValueError(f"mesh file {path}, line {n}: expected {width} values, "
+                             f"got {len(tokens)}")
+        try:
+            return [conv(t) for t in tokens]
+        except ValueError as exc:
+            raise ValueError(f"mesh file {path}, line {n}: {exc}") from None
+
+    nv, ne = parse(*lines[0], int, 2)
     if len(lines) != 1 + nv + ne:
         raise ValueError(f"mesh file {path}: expected {1 + nv + ne} data lines, got {len(lines)}")
-    vertices = np.array([[float(t) for t in ln.split()] for ln in lines[1:1 + nv]])
-    elements = np.array([[int(t) for t in ln.split()] for ln in lines[1 + nv:]], dtype=np.int64)
+    vertices = np.array([parse(*ln, float, 2) for ln in lines[1:1 + nv]])
+    elements = np.array([parse(*ln, int, 3) for ln in lines[1 + nv:]], dtype=np.int64)
     return Mesh(vertices, elements)

@@ -23,11 +23,11 @@ norms of the assembled block vector.
 Linear solves use a direct sparse LU factorization; saddle systems are
 symmetric indefinite, and only the block-residual contract (<= 1e-10
 relative) is part of the interface; `_solve_saddle` solves the linear
-system and every Newton step from an active iterate, and steps from
-inactive iterates solve with a kept factor of K (step rule below). Every
-residual, at trial points and iterates alike, takes its bottom block
-B'eps + dP(u)'eps without assembling dP(u); the Jacobian is assembled at
-most once per iteration, right before the Newton matrix is factorized.
+system once per `LinearOperators` (`LinearOperators.linear`) and every
+Newton step from an active iterate, and no saddle factor outlives its
+solve. Every residual, at trial points and iterates alike, takes its bottom
+block B'eps + dP(u)'eps without assembling dP(u); the Jacobian is assembled
+at most once per iteration, right before the Newton matrix is factorized.
 `LinearOperators.riesz` factorizes G on each call and keeps no factor: the
 uniform studies solve with G once per level, and a kept factor would stay
 alive through every Newton factorization of that level.
@@ -37,19 +37,15 @@ positive at every penalty quadrature point (`PenaltyOperator.active_count`
 is 0; at arg = 0 the kink indicator is 1/2, so dP(u) != 0 there). At an
 inactive iterate P(u) = 0 and dP(u) = 0 exactly, so the Newton matrix is the
 linear saddle matrix K and R(x) = [L; 0] - K x; the Newton step is then
-x_lin - x, with x_lin the linear solution. A solve started from the linear
-solution (no `initial`) knows x_lin and takes that step without assembling
-dP(u) or factorizing anything. The step is still checked blockwise
-(G d_eps + B d_u and B' d_eps against R) to SOLVE_RTOL; if it misses, the
-iteration falls back to a solve with K. Every level of the case1 study
-starts inactive, so its Newton solves factorize only the linear K and G.
-Keeping the linear LU alive for reuse instead would overlap that factor with
-the Riesz factorization of G, the peak of each level's memory. A
-warm-started solve (`initial` given) has no x_lin: it factorizes K at its
-first inactive iterate and solves with that factor at every inactive iterate
-after it, assembling no dP(u). An active iterate drops the K factor before J
-is factorized, so at most one saddle LU is alive, and a later inactive
-iterate factorizes K again. The fallback above uses the same kept factor.
+x_lin - x, with x_lin the linear solution. Every inactive iterate, in cold
+and warm solves alike, takes that step without assembling dP(u) or
+factorizing; all solves on one `LinearOperators` share its one linear
+solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
+against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
+with K. Every level of the case1 study starts inactive, so its Newton solves
+factorize only the linear K and G. Keeping the linear LU alive for reuse
+instead would overlap that factor with the Riesz factorization of G, the
+peak of each level's memory.
 
 Two orderings, fixed here and not configurable (`_factorize`):
 
@@ -132,6 +128,15 @@ class LinearOperators:
     L: np.ndarray
 
     @functools.cached_property
+    def linear(self):
+        """(x, relative residual) of the linear saddle solve K x = [L; 0].
+
+        Solved on first use and kept without its factor: the linear solution,
+        the cold Newton start and every inactive Newton step read it.
+        """
+        return _solve_saddle(self, self.B, np.concatenate([self.L, np.zeros(self.U_h.n_dofs)]))
+
+    @functools.cached_property
     def M_u(self):
         """Trial-space mass matrix, the norm of Newton's increment test."""
         return (self.E.T @ assemble_mass(self.V_h) @ self.E).tocsr()
@@ -197,22 +202,18 @@ def _solve_saddle(ops, B, rhs):
     """
     K = _saddle_matrix(ops.G, B)
     x = _factorize(K, ops.U_h.p == 1).solve(rhs)
-    return x, _checked(np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-
-
-def _checked(res):
-    """The relative residual `res` of a saddle solve; raises above SOLVE_RTOL."""
+    res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
             f"saddle step solve inaccurate (relative residual {res:.3e}); "
             "the system is likely singular")
-    return res
+    return x, res
 
 
 def solve_linear_resmin(problem, U_h, V_h, ops=None):
     """Solve the linear residual-minimization saddle-point problem."""
     ops = ops or build_operators(problem, U_h, V_h)
-    x, res = _solve_saddle(ops, ops.B, np.concatenate([ops.L, np.zeros(ops.U_h.n_dofs)]))
+    x, res = ops.linear
     nv = ops.V_h.n_dofs
     return ResMinSolution(x[nv:], x[:nv], res, ops)
 
@@ -275,18 +276,12 @@ def damped_update(x, dx, rnorm, zeta, residual_norm_fn):
 
 
 class NewtonSystem:
-    """Block residual of the penalized saddle problem, without assembling dP(u).
-
-    `K_lu` holds the factor of the linear saddle matrix K while the iterates
-    are inactive (module docstring); it is dropped before J is factorized.
-    """
+    """Block residual of the penalized saddle problem, without assembling dP(u)."""
 
     def __init__(self, problem, ops, pen_config):
         self.ops = ops
         self.pen = PenaltyOperator(problem, ops.U_h, ops.V_h, pen_config)
         self.nv = ops.V_h.n_dofs
-        self.nu = ops.U_h.n_dofs
-        self.K_lu = None
 
     def split(self, x):
         return x[:self.nv], x[self.nv:]
@@ -309,53 +304,41 @@ class NewtonSystem:
         return np.linalg.norm(Kdx - r) / max(np.linalg.norm(r), 1e-300)
 
 
-def _newton_step(system, x, r, x_lin):
+def _newton_step(system, x, r):
     """Newton step dx at x, and the iterate's active count.
 
-    At an inactive iterate J = K (module docstring): with the linear solution
-    x_lin known, dx is x_lin - x if it meets r to SOLVE_RTOL; otherwise dx
-    solves with the K factor, which is kept for the next inactive iterate.
-    At an active iterate the K factor is dropped, then J is assembled and
-    factorized.
+    At an inactive iterate J = K (module docstring): dx is x_lin - x for the
+    level's linear solution x_lin if it meets r to SOLVE_RTOL; otherwise dx
+    solves with K. At an active iterate J is assembled and factorized.
     """
     ops = system.ops
     u = system.split(x)[1]
     active = system.pen.active_count(u)
     if active == 0:
-        if x_lin is not None:
-            dx = x_lin - x
-            if system.linear_misfit(dx, r) <= SOLVE_RTOL:
-                return dx, active
-        if system.K_lu is None:
-            system.K_lu = _factorize(_saddle_matrix(ops.G, ops.B), ops.U_h.p == 1)
-        dx = system.K_lu.solve(r)
-        _checked(system.linear_misfit(dx, r))
-        return dx, active
-    system.K_lu = None          # at most one saddle LU alive
-    dx, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(u), r)
-    return dx, active
+        dx = ops.linear[0] - x
+        if system.linear_misfit(dx, r) <= SOLVE_RTOL:
+            return dx, active
+    J = ops.B + system.pen.jacobian(u) if active else ops.B
+    return _solve_saddle(ops, J, r)[0], active
 
 
 def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=None):
     """Damped Newton solve of the penalized residual-minimization problem.
 
     `initial` is an optional (eps, u) pair; by default the linear
-    (unpenalized) solution, clipped into the bounds, is the starting guess,
-    and only then do inactive iterates step to the linear solution without a
-    factorization (module docstring). Returns a NewtonResult; nonconvergence
+    (unpenalized) solution, clipped into the bounds, is the starting guess.
+    Inactive iterates step to the linear solution without a factorization
+    (module docstring). Returns a NewtonResult; nonconvergence
     is reported, not raised, with the last iterate retained.
     """
     opts = opts or NewtonOptions()
     ops = ops or build_operators(problem, U_h, V_h)
     system = NewtonSystem(problem, ops, pen_config)
 
-    x_lin = None
     if initial is None:
-        lin = solve_linear_resmin(problem, U_h, V_h, ops=ops)
-        x_lin = np.concatenate([lin.eps, lin.u])
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
-        u = clip_inset(lin.u, pen_config.lower, pen_config.upper)
+        u = clip_inset(ops.linear[0][system.nv:], pen_config.lower, pen_config.upper)
         eps = ops.riesz(ops.L - ops.B @ u)
     else:
         eps, u = (np.asarray(v, dtype=float).copy() for v in initial)
@@ -370,7 +353,7 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
         if rnorm <= floor:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
-        dx, active = _newton_step(system, x, r, x_lin)
+        dx, active = _newton_step(system, x, r)
         try:
             x_new, rnorm_new, t, zeta, retries = damped_update(
                 x, dx, rnorm, zeta, system.residual_norm)
@@ -394,8 +377,8 @@ def write_iteration_log(path, log, levels=None):
     """Iteration log as CSV with columns k, residual_norm, t, zeta,
     increment_norm, retries (rejected damping trials before the step was
     accepted) and active (`PenaltyOperator.active_count` at the iterate the
-    step started from; at 0, a solve started from the linear solution steps
-    to it without a factorization).
+    step started from; at 0, the step goes to the linear solution without a
+    factorization).
 
     `levels`, when given, holds each record's refinement level and is written
     as a leading `level` column.

@@ -21,9 +21,8 @@ def export_vtk(mesh, fields, path, title="boundfem output"):
             # vertex dofs come first in the continuous ordering
             point_data[name] = u.coeffs[:mesh.n_vertices]
         else:
-            vals, _ = u.space.eval_cells(u.coeffs, np.arange(mesh.n_elements),
-                                         np.array([[1.0 / 3.0, 1.0 / 3.0]]))
-            cell_data[name] = vals[:, 0]
+            centroid = u.space.basis.eval(np.array([[1.0 / 3.0, 1.0 / 3.0]]))[0]
+            cell_data[name] = (u.coeffs[u.space.dofmap] @ centroid.T)[:, 0]
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

@@ -282,14 +282,6 @@ def prolong(u_coeffs, old_space, new_space):
 
 
 def eval_cells(space, coeffs, elems, ref_points):
-    """FunctionSpace.eval_cells: values and physical gradients."""
-    _, _, _, Binv = space.mesh.affine()
-    vals, grads = space.basis.eval(ref_points)
-    c = coeffs[space.dofmap[elems]]
-    if vals.ndim == 2:
-        u = np.einsum("el,ql->eq", c, vals)
-        gref = np.einsum("el,qlr->eqr", c, grads)
-    else:
-        u = np.einsum("el,eql->eq", c, vals)
-        gref = np.einsum("el,eqlr->eqr", c, grads)
-    return u, np.einsum("eqr,erk->eqk", gref, Binv[elems])
+    """Values (ne, nq) of the field `coeffs` on elements `elems` at shared reference points."""
+    vals, _ = space.basis.eval(ref_points)
+    return np.einsum("el,ql->eq", coeffs[space.dofmap[elems]], vals)

@@ -97,7 +97,7 @@ def test_vtk_export_two_triangles(tmp_path):
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
     u = DiscreteFunction(U, np.ones(U.n_dofs))
-    e = DiscreteFunction(V, np.zeros(V.n_dofs))
+    e = DiscreteFunction(V, np.random.default_rng(5).standard_normal(V.n_dofs))
     path = tmp_path / "two.vtk"
     export_vtk(mesh, {"u": u, "eps": e}, path)
     text = path.read_text()
@@ -114,6 +114,11 @@ def test_vtk_export_two_triangles(tmp_path):
     k = lines.index("SCALARS u double 1")
     vals = [float(v) for v in lines[k + 2:k + 6]]
     assert vals == [1.0, 1.0, 1.0, 1.0]
+    # cell data for P1 eps is its centroid value, the mean of the element's
+    # three local coefficients
+    k = lines.index("SCALARS eps double 1")
+    cells = np.array([float(v) for v in lines[k + 2:k + 4]])
+    np.testing.assert_allclose(cells, e.coeffs[V.dofmap].mean(axis=1), rtol=1e-14, atol=1e-15)
 
 
 def test_cross_section_sampling():
@@ -266,6 +271,17 @@ def test_cli_study_with_zero_levels_fails(tmp_path, capsys):
     assert main(["study", "smooth", "--levels", "0", "--out-dir", str(tmp_path)]) == 2
     assert "levels must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["study", "case1", "--no-penalty"],
+                                  ["run", "case1", "--with-penalty"]])
+def test_cli_penalty_flag_of_the_other_command_exits_2(argv, capsys):
+    # studies are unpenalized unless --with-penalty is given, runs penalized
+    # unless --no-penalty is; each flag belongs to one command only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_bad_gamma0_exits_2(tmp_path, capsys):

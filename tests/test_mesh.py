@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,34 @@ def test_text_roundtrip(tmp_path):
     back = read_mesh(path)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.elements, mesh.elements)
+
+
+GOOD_MESH = "# two triangles\n4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", None),
+    ("# only a comment\n\n", None),
+    (GOOD_MESH.replace("4 2\n", "4\n"), 2),              # header with one count
+    (GOOD_MESH.replace("1 0\n", "1 0 0\n"), 4),          # vertex with three values
+    (GOOD_MESH.replace("1 1\n", "1\n"), 5),              # vertex with one value
+    (GOOD_MESH.replace("0 2 3\n", "0 2\n"), 8),          # element with two vertices
+    (GOOD_MESH.replace("0 1 2\n", "0 1 x\n"), 7),        # non-numeric index
+    (GOOD_MESH.replace("0 2 3\n", ""), None),            # one element short
+])
+def test_read_mesh_malformed_file_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    pattern = f"mesh file {path}" + ("" if line is None else f", line {line}:")
+    with pytest.raises(ValueError, match=re.escape(pattern)):
+        read_mesh(path)
+
+
+def test_read_mesh_reads_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "good.txt"
+    path.write_text(GOOD_MESH.replace("0 1 2\n", "\n# elements\n0 1 2\n"))
+    mesh = read_mesh(path)
+    assert mesh.n_vertices == 4 and mesh.n_elements == 2
 
 
 def test_locate_points():

@@ -421,37 +421,49 @@ def test_trial_points_assemble_no_jacobian(monkeypatch):
 
 
 def case1_default_start():
-    """(problem, U_h, V_h, ops, x, x_lin) with x newton_solve's default start on case1 L0."""
+    """(problem, U_h, V_h, ops, x) with x newton_solve's default start on case1 L0.
+
+    The linear solution x_lin is `ops.linear[0]`.
+    """
     _, pr, U, V = case1_level0()
     ops = build_operators(pr, U, V)
     lin = solve_linear_resmin(pr, U, V, ops=ops)
     u = clip_inset(lin.u, pr.u_min, pr.u_max)
-    return (pr, U, V, ops, np.concatenate([ops.riesz(ops.L - ops.B @ u), u]),
-            np.concatenate([lin.eps, lin.u]))
+    return pr, U, V, ops, np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
 
 
 def inactive_inputs(tmp_path):
-    """(name, problem, U_h, V_h, ops, x, x_lin): an inactive iterate x off the linear solution.
+    """(name, problem, U_h, V_h, ops, x): an inactive iterate x off the linear solution.
 
-    case1 L0 uses newton_solve's default start; the other meshes take a smooth
-    problem with bounds far outside its range and perturb its linear solution.
+    case1 L0 uses newton_solve's default start; the other inputs take a smooth
+    problem with bounds far outside its range, on the P1 meshes and at p = 2
+    with a lower bound only (the COLAMD saddle path), and perturb its linear
+    solution.
     """
     yield ("case1",) + case1_default_start()
     sm = get_case("smooth").problem()
-    prb = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
-                      u_min=-5.0, u_max=5.0, gamma0=1e-4)
     rng = np.random.default_rng(3)
-    for name, mesh in p1_linear_inputs(tmp_path):
-        U = build_space(mesh, 1, "continuous")
-        V = build_space(mesh, 1, "broken")
+
+    def perturbed(name, prb, U, V):
         ops = build_operators(prb, U, V)
         lin = solve_linear_resmin(prb, U, V, ops=ops)
         x_lin = np.concatenate([lin.eps, lin.u])
-        yield name, prb, U, V, ops, x_lin + 0.1 * rng.standard_normal(len(x_lin)), x_lin
+        return name, prb, U, V, ops, x_lin + 0.1 * rng.standard_normal(len(x_lin))
+
+    prb = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
+                      u_min=-5.0, u_max=5.0, gamma0=1e-4)
+    for name, mesh in p1_linear_inputs(tmp_path):
+        yield perturbed(name, prb, build_space(mesh, 1, "continuous"),
+                        build_space(mesh, 1, "broken"))
+    one_sided = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
+                            u_min=-5.0, gamma0=1e-4)
+    mesh = jittered(build_structured_mesh(4, 4), 2)
+    yield perturbed("p2_lower_only", one_sided, build_space(mesh, 2, "continuous"),
+                    build_space(mesh, 2, "broken"))
 
 
 def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
-    for name, pr, U, V, ops, x, x_lin in inactive_inputs(tmp_path):
+    for name, pr, U, V, ops, x in inactive_inputs(tmp_path):
         system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
         r = system.residual(x)
         u = system.split(x)[1]
@@ -459,20 +471,22 @@ def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
         calls = []
         with monkeypatch.context() as m:
             count_calls(m, calls)
-            dx, active = _newton_step(system, x, r, x_lin)
+            dx, active = _newton_step(system, x, r)
         assert active == 0 and calls == [], name
         assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 def test_inactive_step_falls_back_when_check_fails(monkeypatch):
-    # a wrong x_lin misses the residual check: the factorized step is taken
-    pr, U, V, ops, x, x_lin = case1_default_start()
+    # a wrong linear solution misses the residual check: the step solves with K
+    pr, U, V, ops, x = case1_default_start()
     system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
     r = system.residual(x)
     ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
+    x_lin, res = ops.linear
+    ops.linear = (2.0 * x_lin, res)
     calls = []
     count_calls(monkeypatch, calls)
-    dx, active = _newton_step(system, x, r, 2.0 * x_lin)
+    dx, active = _newton_step(system, x, r)
     assert active == 0 and calls == ["LU"]       # K, with no all-zero dP(u)
     assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -488,8 +502,6 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
     V = build_space(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
     system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr, quadrature="nodal"))
-    lin = solve_linear_resmin(pr, U, V, ops=ops)
-    x_lin = np.concatenate([lin.eps, lin.u])
     corner = np.flatnonzero(np.bincount(U.dofmap.ravel()) == 1)[0]
     for value in (0.0, -0.1):
         u = np.full(U.n_dofs, 0.5)
@@ -498,7 +510,7 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
         calls = []
         with monkeypatch.context() as m:
             count_calls(m, calls)
-            _, active = _newton_step(system, x, system.residual(x), x_lin)
+            _, active = _newton_step(system, x, system.residual(x))
         assert active == 1 and calls == ["J", "LU"]
     # just above the kink the argument is positive: inactive
     u[corner] = 1e-300
@@ -507,35 +519,44 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
 
 def test_case1_active_start_factorizes(monkeypatch):
     # the unclipped linear solution overshoots the bounds: an active start
-    pr, U, V, ops, _, x_lin = case1_default_start()
+    pr, U, V, ops, _ = case1_default_start()
     system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    x_lin = ops.linear[0]
     calls = []
     count_calls(monkeypatch, calls)
-    _, active = _newton_step(system, x_lin, system.residual(x_lin), x_lin)
+    _, active = _newton_step(system, x_lin, system.residual(x_lin))
     assert active > 0 and calls == ["J", "LU"]
 
 
-def test_warm_start_never_takes_the_linear_step(monkeypatch):
-    # the default start of case1 L0 is inactive, but given as `initial` it
-    # has no linear solution to step to: it solves with a factor of K
-    pr, U, V, ops, x, _ = case1_default_start()
-    case = get_case("case1")
+def test_one_linear_solve_per_level(monkeypatch):
+    # the linear solve, a cold and a warm Newton solve on one LinearOperators
+    # factorize K once between them; the warm start is the cold one's (case1
+    # L0 is inactive there), so no Newton step needs a factorization of its own
+    pr, U, V, _, x = case1_default_start()
+    ops = build_operators(pr, U, V)         # fresh: no linear solution yet
+    cfg = PenaltyConfig.from_problem(pr)
+    opts = NewtonOptions(tol=get_case("case1").tol)
     calls = []
     count_calls(monkeypatch, calls)
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                       opts=NewtonOptions(tol=case.tol), ops=ops,
-                       initial=(x[:V.n_dofs], x[V.n_dofs:]))
-    assert res.iterations >= 1 and res.log[0].active == 0
-    n_active = sum(rec.active > 0 for rec in res.log)
+    lin = solve_linear_resmin(pr, U, V, ops=ops)
+    assert calls == ["LU"]
+    cold = newton_solve(pr, U, V, cfg, opts=opts, ops=ops)
+    warm = newton_solve(pr, U, V, cfg, opts=opts, ops=ops,
+                        initial=(x[:V.n_dofs], x[V.n_dofs:]))
+    assert np.array_equal(ops.linear[0], np.concatenate([lin.eps, lin.u]))
+    for res in (cold, warm):
+        assert res.iterations >= 1 and res.log[0].active == 0
+    n_active = sum(rec.active > 0 for rec in cold.log + warm.log)
     assert calls.count("J") == n_active
-    assert calls.count("LU") == 1 + n_active
+    # K once, G once for the cold start's Riesz solve, and J per active iterate
+    assert calls.count("LU") == 2 + n_active
 
 
-def test_warm_start_reuses_one_K_factor(monkeypatch):
+def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     # case2 L0 refined once, warm-started from the prolonged, clipped L0
-    # solution as adaptive_solve_loop does: every iterate is inactive, one K
-    # factor serves every step, and each step equals the old path's (J = K
-    # assembled with an all-zero dP(u) and factorized anew) to 1e-12
+    # solution as adaptive_solve_loop does: every iterate is inactive, the
+    # first one solves K once for the linear solution, and each step equals
+    # the factorized one (J = K assembled with an all-zero dP(u)) to 1e-12
     import boundfem.solver as solver
     from boundfem.adapt import prolong
     case = get_case("case2")
@@ -553,8 +574,8 @@ def test_warm_start_reuses_one_K_factor(monkeypatch):
     newton_step = solver._newton_step
     steps, calls = [], []
 
-    def recorded(system, x, r, x_lin):
-        dx, active = newton_step(system, x, r, x_lin)
+    def recorded(system, x, r):
+        dx, active = newton_step(system, x, r)
         steps.append((system, x, r, dx))
         return dx, active
 
@@ -569,17 +590,3 @@ def test_warm_start_reuses_one_K_factor(monkeypatch):
     for system, x, r, dx in steps:
         ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
         assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_active_iterate_drops_the_K_factor(monkeypatch):
-    # at an active iterate the kept K factor is dropped before J is factorized
-    import boundfem.solver as solver
-    pr, U, V, ops, _, x_lin = case1_default_start()
-    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
-    system.K_lu = object()
-    factorize = solver._factorize
-    monkeypatch.setattr(solver, "_factorize",
-                        lambda K, symmetric: factorize(K, symmetric) if system.K_lu is None
-                        else pytest.fail("K factor alive during the J factorization"))
-    _, active = _newton_step(system, x_lin, system.residual(x_lin), x_lin)
-    assert active > 0 and system.K_lu is None
