@@ -1,12 +1,12 @@
 """Command-line interface: run built-in cases and convergence studies.
 
     boundfem list
-    boundfem run <case> [--out-dir DIR] [--no-penalty] [--gamma0 G] ...
+    boundfem run <case> [--out-dir DIR] [--no-penalty] [--seed S] [--gamma0 G] ...
     boundfem study <case> [--levels N] [--mode uniform|adaptive] ...
 
 Settings may also come from a plain-text key=value config file (--config);
-command-line flags override file entries. Every effective setting is echoed
-into run_info.txt for reproducibility.
+command-line flags override file entries. `run` echoes every effective
+setting, its seed included, into run_info.txt for reproducibility.
 """
 
 import argparse
@@ -67,11 +67,11 @@ def make_parser():
     common.add_argument("--layer-scaling", choices=("sharp", "shallow"),
                         help="inlet tanh scaling for case2/case3")
     common.add_argument("--out-dir", help="artifact output directory")
-    common.add_argument("--seed", type=int, help="recorded for reproducibility")
 
     run = sub.add_parser("run", parents=[common], help="run one case end to end")
     run.add_argument("--no-penalty", action="store_true",
                      help="skip the bound penalty (linear solves)")
+    run.add_argument("--seed", type=int, help="recorded in run_info.txt for reproducibility")
     st = sub.add_parser("study", parents=[common], help="convergence study")
     st.add_argument("--mode", choices=("uniform", "adaptive"),
                     help="refinement mode (defaults to the case's mode)")

@@ -46,6 +46,21 @@ class ReferenceBasis:
         grads = np.stack([Mx @ self.coeffs, My @ self.coeffs], axis=-1)
         return values, grads
 
+    def edge_traces(self, t):
+        """Values (6, nt, n) and reference gradients (6, nt, n, 2) at the
+        parameters t of local edge k, indexed k, and of its reverse, indexed
+        k + 3. A shape function whose node lies off the edge has the Lagrange
+        trace 0 there: its values are exactly 0.0, not monomial round-off.
+        """
+        start = self.nodes[:3, None]
+        s = np.stack([t, 1.0 - t])[:, None, :, None]
+        values, grads = self.eval(start + s * (np.roll(start, -1, axis=0) - start))
+        # barycentric coordinate of each node opposite edge k, in lattice steps 1/p
+        bary = np.column_stack([1.0 - self.nodes.sum(axis=1), self.nodes])
+        on_edge = np.rint(self.p * bary[:, [2, 0, 1]].T) == 0
+        values = np.where(on_edge[:, None], values, 0.0)
+        return values.reshape(6, len(t), -1), grads.reshape(6, len(t), -1, 2)
+
     def eval_hessians(self, points):
         """Reference second derivatives, stacked as (..., n, 3) = (dxx, dxy, dyy)."""
         points = np.asarray(points, dtype=float)

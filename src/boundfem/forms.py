@@ -5,7 +5,11 @@ Dirichlet data enters weakly through the load. The discretization is fixed,
 not configurable: symmetric interior penalty (THETA = -1), face penalty
 eta(F) = ETA0 (p+1)(p+2) K / h_F with ETA0 = 3 and K the largest diffusion
 eigenvalue, and quadrature exact to degree 2p+2 on elements and 2p+3 on
-faces (`_contexts`). The Gram matrix is the polarization of the dG norm
+faces (`_contexts`). Face traces are tabulated once per reference edge and
+direction (`ReferenceBasis.edge_traces`) and gathered by each face side's
+local edge; no point is mapped back from physical coordinates. A shape
+function whose node lies off a face is exactly 0.0 on it, so face blocks keep
+no round-off couplings. The Gram matrix is the polarization of the dG norm
 
     |w|^2 = |w|^2_{L2} + 1/2 ||bn|^(1/2) w|^2_boundary
           + 1/2 sum_interior |b.n| [[w]]^2 + sum_T h_T |b.grad w|^2_T
@@ -155,22 +159,33 @@ class ElementContext:
 
 
 class FaceContext:
-    """Quadrature points and two-sided basis traces on a set of faces (read-only)."""
+    """Quadrature points and basis traces on the "interior" or the "boundary"
+    faces of a space's mesh (read-only).
 
-    def __init__(self, space, face_vertices, face_elems, face_h, degree):
+    `sides` holds (elements, values (nf, nq, nl), gradients (nf, nq, nl, 2))
+    for [minus, plus], or for the boundary element, gathered from the
+    reference-edge tables by each side's local edge (see the module notes).
+    """
+
+    def __init__(self, space, faces, degree):
         mesh = space.mesh
+        if faces == "interior":
+            vertices, h = mesh.iface_vertices, mesh.iface_h
+            sides = zip(mesh.iface_elements.T, mesh.iface_local_edges.T)
+        else:
+            vertices, h = mesh.bface_vertices, mesh.bface_h
+            sides = [(mesh.bface_elements, mesh.bface_local_edges)]
         rule = edge_rule(degree)
-        p0 = mesh.vertices[face_vertices[:, 0]]
-        p1 = mesh.vertices[face_vertices[:, 1]]
+        p0, p1 = mesh.vertices[vertices.T]
         self.qp = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
-        self.w = rule.weights[None, :] * face_h[:, None]
-        self.sides = []
+        self.w = rule.weights[None, :] * h[:, None]
+        vals, gref = space.basis.edge_traces(rule.points)
         _, _, _, Binv = mesh.affine()
-        for elems in face_elems:
-            refs = mesh.to_reference(elems[:, None], self.qp)
-            vals, gref = space.basis.eval(refs)
-            grads = _matmul2(gref, Binv[elems][:, None, None])
-            self.sides.append((elems, *_freeze(vals, grads)))
+        self.sides = []
+        for reverse, (elems, edges) in enumerate(sides):
+            code = edges + 3 * reverse
+            grads = _matmul2(gref[code], Binv[elems][:, None, None])
+            self.sides.append((elems, *_freeze(vals[code], grads)))
         _freeze(self.qp, self.w)
 
 
@@ -187,14 +202,9 @@ def _contexts(space):
     Faces use the degree-(2p+3) edge rule.
     """
     if "faces" not in space.contexts:
-        mesh = space.mesh
         degree = 2 * space.p + 3
-        space.contexts["faces"] = (
-            FaceContext(space, mesh.iface_vertices, [mesh.iface_elements[:, 0],
-                                                     mesh.iface_elements[:, 1]],
-                        mesh.iface_h, degree),
-            FaceContext(space, mesh.bface_vertices, [mesh.bface_elements],
-                        mesh.bface_h, degree))
+        space.contexts["faces"] = (FaceContext(space, "interior", degree),
+                                   FaceContext(space, "boundary", degree))
     return (volume_context(space), *space.contexts["faces"])
 
 

@@ -18,6 +18,8 @@ Conventions
   minus element T- (the smaller element id), so the unit normal n_F points
   from T- to T+. For a boundary face the normal is the outward normal of the
   owning element. Interior and boundary faces each follow the edge order.
+  `iface_local_edges` (nf, 2) and `bface_local_edges` (nb,) hold the local
+  edge of each face side: T- runs it forward, T+ in reverse.
 * A continuous space of degree p numbers the vertices first, then p - 1 dofs
   per edge, then element-interior dofs. Edge dofs use the rank r of the edge
   in order of first appearance in `elem2edge` read row by row:
@@ -124,14 +126,17 @@ class Mesh:
         traversal = local.reshape(-1, 2)[first]
         self.iface_vertices = traversal[interior]
         self.iface_elements = self.edge2elem[interior]
+        self.iface_local_edges = np.stack([first, slots[end - 1]], axis=1)[interior] % 3
         self.bface_vertices = traversal[~interior]
         self.bface_elements = self.edge2elem[~interior, 0]
+        self.bface_local_edges = first[~interior] % 3
 
         self.iface_normals, self.iface_h = _edge_normals(self.vertices, self.iface_vertices)
         self.bface_normals, self.bface_h = _edge_normals(self.vertices, self.bface_vertices)
         _freeze(self.edge2elem, self.iface_vertices, self.iface_elements,
-                self.iface_normals, self.iface_h, self.bface_vertices,
-                self.bface_elements, self.bface_normals, self.bface_h)
+                self.iface_local_edges, self.iface_normals, self.iface_h,
+                self.bface_vertices, self.bface_elements, self.bface_local_edges,
+                self.bface_normals, self.bface_h)
 
     # ------------------------------------------------------------------
     def affine(self):

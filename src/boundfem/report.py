@@ -84,7 +84,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     err2 = l2 + np.vdot(mesh.h_elem[:, None] * ec.dA, bg ** 2) + np.vdot(ec.dA, _dot2(Kg, gdiff))
 
     # boundary faces: the dG norm's face term of u_h - u* = u_h - g
-    fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
+    fb = FaceContext(U_h, "boundary", degree)
     (eb, vb, _), = fb.sides
     bdiff = (vb @ u_coeffs[U_h.dofmap[eb]][:, :, None])[..., 0] - exact(fb.qp)
     w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h)

@@ -53,19 +53,19 @@ Two orderings, fixed here and not configurable (`_factorize`):
   factorized symmetrically (`SYMMETRIC_LU`): a reverse Cuthill-McKee
   pre-order, then SuperLU with minimum degree on A'+A and threshold
   pivoting that prefers the diagonal. On the case1 mesh refined three times
-  (54,385 saddle rows; 2-core VM, scipy 1.17) this takes 0.55-0.76 s
-  instead of 1.43-1.82 s and L+U fill falls from 14.9 M to 6.7 M; G alone
-  takes 0.23 s instead of 0.41 s, with 2.9 M fill instead of 5.7 M. Each part
-  is needed: without the pre-order minimum degree took 4.0-4.6 s, with
-  partial pivoting 174 s, and a zero threshold lost all accuracy at p = 2.
+  (54,385 saddle rows, 602,624 entries; 2-core VM, scipy 1.17) this takes
+  0.24 s instead of 0.78 s and L+U fill falls from 13.7 M to 5.0 M; G alone
+  takes 0.13 s instead of 0.21 s, with 2.9 M fill instead of 5.0 M. Each part
+  is needed (on the earlier matrix with round-off face couplings): without the
+  pre-order minimum degree took 4.0-4.6 s, with partial pivoting 174 s, and a
+  zero threshold lost all accuracy at p = 2.
 * Saddle systems with p >= 2 trial spaces keep plain `splu` (COLAMD with
-  partial pivoting). Their edge and bubble trial dofs
-  have few neighbours, so minimum degree eliminates them before the V_h
-  dofs they couple to and their zero pivots force off-diagonal pivots
-  (1,297 rows at p = 2, 5,724 at p = 3): on the smooth mesh the symmetric
-  path took 1.37 s instead of 0.91 s at p = 2 (16,513 rows), and 18.2 s
-  with 27.3 M fill instead of 0.34 s with 3.5 M at p = 3 (7,521 rows). No
-  benchmark workload has p >= 2; these timings come from one-off runs.
+  partial pivoting). While face traces carried round-off off the face, minimum
+  degree eliminated edge and bubble trial dofs first and their zero pivots
+  forced off-diagonal pivots: 9.6 s and 27.3 M fill at p = 3 on the smooth
+  mesh (7,521 rows) against COLAMD's 0.17 s. With exact traces the symmetric
+  path takes 0.05 s (1.3 M) against 0.10 s (2.3 M), and 0.12 s against 0.42 s
+  at p = 2 (16,513 rows): one-off runs, as no benchmark workload has p >= 2.
 """
 
 import csv

@@ -60,7 +60,20 @@ def face_data(problem, ctx, normals):
     return bn, bn < -char_tolerance(bvals)
 
 
-def assemble_bh(problem, V_h):
+def assemble_bh(problem, V_h, nonzero=False):
+    """b_h as einsum terms; with `nonzero`, every factor of every term is
+    replaced by its nonzero indicator, which gives the structural pattern.
+
+    An entry of that pattern is kept iff some term has no zero factor, so a
+    zero trace (a shape function whose node lies off the face) or a zero
+    K grad v.n removes it, while a sum over quadrature points that cancels
+    analytically does not.
+    """
+    indicator = (lambda x: (np.asarray(x) != 0).astype(float)) if nonzero else np.asarray
+
+    def term(subscripts, *factors):
+        return np.einsum(subscripts, *map(indicator, factors))
+
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h)
     acc = _Accumulator((V_h.n_dofs, V_h.n_dofs))
@@ -71,9 +84,8 @@ def assemble_bh(problem, V_h):
     sigma = problem.sigma_fn(ec.qp)
     bg = np.einsum("eqd,eqld->eql", beta, ec.grads)
     Kg = np.einsum("dk,eqlk->eqld", K, ec.grads)
-    blocks = np.einsum("eq,eqjd,eqid->eij", ec.dA, Kg, ec.grads)
-    blocks += np.einsum("eq,eqj,qi->eij", ec.dA,
-                        bg + sigma[:, :, None] * ec.vals[None, :, :], ec.vals)
+    blocks = term("eq,eqjd,eqid->eij", ec.dA, Kg, ec.grads)
+    blocks += term("eq,eqj,qi->eij", ec.dA, bg + sigma[:, :, None] * ec.vals[None, :, :], ec.vals)
     acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
 
     if len(mesh.iface_h):
@@ -89,13 +101,13 @@ def assemble_bh(problem, V_h):
         for A in (0, 1):
             for Bs in (0, 1):
                 sA, sB = sign[A], sign[Bs]
-                blk = np.einsum("fq,fqj,fqi->fij", fi.w * theta * sB * 0.5, vals[Bs], Kn[A])
-                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * sA * 0.5, Kn[Bs], vals[A])
-                blk += np.einsum("fq,fqj,fqi->fij", fi.w * (eta[:, None] * sA * sB),
-                                 vals[Bs], vals[A])
-                blk -= np.einsum("fq,fqj,fqi->fij", fi.w * bn * sB * 0.5, vals[Bs], vals[A])
-                blk += np.einsum("fq,fqj,fqi->fij", fi.w * absbn * 0.5 * sA * sB,
-                                 vals[Bs], vals[A])
+                blk = term("fq,fqj,fqi->fij", fi.w * theta * sB * 0.5, vals[Bs], Kn[A])
+                blk += term("fq,fqj,fqi->fij", -fi.w * sA * 0.5, Kn[Bs], vals[A])
+                blk += term("fq,fqj,fqi->fij", fi.w * (eta[:, None] * sA * sB),
+                            vals[Bs], vals[A])
+                blk += term("fq,fqj,fqi->fij", -fi.w * bn * sB * 0.5, vals[Bs], vals[A])
+                blk += term("fq,fqj,fqi->fij", fi.w * absbn * 0.5 * sA * sB,
+                            vals[Bs], vals[A])
                 acc.add_blocks(dofs[A], dofs[Bs], blk)
 
     if len(mesh.bface_h):
@@ -104,10 +116,10 @@ def assemble_bh(problem, V_h):
         (eb, vb, gb), = fb.sides
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
         dofs = V_h.dofmap[eb]
-        blk = np.einsum("fq,fqj,fqi->fij", fb.w * theta, vb, Kn)
-        blk -= np.einsum("fq,fqj,fqi->fij", fb.w, Kn, vb)
-        blk += np.einsum("fq,fqj,fqi->fij", fb.w * eta[:, None], vb, vb)
-        blk += np.einsum("fq,fqj,fqi->fij", fb.w * np.where(inflow, bn, 0.0), vb, vb)
+        blk = term("fq,fqj,fqi->fij", fb.w * theta, vb, Kn)
+        blk += term("fq,fqj,fqi->fij", -fb.w, Kn, vb)
+        blk += term("fq,fqj,fqi->fij", fb.w * eta[:, None], vb, vb)
+        blk += term("fq,fqj,fqi->fij", fb.w * np.where(inflow, bn, 0.0), vb, vb)
         acc.add_blocks(dofs, dofs, blk)
     return acc.tocsr()
 
@@ -251,7 +263,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     err2 = np.einsum("eq,eq->", ec.dA, diff ** 2)
     err2 += np.einsum("e,eq->", mesh.h_elem, ec.dA * bg ** 2)
     err2 += np.einsum("eq,eqd,eqd->", ec.dA, Kg, gdiff)
-    fb = FaceContext(U_h, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, degree)
+    fb = FaceContext(U_h, "boundary", degree)
     (eb, vb, _), = fb.sides
     bdiff = np.einsum("fl,fql->fq", u_coeffs[U_h.dofmap[eb]], vb) - exact(fb.qp)
     w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h)

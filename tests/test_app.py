@@ -284,6 +284,18 @@ def test_cli_penalty_flag_of_the_other_command_exits_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_cli_study_rejects_seed(tmp_path, capsys):
+    # a study writes no run_info.txt, so it has nowhere to record a seed;
+    # the flag belongs to `run` only, which echoes it into run_info.txt
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "smooth", "--levels", "1", "--seed", "7", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "study.csv").exists()
+    assert main(["run", "case1", "--seed", "7", "--out-dir", str(tmp_path / "run")]) == 0
+    assert "seed = 7" in (tmp_path / "run" / "run_info.txt").read_text()
+
+
 def test_cli_bad_gamma0_exits_2(tmp_path, capsys):
     assert main(["run", "case1", "--gamma0", "2", "--out-dir", str(tmp_path / "run")]) == 2
     assert "gamma0 must lie in (0, 1)" in capsys.readouterr().err

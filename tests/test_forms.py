@@ -7,8 +7,10 @@ from boundfem.forms import (THETA, ElementContext, FaceContext,
                             NumericalBreakdown, ProblemSpec, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass,
                             sipg_eta, vh_norm)
-from boundfem.mesh import Mesh, build_structured_mesh
+from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh,
+                           write_mesh)
 from boundfem.quadrature import edge_rule, triangle_rule
+from test_mesh import jittered
 
 
 def ones_broken(V):
@@ -222,9 +224,78 @@ def test_context_gradients_equal_einsum_form(p):
     ec = ElementContext(V, 2 * p + 2)
     _, gref = V.basis.eval(ec.rule.points)
     assert np.array_equal(ec.grads, np.einsum("qlr,erk->eqlk", gref, Binv))
-    fc = FaceContext(V, mesh.iface_vertices,
-                     [mesh.iface_elements[:, 0], mesh.iface_elements[:, 1]],
-                     mesh.iface_h, 2 * p + 3)
-    for elems, _, grads in fc.sides:
-        _, gref = V.basis.eval(mesh.to_reference(elems[:, None], fc.qp))
-        assert np.array_equal(grads, np.einsum("fqlr,frk->fqlk", gref, Binv[elems]))
+    fc = FaceContext(V, "interior", 2 * p + 3)
+    _, gref = V.basis.edge_traces(edge_rule(2 * p + 3).points)
+    for side, (elems, _, grads) in enumerate(fc.sides):
+        code = mesh.iface_local_edges[:, side] + 3 * side
+        assert np.array_equal(grads, np.einsum("fqlr,frk->fqlk", gref[code], Binv[elems]))
+
+
+def trace_meshes(tmp_path):
+    """A jittered structured mesh and an unstructured mesh read from a file."""
+    write_mesh(bisect_marked(build_structured_mesh(3, 3), [0, 4, 7]), tmp_path / "mesh.txt")
+    return [jittered(build_structured_mesh(4, 4), 2), read_mesh(tmp_path / "mesh.txt")]
+
+
+def face_sides(V):
+    """(face vertices (nf, 2, 2), physical nodes (nf, nl, 2), FaceContext, side)
+    for every interior and boundary face side of V's mesh."""
+    mesh = V.mesh
+    B, b0, _, _ = mesh.affine()
+    for faces, vertices in (("interior", mesh.iface_vertices), ("boundary", mesh.bface_vertices)):
+        fc = FaceContext(V, faces, 2 * V.p + 3)
+        for side in fc.sides:
+            elems = side[0]
+            nodes = b0[elems, None] + V.basis.nodes @ B[elems].swapaxes(1, 2)
+            yield mesh.vertices[vertices], nodes, fc, side
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_face_traces_vanish_exactly_off_the_face(p, tmp_path):
+    # a shape function whose node lies off a face has the trace 0.0 there,
+    # not the round-off of evaluating it at points mapped back from the face
+    for mesh in trace_meshes(tmp_path):
+        V = build_space(mesh, p, "broken")
+        for ends, nodes, _, (_, vals, _) in face_sides(V):
+            tangent = ends[:, 1] - ends[:, 0]
+            d = nodes - ends[:, None, 0]
+            cross = d[..., 0] * tangent[:, None, 1] - d[..., 1] * tangent[:, None, 0]
+            off = np.abs(cross) > 1e-9 * np.sum(tangent ** 2, axis=1)[:, None]
+            assert np.all((~off).sum(axis=1) == p + 1)
+            traces = vals.swapaxes(1, 2)
+            assert np.all(traces[off] == 0.0)
+            assert np.all(np.abs(traces[~off]).max(axis=-1) > 0.1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_face_traces_match_mapped_back_points(p, tmp_path):
+    # the tabulated traces equal the basis at the face points mapped back
+    # through the inverse affine map, up to round-off
+    for mesh in trace_meshes(tmp_path):
+        V = build_space(mesh, p, "broken")
+        _, _, _, Binv = mesh.affine()
+        for _, _, fc, (elems, vals, grads) in face_sides(V):
+            mapped, gref = V.basis.eval(mesh.to_reference(elems[:, None], fc.qp))
+            mapped_grads = np.einsum("fqlr,frk->fqlk", gref, Binv[elems])
+            np.testing.assert_allclose(vals, mapped, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grads, mapped_grads, rtol=0,
+                                       atol=1e-14 * np.abs(mapped_grads).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("K", [0.0, 1e-2])
+def test_operator_patterns_do_not_depend_on_the_jitter(p, K):
+    # with exact zeros off each face, G and B = b_h E keep one CSR pattern
+    # when the vertices move (the unjittered mesh can have genuine exact
+    # zeros, so two jitters are compared); beta is parallel to no edge
+    pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=K, sigma=0.5, f=1.0, g=0.0)
+    patterns = []
+    for seed in (2, 5):
+        mesh = jittered(build_structured_mesh(4, 4), seed)
+        V, U = build_space(mesh, p, "broken"), build_space(mesh, p, "continuous")
+        B = assemble_bh(pr, V) @ trial_to_test_embedding(U, V)
+        patterns.append([(M.indptr, M.indices) for M in
+                         (assemble_gram(pr, V).sorted_indices(), B.sorted_indices())])
+    for (indptr, indices), (indptr2, indices2) in zip(*patterns):
+        assert np.array_equal(indptr, indptr2)
+        assert np.array_equal(indices, indices2)

@@ -80,7 +80,7 @@ def test_structured_rejects_bad_input():
 def classify_boundary(mesh, beta):
     """(beta.n, inflow mask) at the boundary face quadrature points, as the forms use them."""
     V = build_space(mesh, 1, "broken")
-    ctx = FaceContext(V, mesh.bface_vertices, [mesh.bface_elements], mesh.bface_h, 3)
+    ctx = FaceContext(V, "boundary", 3)
     problem = ProblemSpec(beta=beta, K=0.0, sigma=0.0, f=0.0, g=0.0)
     return _face_data(problem, ctx, mesh.bface_normals)
 
