@@ -17,9 +17,8 @@ from .forms import (ProblemSpec, sipg_eta, assemble_bh,
                     assemble_gram, assemble_load, vh_norm, NumericalBreakdown)
 from .penalty import (PenaltyConfig, PenaltyOperator, negative_part,
                       compute_gammas)
-from .solver import (NewtonOptions, NewtonResult, build_operators,
-                     solve_linear_resmin, newton_solve, damped_update,
-                     SolverBreakdown)
+from .solver import (NewtonResult, build_operators, solve_linear_resmin,
+                     newton_solve, damped_update, SolverBreakdown)
 from .adapt import (AdaptOptions, AdaptRecord, error_indicators, dorfler_mark,
                     adaptive_solve_loop, prolong)
 from .report import bound_violation_report, error_norms, cross_section

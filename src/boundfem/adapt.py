@@ -22,8 +22,7 @@ from .fespace import build_space
 from .forms import gram_blocks
 from .mesh import bisect_marked
 from .report import error_norms, extrema, violations
-from .solver import (NewtonOptions, build_operators, clip_inset,
-                     newton_solve, solve_linear_resmin)
+from .solver import build_operators, clip_inset, newton_solve, solve_linear_resmin
 
 
 @dataclass
@@ -97,7 +96,7 @@ class AdaptOptions:
     max_levels: int = 20
     max_dofs: int | None = None          # cap on V_h dofs; level hitting it still solves
     p: int = 1
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
+    tol: float = 1e-5                    # Newton increment tolerance
 
 
 @dataclass
@@ -172,7 +171,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                                 pen_config.lower, pen_config.upper)
                 initial = (ops.riesz(ops.L - ops.B @ u0), u0)
             res = newton_solve(problem, U_h, V_h, pen_config,
-                               opts=opts.newton, initial=initial, ops=ops)
+                               tol=opts.tol, initial=initial, ops=ops)
             newton_iters = res.iterations
             if pen_config.quadrature == "nodal" and initial is not None:
                 # Nodal enforcement pins the solution extrema, so every
@@ -180,13 +179,13 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                 # and candidates are interchangeable in quality; take the
                 # one that violates least.
                 alt = newton_solve(problem, U_h, V_h, pen_config,
-                                   opts=opts.newton, ops=ops)
+                                   tol=opts.tol, ops=ops)
                 newton_iters += alt.iterations
                 key = lambda r: (not r.converged, violation_of(r.u))
                 res = min((res, alt), key=key)
             elif not res.converged and initial is not None:
                 res = newton_solve(problem, U_h, V_h, pen_config,
-                                   opts=opts.newton, ops=ops)
+                                   tol=opts.tol, ops=ops)
                 newton_iters += res.iterations
             converged = res.converged
             # Polish within the basin: the kinked system strands Newton at
@@ -201,7 +200,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                     u0 = clip_inset(res.u, pen_config.lower, pen_config.upper)
                     start = (ops.riesz(ops.L - ops.B @ u0), u0)
                     retry = newton_solve(problem, U_h, V_h, pen_config,
-                                         opts=opts.newton, initial=start, ops=ops)
+                                         tol=opts.tol, initial=start, ops=ops)
                     if not retry.converged:
                         break
                     viol_retry = violation_of(retry.u)

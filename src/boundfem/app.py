@@ -29,8 +29,8 @@ from .mesh import refine_uniform_red
 from .penalty import PenaltyConfig
 from .report import (bound_violation_report, cross_section, error_norms,
                      write_cross_section_csv)
-from .solver import NewtonOptions, build_operators, newton_solve, \
-    solve_linear_resmin, write_iteration_log
+from .solver import build_operators, newton_solve, solve_linear_resmin, \
+    write_iteration_log
 from .vtkio import export_vtk
 
 
@@ -47,8 +47,7 @@ def _setup(name, with_penalty, overrides):
 
 def _adaptive(case, problem, pen):
     opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                        max_dofs=case.max_dofs, p=case.p,
-                        newton=NewtonOptions(tol=case.tol))
+                        max_dofs=case.max_dofs, p=case.p, tol=case.tol)
     exact, exact_grad = case_exact(case)
     return adaptive_solve_loop(problem, pen, opts, initial_mesh=case.make_mesh(),
                                exact=exact, exact_grad=exact_grad)
@@ -62,7 +61,7 @@ def _solve_uniform(case, problem, pen, mesh):
     V_h.contexts.clear()     # nothing else on this mesh uses them; free them before the solve
     if pen is None:
         return U_h, V_h, solve_linear_resmin(problem, U_h, V_h, ops=ops), []
-    res = newton_solve(problem, U_h, V_h, pen, opts=NewtonOptions(tol=case.tol), ops=ops)
+    res = newton_solve(problem, U_h, V_h, pen, tol=case.tol, ops=ops)
     return U_h, V_h, res, res.log
 
 
@@ -173,6 +172,9 @@ class StudyResult:
 def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overrides):
     """Uniform or adaptive error study of a case; returns rows and slopes.
 
+    Both modes run at most `levels` levels and stop after the first whose V_h
+    dofs reach `max_dofs`; that level still solves.
+
     Error columns need the case's exact solution; otherwise only the
     estimator column is filled. Slopes are least-squares fits of log(error)
     against log(sqrt(dofs_u)); with uniform refinement sqrt(dofs) scales
@@ -203,8 +205,10 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
             rows.append(StudyRow(level, mesh.h, U_h.n_dofs, V_h.n_dofs,
                                  err_l2, err_vh, vh_norm(sol.eps, sol.ops.G),
                                  under, over))
-            if level < case.levels - 1:
-                mesh = refine_uniform_red(mesh)
+            if level == case.levels - 1 or (case.max_dofs is not None
+                                            and V_h.n_dofs >= case.max_dofs):
+                break
+            mesh = refine_uniform_red(mesh)
 
     slope_l2 = _slope([r.dofs_u for r in rows], [r.err_l2 for r in rows])
     slope_vh = _slope([r.dofs_u for r in rows], [r.err_vh for r in rows])

@@ -31,8 +31,7 @@ class ReferenceBasis:
                           for a, b in ((total - j, j) for j in range(total + 1))]
         self.nodes = _lagrange_nodes(p)
         self.n_local = len(self.nodes)
-        V = _monomials(self.nodes, self.exponents)
-        self.coeffs = np.linalg.inv(V)
+        self.coeffs = np.linalg.inv(_monomial_derivative(self.nodes, self.exponents, 0, 0))
 
     def eval(self, points):
         """Values and reference gradients of all shape functions at `points`.
@@ -40,11 +39,9 @@ class ReferenceBasis:
         points: array (..., 2). Returns (values (..., n), grads (..., n, 2)).
         """
         points = np.asarray(points, dtype=float)
-        M = _monomials(points, self.exponents)
-        Mx, My = _monomial_gradients(points, self.exponents)
-        values = M @ self.coeffs
-        grads = np.stack([Mx @ self.coeffs, My @ self.coeffs], axis=-1)
-        return values, grads
+        values, gx, gy = (_monomial_derivative(points, self.exponents, da, db) @ self.coeffs
+                          for da, db in ((0, 0), (1, 0), (0, 1)))
+        return values, np.stack([gx, gy], axis=-1)
 
     def edge_traces(self, t):
         """Values (6, nt, n) and reference gradients (6, nt, n, 2) at the
@@ -83,22 +80,6 @@ def _lagrange_nodes(p):
         for j in range(1, p - i):
             nodes.append((i / p, j / p))
     return np.array(nodes)
-
-
-def _monomials(points, exponents):
-    x = points[..., 0]
-    y = points[..., 1]
-    return np.stack([x ** a * y ** b for a, b in exponents], axis=-1)
-
-
-def _monomial_gradients(points, exponents):
-    x = points[..., 0]
-    y = points[..., 1]
-    gx, gy = [], []
-    for a, b in exponents:
-        gx.append(a * x ** (a - 1) * y ** b if a > 0 else np.zeros_like(x))
-        gy.append(b * x ** a * y ** (b - 1) if b > 0 else np.zeros_like(x))
-    return np.stack(gx, axis=-1), np.stack(gy, axis=-1)
 
 
 def _monomial_derivative(points, exponents, da, db):

@@ -169,11 +169,6 @@ class Mesh:
         Binv = Binv[elems]
         return Binv[..., 0] * d[..., 0, None] + Binv[..., 1] * d[..., 1, None]
 
-    def element_centroids(self):
-        v = self.vertices
-        e = self.elements
-        return (v[e[:, 0]] + v[e[:, 1]] + v[e[:, 2]]) / 3.0
-
     # ------------------------------------------------------------------
     def locate(self, points, tol=1e-12):
         """Find containing elements for physical points.

@@ -30,11 +30,11 @@ below u_max; "paper" keeps the plain additive variant.
 
 Tables. A PenaltyOperator evaluates on one quadrature table and keeps only
 what its residual, adjoint and Jacobian read: A applied to every basis
-function at the points (`StrongOperator.A_basis`, (ne, nq, nl)), f and the
-weights dA at the points (ne, nq), the reference basis values (nq, nl) and
-gamma_T. The points, beta and sigma are dropped after construction, and
-beta.grad phi is formed from reference gradients, so no (ne, nq, nl, 2)
-physical-gradient table is ever built.
+function at the points (`A_basis`, (ne, nq, nl)), f and the weights dA at
+the points (ne, nq), the reference basis values (nq, nl) and gamma_T. The
+points, beta and sigma are dropped after construction, and beta.grad phi is
+formed from reference gradients, so no (ne, nq, nl, 2) physical-gradient
+table is ever built.
 """
 
 from dataclasses import dataclass
@@ -110,36 +110,22 @@ def nodal_rule():
                           np.full(3, 1.0 / 6.0))
 
 
-class StrongOperator:
-    """Evaluator of A(u) - f = -div(K grad u) + beta.grad u + sigma u - f.
+def _strong_tables(problem, space, ec):
+    """(A_basis, fvals): A applied to every basis function of `space` at the
+    quadrature points of the ElementContext `ec`, (ne, nq, nl), and f there,
+    (ne, nq), so that A(u) - f = A_basis u_T - fvals.
 
-    Evaluated at the quadrature points of the ElementContext `ec` on `space`.
-    It keeps A applied to every basis function at the points (`A_basis`), f
-    at the points and the basis values; the context, beta and sigma are not
-    kept. beta.grad phi is formed as (Binv beta).grad_ref phi, so no
+    beta.grad phi is formed as (Binv beta).grad_ref phi, so no
     physical-gradient table is built. For p = 1 the second-order term
     vanishes identically (K is constant per problem) and is skipped; for
     p >= 2 it uses elementwise basis Hessians.
     """
-
-    def __init__(self, problem, space, ec):
-        self.space = space
-        self.vals = ec.vals
-        self.fvals = problem.f_fn(ec.qp)
-        bref = _dot2(ec.Binv[:, None], problem.beta_fn(ec.qp)[:, :, None])   # (ne, nq, 2)
-        self.A_basis = _dot2(bref[:, :, None], ec.gref)
-        self.A_basis += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
-        if space.p >= 2 and problem.k_max > 0.0:
-            self.A_basis -= _div_K_grad_basis(problem, space, ec)
-
-    def residual(self, u_coeffs):
-        """A(u) - f at all quadrature points; shape (ne, nq)."""
-        c = np.asarray(u_coeffs, dtype=float)[self.space.dofmap]
-        return (self.A_basis @ c[:, :, None])[..., 0] - self.fvals
-
-    def values(self, u_coeffs):
-        c = np.asarray(u_coeffs, dtype=float)[self.space.dofmap]
-        return c @ self.vals.T
+    bref = _dot2(ec.Binv[:, None], problem.beta_fn(ec.qp)[:, :, None])   # (ne, nq, 2)
+    A_basis = _dot2(bref[:, :, None], ec.gref)
+    A_basis += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
+    if space.p >= 2 and problem.k_max > 0.0:
+        A_basis -= _div_K_grad_basis(problem, space, ec)
+    return A_basis, problem.f_fn(ec.qp)
 
 
 def _div_K_grad_basis(problem, space, ec):
@@ -160,15 +146,14 @@ class PenaltyOperator:
     be built after every refinement.
     """
 
-    def __init__(self, problem, U_h, V_h, config, gammas=None):
+    def __init__(self, problem, U_h, V_h, config):
         if U_h.mesh is not V_h.mesh:
             raise ValueError("trial and test spaces must share a mesh")
         self.problem = problem
         self.U_h = U_h
         self.V_h = V_h
         self.config = config
-        self.gammas = compute_gammas(problem, U_h.mesh, config.gamma0) \
-            if gammas is None else np.asarray(gammas, dtype=float)
+        self.gammas = compute_gammas(problem, U_h.mesh, config.gamma0)
         if np.any(self.gammas <= 0.0):
             raise ValueError("gamma_T must be uniformly positive")
         if config.quadrature == "nodal":
@@ -177,7 +162,7 @@ class PenaltyOperator:
             ec = ElementContext(U_h, 1, rule=nodal_rule())
         else:
             ec = ElementContext(U_h, 2 * U_h.p + 6)   # not kept: nothing else reads it
-        self.strong = StrongOperator(problem, U_h, ec)
+        self.A_basis, self.fvals = _strong_tables(problem, U_h, ec)
         self.test_vals = ec.vals          # same reference basis for U_h and V_h
         self.dA = ec.dA
         self.inv_gamma = 1.0 / self.gammas
@@ -188,8 +173,9 @@ class PenaltyOperator:
         The residual contributes sign * gamma^-1 * [arg]_- against v, and
         d(arg)[z] = u_coef * z - gamma * A z.
         """
-        uvals = self.strong.values(u_coeffs)
-        s = self.strong.residual(u_coeffs)       # A u - f
+        c = np.asarray(u_coeffs, dtype=float)[self.U_h.dofmap]
+        uvals = c @ self.test_vals.T
+        s = (self.A_basis @ c[:, :, None])[..., 0] - self.fvals    # A u - f
         g = self.gammas[:, None]
         cfg = self.config
         terms = []
@@ -240,7 +226,7 @@ class PenaltyOperator:
         eps_q = eps[self.V_h.dofmap] @ self.test_vals.T       # eps at the points
         w_sum, w_coef = self._weights(terms)
         local = (w_coef * eps_q) @ self.test_vals
-        local -= self.gammas[:, None] * ((w_sum * eps_q)[:, None, :] @ self.strong.A_basis)[:, 0]
+        local -= self.gammas[:, None] * ((w_sum * eps_q)[:, None, :] @ self.A_basis)[:, 0]
         adjoint = np.bincount(self.U_h.dofmap.ravel(), local.ravel(),
                               minlength=self.U_h.n_dofs)
         return self._residual(terms), adjoint
@@ -255,6 +241,6 @@ class PenaltyOperator:
         w_sum, w_coef = self._weights(self._terms(u_coeffs))
         phi = self.test_vals
         blocks = phi.T @ (w_coef[:, :, None] * phi)
-        blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.strong.A_basis))
+        blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.A_basis))
         return _block_diagonal(blocks) @ gather_matrix(self.U_h)
 

@@ -60,12 +60,15 @@ Two orderings, fixed here and not configurable (`_factorize`):
   pre-order minimum degree took 4.0-4.6 s, with partial pivoting 174 s, and a
   zero threshold lost all accuracy at p = 2.
 * Saddle systems with p >= 2 trial spaces keep plain `splu` (COLAMD with
-  partial pivoting). While face traces carried round-off off the face, minimum
-  degree eliminated edge and bubble trial dofs first and their zero pivots
-  forced off-diagonal pivots: 9.6 s and 27.3 M fill at p = 3 on the smooth
-  mesh (7,521 rows) against COLAMD's 0.17 s. With exact traces the symmetric
-  path takes 0.05 s (1.3 M) against 0.10 s (2.3 M), and 0.12 s against 0.42 s
-  at p = 2 (16,513 rows): one-off runs, as no benchmark workload has p >= 2.
+  partial pivoting). With diffusion the symmetric path would be faster: on
+  the smooth mesh refined three times at p = 2 (16,513 rows) it takes 0.14 s
+  and 2.8 M fill against COLAMD's 0.43 s and 6.3 M. Without diffusion
+  (K = 0) it breaks down: on case1's 11x11 mesh L+U fill is 1.48 M at p = 2
+  and 1.40 M at p = 3 against COLAMD's 229,082 and 614,085; on case1 refined
+  once (7,833 rows, p = 2) 11.0 s and 23.4 M against 0.14 s and 1.70 M (26.8
+  s and 33.6 M on a jittered mesh), and on case2 refined twice (8,289 rows)
+  20.9 s and 32.0 M against 0.11 s and 1.70 M. One-off runs on a 2-core VM;
+  no benchmark workload has p >= 2, and a tier-1 test bounds the case1 fill.
 """
 
 import csv
@@ -84,6 +87,7 @@ RESIDUAL_FLOOR = 1e-12
 SOLVE_RTOL = 1e-8       # a direct solve with a larger relative residual is a breakdown
 OMEGA = 0.5             # damping acceptance threshold, see the module docstring
 MAX_RETRIES = 20        # rejected damping trials allowed per Newton step
+MAX_ITER = 100          # Newton steps allowed per solve
 
 # The symmetric ordering's splu arguments (after the RCM pre-order); the
 # measurements behind them are in the module docstring.
@@ -124,7 +128,6 @@ class LinearOperators:
     V_h: object
     G: sp.csr_matrix
     B: sp.csr_matrix            # b_h composed with the embedding, V_h x U_h
-    E: sp.csr_matrix
     L: np.ndarray
 
     @functools.cached_property
@@ -139,7 +142,7 @@ class LinearOperators:
     @functools.cached_property
     def M_u(self):
         """Trial-space mass matrix, the norm of Newton's increment test."""
-        return (self.E.T @ assemble_mass(self.V_h) @ self.E).tocsr()
+        return assemble_mass(self.U_h)
 
     def riesz(self, r):
         """G^-1 r, the residual representative of r; G is factorized anew."""
@@ -149,9 +152,8 @@ class LinearOperators:
 def build_operators(problem, U_h, V_h):
     G = assemble_gram(problem, V_h)
     L = assemble_load(problem, V_h)
-    E = trial_to_test_embedding(U_h, V_h)
-    B = (assemble_bh(problem, V_h) @ E).tocsr()
-    return LinearOperators(U_h, V_h, G, B, E, L)
+    B = (assemble_bh(problem, V_h) @ trial_to_test_embedding(U_h, V_h)).tocsr()
+    return LinearOperators(U_h, V_h, G, B, L)
 
 
 def _saddle_matrix(G, B):
@@ -221,12 +223,6 @@ def solve_linear_resmin(problem, U_h, V_h, ops=None):
 # ----------------------------------------------------------------------
 # Damped Newton
 # ----------------------------------------------------------------------
-
-@dataclass
-class NewtonOptions:
-    tol: float = 1e-5
-    max_iter: int = 100
-
 
 @dataclass
 class IterationRecord:
@@ -322,16 +318,16 @@ def _newton_step(system, x, r):
     return _solve_saddle(ops, J, r)[0], active
 
 
-def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=None):
+def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None):
     """Damped Newton solve of the penalized residual-minimization problem.
 
     `initial` is an optional (eps, u) pair; by default the linear
     (unpenalized) solution, clipped into the bounds, is the starting guess.
     Inactive iterates step to the linear solution without a factorization
-    (module docstring). Returns a NewtonResult; nonconvergence
-    is reported, not raised, with the last iterate retained.
+    (module docstring). The iteration stops once the increment's L2 norm
+    falls below `tol`. Returns a NewtonResult; nonconvergence is reported,
+    not raised, with the last iterate retained.
     """
-    opts = opts or NewtonOptions()
     ops = ops or build_operators(problem, U_h, V_h)
     system = NewtonSystem(problem, ops, pen_config)
 
@@ -349,7 +345,7 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
     zeta = 0.0
     r = system.residual(x)
     rnorm = np.linalg.norm(r)
-    for k in range(opts.max_iter):
+    for k in range(MAX_ITER):
         if rnorm <= floor:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
@@ -364,7 +360,7 @@ def newton_solve(problem, U_h, V_h, pen_config, opts=None, initial=None, ops=Non
         inc = float(np.sqrt(max(du @ (ops.M_u @ du), 0.0)))
         log.append(IterationRecord(k, rnorm, t, zeta, inc, retries, active))
         x = x_new
-        if inc < opts.tol:
+        if inc < tol:
             eps, u = system.split(x)
             return NewtonResult(u, eps, True, "increment below tolerance", log, ops)
         r = system.residual(x)

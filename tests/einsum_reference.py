@@ -171,7 +171,7 @@ def penalty_context(op):
 
 
 def strong_basis(problem, space, ec):
-    """StrongOperator.A_basis: A applied to every basis function at ec's points."""
+    """penalty._strong_tables' A_basis: A applied to every basis function at ec's points."""
     A = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), ec.grads)
     A += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals[None, :, :]
     if space.p >= 2 and problem.k_max > 0.0:

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -10,6 +11,9 @@ from boundfem.fespace import DiscreteFunction, build_space
 from boundfem.mesh import build_structured_mesh
 from boundfem.report import bound_violation_report, cross_section
 from boundfem.vtkio import export_vtk
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def read_vtk_points(path):
@@ -266,6 +270,13 @@ def test_uniform_study_with_zero_levels_raises(tmp_path):
     assert not (tmp_path / "study.csv").exists()
 
 
+def test_uniform_study_stops_at_max_dofs():
+    # as in the adaptive loop, the level whose V_h dofs reach max_dofs still
+    # solves and is the last one
+    study = convergence_study("case2", mode="uniform", max_dofs=800, levels=5)
+    assert [r.dofs_v for r in study.rows] == [192, 768, 3072]
+
+
 def test_cli_study_with_zero_levels_fails(tmp_path, capsys):
     # used to exit 0 with a header-only study.csv
     assert main(["study", "smooth", "--levels", "0", "--out-dir", str(tmp_path)]) == 2
@@ -336,3 +347,29 @@ def test_case1_penalty_energy_error_ordering():
     unp = convergence_study("case1", levels=2, with_penalty=False)
     assert pen.rows[-1].err_vh >= unp.rows[-1].err_vh - 1e-12
     assert all(r.err_l2 is not None for r in pen.rows)
+
+
+def test_case1_penalized_study_matches_reference(monkeypatch):
+    # seed-0 rows of the penalized case1 study and each level's Newton
+    # iterations, rejected damping trials and stop reason, as committed
+    import boundfem.app as app
+    solves = []
+    newton_solve = app.newton_solve
+
+    def recorded(*args, **kwargs):
+        solves.append(newton_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(app, "newton_solve", recorded)
+    study = convergence_study("case1", with_penalty=True)
+    with open(os.path.join(DATA, "case1_penalized_reference.csv")) as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(study.rows) == len(solves) == len(ref)
+    for row, res, want in zip(study.rows, solves, ref):
+        for key in ("level", "dofs_u", "dofs_v"):
+            assert getattr(row, key) == int(want[key])
+        for key in ("h", "err_l2", "err_vh", "estimator", "undershoot", "overshoot"):
+            assert getattr(row, key) == pytest.approx(float(want[key]), rel=1e-9, abs=0.0)
+        assert res.iterations == int(want["newton_iterations"])
+        assert sum(rec.retries for rec in res.log) == int(want["damping_retries"])
+        assert res.reason == want["newton_reason"]

@@ -19,7 +19,7 @@ from boundfem.forms import (ElementContext, ProblemSpec, _contexts, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass)
 from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
-from boundfem.penalty import PenaltyConfig, PenaltyOperator, StrongOperator
+from boundfem.penalty import PenaltyConfig, PenaltyOperator, _strong_tables
 from boundfem.quadrature import triangle_rule
 from boundfem.report import error_norms, extrema
 from test_mesh import jittered
@@ -120,11 +120,11 @@ def test_penalty_keeps_no_gradient_table(p, monkeypatch):
     monkeypatch.setattr(ElementContext, "grads",
                         property(lambda ec: pytest.fail("physical gradients formed")))
     op = PenaltyOperator(pr, U, build_space(mesh, p, "broken"), PenaltyConfig.from_problem(pr))
-    kept = [v for obj in (op, op.strong) for v in vars(obj).values()]
+    kept = list(vars(op).values())
     assert not any(isinstance(v, ElementContext) for v in kept)
     arrays = [v for v in kept if isinstance(v, np.ndarray)]
     nq = len(triangle_rule(2 * p + 6).weights)
-    assert op.strong.A_basis.shape == (mesh.n_elements, nq, U.n_local)
+    assert op.A_basis.shape == (mesh.n_elements, nq, U.n_local)
     assert all(a.size != mesh.n_elements * nq * U.n_local * 2 for a in arrays)
 
 
@@ -150,10 +150,11 @@ def test_strong_operator_matches_einsum(mesh_name, p, tmp_path):
     pr = problem(TENSOR_K)
     U = build_space(mesh, p, "continuous")
     ec = ElementContext(U, 2 * p + 6)
-    strong = StrongOperator(pr, U, ec)
+    A_basis, fvals = _strong_tables(pr, U, ec)
     c = np.random.default_rng(2).standard_normal(U.n_dofs)
-    assert_close(strong.A_basis, ref.strong_basis(pr, U, ec))
-    assert_close(strong.residual(c), ref.strong_residual(pr, U, ec, c))
+    assert_close(A_basis, ref.strong_basis(pr, U, ec))
+    residual = (A_basis @ c[U.dofmap][:, :, None])[..., 0] - fvals
+    assert_close(residual, ref.strong_residual(pr, U, ec, c))
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

@@ -4,7 +4,8 @@ import pytest
 from boundfem.fespace import build_space
 from boundfem.forms import ElementContext, ProblemSpec
 from boundfem.mesh import build_structured_mesh
-from boundfem.penalty import (PenaltyConfig, PenaltyOperator, StrongOperator,
+import boundfem.penalty as penalty
+from boundfem.penalty import (PenaltyConfig, PenaltyOperator, _strong_tables,
                               compute_gammas, negative_part)
 from boundfem.quadrature import QuadratureRule
 
@@ -51,10 +52,10 @@ def test_gamma_requires_some_coefficient():
 
 
 def strong_residual_at(problem, space, coeffs, point):
-    """A(u_h) - f at one reference point of every element, via StrongOperator."""
+    """A(u_h) - f at one reference point of every element, via _strong_tables."""
     rule = QuadratureRule("triangle", 0, [point], [0.5])
-    strong = StrongOperator(problem, space, ElementContext(space, 0, rule=rule))
-    return strong.residual(coeffs)[:, 0]
+    A_basis, fvals = _strong_tables(problem, space, ElementContext(space, 0, rule=rule))
+    return (A_basis[:, 0] * coeffs[space.dofmap]).sum(axis=1) - fvals[:, 0]
 
 
 def test_strong_residual_examples(square_spaces):
@@ -88,30 +89,28 @@ def test_penalty_residual_zero_when_strictly_feasible(square_spaces):
     assert np.abs(op.residual(U.interpolate(1.0))).max() == 0.0
 
 
-def test_penalty_hand_integral(square_spaces):
+def test_penalty_hand_integral(square_spaces, monkeypatch):
     # u = -c with all operator terms off: residual against v = 1 equals
-    # gamma^-1 * (-c) * |Omega|; gammas supplied explicitly since all
-    # coefficients vanish
+    # gamma^-1 * (-c) * |Omega|; gammas fixed since all coefficients vanish
     U, V = square_spaces
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
     cfg = PenaltyConfig(lower=0.0, gamma0=0.5)
-    gammas = np.full(U.mesh.n_elements, 2.0)
-    op = PenaltyOperator(pr, U, V, cfg, gammas=gammas)
+    fix_gammas(monkeypatch, 2.0)
+    op = PenaltyOperator(pr, U, V, cfg)
     c = 0.75
     r = op.residual(U.interpolate(-c))
     total = np.ones(V.n_dofs) @ r
     assert total == pytest.approx((1.0 / 2.0) * (-c) * 1.0, rel=1e-13)
 
 
-def test_penalty_jacobian_examples(square_spaces):
+def test_penalty_jacobian_examples(square_spaces, monkeypatch):
     U, V = square_spaces
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
     cfg = PenaltyConfig(lower=0.0, gamma0=0.5)
-    gammas = np.full(U.mesh.n_elements, 2.0)
-    op = PenaltyOperator(pr, U, V, cfg, gammas=gammas)
+    fix_gammas(monkeypatch, 2.0)
+    op = PenaltyOperator(pr, U, V, cfg)
     # strictly feasible, zero strong residual: indicator 0 everywhere
-    assert abs(PenaltyOperator(pr, U, V, cfg, gammas=gammas)
-               .jacobian(U.interpolate(5.0))).max() == 0.0
+    assert abs(op.jacobian(U.interpolate(5.0))).max() == 0.0
     # u = -1 activates everything: J = gamma^-1 * mass-type pairing of z vs v
     J = op.jacobian(U.interpolate(-1.0))
     total = np.ones(V.n_dofs) @ (J @ np.ones(U.n_dofs))
@@ -174,21 +173,26 @@ def test_lower_bound_only_pushes_up(square_spaces):
         assert op.residual(u).max() <= 1e-14
 
 
-def test_upper_sign_conventions(square_spaces):
+def fix_gammas(monkeypatch, value):
+    """Give every PenaltyOperator gamma_T = value: these problems' coefficients
+    all vanish, so compute_gammas has no gamma_T to give."""
+    monkeypatch.setattr(penalty, "compute_gammas",
+                        lambda problem, mesh, gamma0=None: np.full(mesh.n_elements, value))
+
+
+def test_upper_sign_conventions(square_spaces, monkeypatch):
     # an overshoot produces a downward force with the restoring convention
     # and an upward one with the verbatim variant
     U, V = square_spaces
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
-    gammas = np.full(U.mesh.n_elements, 1.0)
+    fix_gammas(monkeypatch, 1.0)
     over = U.interpolate(1.5)  # above the upper bound 1
     ones = np.ones(V.n_dofs)
     restoring = PenaltyOperator(pr, U, V,
-                                PenaltyConfig(upper=1.0, gamma0=0.5),
-                                gammas=gammas).residual(over)
+                                PenaltyConfig(upper=1.0, gamma0=0.5)).residual(over)
     paper = PenaltyOperator(pr, U, V,
                             PenaltyConfig(upper=1.0, gamma0=0.5,
-                                          upper_sign="paper"),
-                            gammas=gammas).residual(over)
+                                          upper_sign="paper")).residual(over)
     assert ones @ restoring > 0.0        # moves the equation toward smaller u
     assert ones @ paper < 0.0
     np.testing.assert_allclose(restoring, -paper, rtol=1e-14)

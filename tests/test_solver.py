@@ -8,7 +8,7 @@ from boundfem.forms import ProblemSpec, vh_norm
 from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
-from boundfem.solver import (NewtonOptions, NewtonSystem, SolverBreakdown,
+from boundfem.solver import (NewtonSystem, SolverBreakdown,
                              MAX_RETRIES, _factorize, _newton_step, _saddle_matrix,
                              _solve_saddle, build_operators, clip_inset,
                              damped_update, newton_solve, solve_linear_resmin,
@@ -117,8 +117,7 @@ def test_newton_trivial_bounds_single_full_step(manufactured):
                       u_min=-100.0, u_max=100.0, gamma0=1e-5)
     cfg = PenaltyConfig.from_problem(prb)
     zeros = (np.zeros(V.n_dofs), np.zeros(U.n_dofs))
-    res = newton_solve(prb, U, V, cfg, opts=NewtonOptions(tol=1e-8),
-                       initial=zeros)
+    res = newton_solve(prb, U, V, cfg, tol=1e-8, initial=zeros)
     assert res.converged
     assert res.iterations == 1
     assert res.log[0].t == 1.0
@@ -126,7 +125,7 @@ def test_newton_trivial_bounds_single_full_step(manufactured):
     assert np.abs(res.u - ustar).max() <= 1e-9
 
     # from the default linear-solve start it is already converged
-    res0 = newton_solve(prb, U, V, cfg, opts=NewtonOptions(tol=1e-8))
+    res0 = newton_solve(prb, U, V, cfg, tol=1e-8)
     assert res0.converged and res0.iterations <= 1
     assert np.abs(res0.u - ustar).max() <= 1e-9
 
@@ -138,7 +137,7 @@ def test_newton_residual_zero_at_solution_and_jacobian_symmetric(manufactured):
                       u_min=-0.5, u_max=1.5, gamma0=1e-4)
     cfg = PenaltyConfig.from_problem(prb)
     ops = build_operators(prb, U, V)
-    res = newton_solve(prb, U, V, cfg, opts=NewtonOptions(tol=1e-10), ops=ops)
+    res = newton_solve(prb, U, V, cfg, tol=1e-10, ops=ops)
     system = NewtonSystem(prb, ops, cfg)
     r = system.residual(np.concatenate([res.eps, res.u]))
     Bu = ops.B + system.pen.jacobian(res.u)
@@ -156,8 +155,7 @@ def test_newton_monotone_accepted_residuals_and_log(tmp_path):
     mesh = build_structured_mesh(6, 6)
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                       opts=NewtonOptions(tol=1e-5))
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
     assert res.converged
     rs = [rec.residual_norm for rec in res.log]
     assert all(a > b for a, b in zip(rs, rs[1:]))
@@ -185,22 +183,22 @@ def test_newton_deterministic():
     V = build_space(mesh, 1, "broken")
     logs = []
     for _ in range(2):
-        res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                           opts=NewtonOptions(tol=1e-5))
+        res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
         logs.append([(r.k, r.residual_norm, r.t, r.zeta, r.increment_norm)
                      for r in res.log])
     assert logs[0] == logs[1]
 
 
-def test_nonconvergence_reported_not_raised():
+def test_nonconvergence_reported_not_raised(monkeypatch):
+    import boundfem.solver as solver
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     exact = lambda x: 0.5 * (np.tanh((x[..., 1] - x[..., 0] / 3 - 0.25) / 0.01) + 1)
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-5)
     mesh = build_structured_mesh(5, 5)
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                       opts=NewtonOptions(tol=1e-14, max_iter=2))
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-14)
     assert not res.converged
     assert res.reason == "iteration limit reached"
     assert res.u.shape == (U.n_dofs,)
@@ -239,7 +237,7 @@ def test_trial_mass_matrix_built_on_first_use(manufactured, monkeypatch):
     solve_linear_resmin(pr, U, V, ops=ops)
     assert calls == []
     M_u = ops.M_u
-    assert ops.M_u is M_u and calls == [V]
+    assert ops.M_u is M_u and calls == [U]
     ones = np.ones(U.n_dofs)
     assert ones @ (M_u @ ones) == pytest.approx(1.0, rel=1e-13)   # |unit square|
 
@@ -267,8 +265,7 @@ def test_newton_on_flat_clipped_regions_converges():
     mesh = build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0))
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                       opts=NewtonOptions(tol=1e-5))
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
     assert res.converged
 
 
@@ -289,12 +286,33 @@ def test_higher_degree_linear_solve_meets_contract(p):
     assert sol.block_residual <= 1e-10
 
 
+@pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
+def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkeypatch):
+    # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,082
+    # (p = 2) and 614,085 (p = 3) entries, the symmetric ordering with 1.48 M
+    # and 1.40 M (module docstring, "Two orderings")
+    fills = []
+    splu = spla.splu
+
+    def recorded(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    case = get_case("case1")
+    mesh = case.make_mesh()
+    sol = solve_linear_resmin(case.problem(), build_space(mesh, p, "continuous"),
+                              build_space(mesh, p, "broken"))
+    assert sol.block_residual <= 1e-10
+    assert len(fills) == 1 and fills[0] <= max_fill
+
+
 def test_p2_penalized_newton_runs_and_reports():
     pr, U, V = smooth_spaces(2, nx=3)
     prb = ProblemSpec(beta=pr.beta, K=pr.K, sigma=pr.sigma, f=pr.f, g=pr.g,
                       u_min=0.05, gamma0=1e-4)
-    res = newton_solve(prb, U, V, PenaltyConfig.from_problem(prb),
-                       opts=NewtonOptions(tol=1e-6))
+    res = newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), tol=1e-6)
     assert res.reason in ("residual at solver floor", "increment below tolerance",
                           "damping retry cap exceeded", "iteration limit reached")
     assert res.iterations >= 1 and np.all(np.isfinite(res.u))
@@ -408,8 +426,7 @@ def test_trial_points_assemble_no_jacobian(monkeypatch):
     case, pr, U, V = case1_level0()
     calls = []
     count_calls(monkeypatch, calls)
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr),
-                       opts=NewtonOptions(tol=case.tol))
+    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=case.tol)
     assert res.iterations >= 1
     assert calls.count("trial") >= res.iterations
     # one Jacobian per iteration whose iterate is active, right before its
@@ -535,13 +552,13 @@ def test_one_linear_solve_per_level(monkeypatch):
     pr, U, V, _, x = case1_default_start()
     ops = build_operators(pr, U, V)         # fresh: no linear solution yet
     cfg = PenaltyConfig.from_problem(pr)
-    opts = NewtonOptions(tol=get_case("case1").tol)
+    tol = get_case("case1").tol
     calls = []
     count_calls(monkeypatch, calls)
     lin = solve_linear_resmin(pr, U, V, ops=ops)
     assert calls == ["LU"]
-    cold = newton_solve(pr, U, V, cfg, opts=opts, ops=ops)
-    warm = newton_solve(pr, U, V, cfg, opts=opts, ops=ops,
+    cold = newton_solve(pr, U, V, cfg, tol=tol, ops=ops)
+    warm = newton_solve(pr, U, V, cfg, tol=tol, ops=ops,
                         initial=(x[:V.n_dofs], x[V.n_dofs:]))
     assert np.array_equal(ops.linear[0], np.concatenate([lin.eps, lin.u]))
     for res in (cold, warm):
@@ -564,8 +581,7 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     cfg = PenaltyConfig.from_problem(pr)
     mesh0 = case.make_mesh()
     U0 = build_space(mesh0, 1, "continuous")
-    res0 = newton_solve(pr, U0, build_space(mesh0, 1, "broken"), cfg,
-                        opts=NewtonOptions(tol=case.tol))
+    res0 = newton_solve(pr, U0, build_space(mesh0, 1, "broken"), cfg, tol=case.tol)
     mesh = refine_uniform_red(mesh0)
     U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
@@ -582,8 +598,7 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     with monkeypatch.context() as m:
         count_calls(m, calls)
         m.setattr(solver, "_newton_step", recorded)
-        res = newton_solve(pr, U, V, cfg, opts=NewtonOptions(tol=case.tol), ops=ops,
-                           initial=initial)
+        res = newton_solve(pr, U, V, cfg, tol=case.tol, ops=ops, initial=initial)
     n_active = sum(rec.active > 0 for rec in res.log)
     assert res.iterations >= 3 and n_active == 0 and len(steps) == res.iterations
     assert calls.count("LU") == 1 + n_active and calls.count("J") == n_active
