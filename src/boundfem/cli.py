@@ -30,9 +30,13 @@ CONFIG_KEYS = {
 
 
 def read_config(path):
-    """Parse a key = value config file ('#' starts a comment)."""
+    """Parse a key = value config file ('#' starts a comment); ValueError if unreadable."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {str(path)!r}: {exc.strerror}") from exc
     out = {}
-    with open(path) as fh:
+    with fh:
         for ln in fh:
             ln = ln.split("#", 1)[0].strip()
             if not ln:

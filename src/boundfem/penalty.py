@@ -149,7 +149,6 @@ class PenaltyOperator:
     def __init__(self, problem, U_h, V_h, config):
         if U_h.mesh is not V_h.mesh:
             raise ValueError("trial and test spaces must share a mesh")
-        self.problem = problem
         self.U_h = U_h
         self.V_h = V_h
         self.config = config

@@ -321,24 +321,24 @@ def _newton_step(system, x, r):
 def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None):
     """Damped Newton solve of the penalized residual-minimization problem.
 
-    `initial` is an optional (eps, u) pair; by default the linear
-    (unpenalized) solution, clipped into the bounds, is the starting guess.
+    The start is (G^-1 (L - B u0), u0) for the trial vector u0 = `initial`,
+    by default the linear (unpenalized) solution clipped into the bounds.
     Inactive iterates step to the linear solution without a factorization
     (module docstring). The iteration stops once the increment's L2 norm
-    falls below `tol`. Returns a NewtonResult; nonconvergence is reported,
-    not raised, with the last iterate retained.
+    falls below `tol` > 0. Returns a NewtonResult; nonconvergence is
+    reported, not raised, with the last iterate retained.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ops = ops or build_operators(problem, U_h, V_h)
     system = NewtonSystem(problem, ops, pen_config)
 
     if initial is None:
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
-        u = clip_inset(ops.linear[0][system.nv:], pen_config.lower, pen_config.upper)
-        eps = ops.riesz(ops.L - ops.B @ u)
-    else:
-        eps, u = (np.asarray(v, dtype=float).copy() for v in initial)
-    x = np.concatenate([eps, u])
+        initial = clip_inset(ops.linear[0][system.nv:], pen_config.lower, pen_config.upper)
+    u = np.asarray(initial, dtype=float)
+    x = np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
 
     floor = RESIDUAL_FLOOR * max(1.0, np.linalg.norm(ops.L))
     log = []

@@ -190,11 +190,11 @@ def strong_residual(problem, space, ec, u_coeffs):
     return np.einsum("el,eql->eq", c, strong_basis(problem, space, ec)) - problem.f_fn(ec.qp)
 
 
-def penalty_terms(op, u_coeffs):
+def penalty_terms(problem, op, u_coeffs):
     """PenaltyOperator._terms: (sign, arg, u_coef) per active bound."""
     ec = penalty_context(op)
     uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], ec.vals)
-    s = strong_residual(op.problem, op.U_h, ec, u_coeffs)
+    s = strong_residual(problem, op.U_h, ec, u_coeffs)
     g = op.gammas[:, None]
     cfg = op.config
     terms = []
@@ -206,19 +206,19 @@ def penalty_terms(op, u_coeffs):
     return terms
 
 
-def penalty_residual(op, u_coeffs):
+def penalty_residual(problem, op, u_coeffs):
     out = np.zeros(op.V_h.n_dofs)
-    for sign, arg, _ in penalty_terms(op, u_coeffs):
+    for sign, arg, _ in penalty_terms(problem, op, u_coeffs):
         xi = 0.5 * (arg - np.abs(arg))
         w = sign * op.dA * op.inv_gamma[:, None] * xi
         np.add.at(out, op.V_h.dofmap.ravel(), np.einsum("eq,qi->ei", w, op.test_vals).ravel())
     return out
 
 
-def penalty_jacobian(op, u_coeffs):
+def penalty_jacobian(problem, op, u_coeffs):
     acc = _Accumulator((op.V_h.n_dofs, op.U_h.n_dofs))
-    A_basis = strong_basis(op.problem, op.U_h, penalty_context(op))
-    for sign, arg, u_coef in penalty_terms(op, u_coeffs):
+    A_basis = strong_basis(problem, op.U_h, penalty_context(op))
+    for sign, arg, u_coef in penalty_terms(problem, op, u_coeffs):
         ind = 0.5 * (1.0 - np.sign(arg))
         dz = u_coef * np.broadcast_to(op.test_vals[None, :, :], A_basis.shape).copy()
         dz -= op.gammas[:, None, None] * A_basis
@@ -228,12 +228,12 @@ def penalty_jacobian(op, u_coeffs):
     return acc.tocsr()
 
 
-def penalty_adjoint(op, u_coeffs, eps):
+def penalty_adjoint(problem, op, u_coeffs, eps):
     """dP(u)' eps over U_h dofs, per bound and without assembling dP(u)."""
-    A_basis = strong_basis(op.problem, op.U_h, penalty_context(op))
+    A_basis = strong_basis(problem, op.U_h, penalty_context(op))
     out = np.zeros(op.U_h.n_dofs)
     eps_q = np.einsum("el,ql->eq", eps[op.V_h.dofmap], op.test_vals)
-    for sign, arg, u_coef in penalty_terms(op, u_coeffs):
+    for sign, arg, u_coef in penalty_terms(problem, op, u_coeffs):
         a = sign * op.dA * op.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg)) * eps_q
         local = u_coef * np.einsum("eq,qj->ej", a, op.test_vals)
         local -= op.gammas[:, None] * np.einsum("eq,eqj->ej", a, A_basis)

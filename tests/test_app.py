@@ -319,6 +319,20 @@ def test_cli_bad_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key 'nonsense.key'" in capsys.readouterr().err
 
 
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ValueError, match="missing.cfg"):
+        read_config(missing)
+    assert main(["run", "case1", "--config", str(missing)]) == 2
+    assert f"cannot read config file {str(missing)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_cli_nonpositive_tol_exits_2(tol, tmp_path, capsys):
+    assert main(["run", "case1", "--tol", tol, "--out-dir", str(tmp_path / "run")]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_study_csv_deterministic(tmp_path):
     from boundfem.app import write_study_csv
     paths = []
@@ -373,3 +387,38 @@ def test_case1_penalized_study_matches_reference(monkeypatch):
         assert res.iterations == int(want["newton_iterations"])
         assert sum(rec.retries for rec in res.log) == int(want["damping_retries"])
         assert res.reason == want["newton_reason"]
+
+
+@pytest.fixture(scope="module")
+def case2_penalized_run(tmp_path_factory):
+    """levels.csv and iterations.csv rows of the penalized case2 run to 2,500 dG dofs."""
+    out = tmp_path_factory.mktemp("case2")
+    run_case("case2", out_dir=str(out), max_dofs=2500)
+    with open(out / "levels.csv") as fh, open(out / "iterations.csv") as fi:
+        return list(csv.DictReader(fh)), list(csv.DictReader(fi))
+
+
+def test_case2_penalized_run_matches_reference(case2_penalized_run):
+    # seed-0 levels.csv rows, floats to 1e-9 relative, counts exactly
+    levels, _ = case2_penalized_run
+    with open(os.path.join(DATA, "case2_penalized_reference.csv")) as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(levels) == len(ref)
+    exact = ("level", "n_elements", "dofs_u", "dofs_v", "newton_iterations",
+             "newton_converged")
+    for row, want in zip(levels, ref):
+        assert row.keys() == want.keys()
+        for key in want:
+            if key in exact or want[key] == "":
+                assert row[key] == want[key], key
+            else:
+                assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-9, abs=0.0)
+
+
+def test_case2_penalized_iterations_count_the_kept_solve(case2_penalized_run):
+    # case2 uses the Gauss penalty and every warm solve converges, so no
+    # level runs a cold candidate: newton_iterations counts exactly the
+    # steps of the kept solve, which iterations.csv logs
+    levels, iterations = case2_penalized_run
+    per_level = [sum(r["level"] == row["level"] for r in iterations) for row in levels]
+    assert [int(row["newton_iterations"]) for row in levels] == per_level

@@ -173,11 +173,11 @@ def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, upper_sign, tm
     eps = rng.standard_normal(V.n_dofs)
     J = op.jacobian(u)
     assert abs(J).max() > 0.0                    # the penalty is active
-    assert_close(J, ref.penalty_jacobian(op, u))
-    assert_close(op.residual(u), ref.penalty_residual(op, u))
+    assert_close(J, ref.penalty_jacobian(pr, op, u))
+    assert_close(op.residual(u), ref.penalty_residual(pr, op, u))
     P, adjoint = op.residual_and_adjoint(u, eps)
-    assert_close(P, ref.penalty_residual(op, u))
-    assert_close(adjoint, ref.penalty_adjoint(op, u, eps))
+    assert_close(P, ref.penalty_residual(pr, op, u))
+    assert_close(adjoint, ref.penalty_adjoint(pr, op, u, eps))
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

@@ -110,14 +110,13 @@ def test_damped_update_escalates_and_caps():
 
 def test_newton_trivial_bounds_single_full_step(manufactured):
     # bounds far outside the range: the penalty never activates and the
-    # residual is affine, so one full Newton step from zero solves it
+    # residual is affine, so one full Newton step from u = 0 solves it
     pr, U, V = manufactured
     prb = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
                       f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
                       u_min=-100.0, u_max=100.0, gamma0=1e-5)
     cfg = PenaltyConfig.from_problem(prb)
-    zeros = (np.zeros(V.n_dofs), np.zeros(U.n_dofs))
-    res = newton_solve(prb, U, V, cfg, tol=1e-8, initial=zeros)
+    res = newton_solve(prb, U, V, cfg, tol=1e-8, initial=np.zeros(U.n_dofs))
     assert res.converged
     assert res.iterations == 1
     assert res.log[0].t == 1.0
@@ -359,6 +358,13 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
     assert relative_gap(J, r, dx) <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_newton_rejects_nonpositive_tol(manufactured, tol):
+    pr, U, V = manufactured
+    with pytest.raises(ValueError, match="tol must be positive"):
+        newton_solve(pr, U, V, PenaltyConfig(lower=0.0, upper=2.0), tol=tol)
+
+
 def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
     import boundfem.solver as solver
     pr, U, V = manufactured
@@ -376,9 +382,8 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
 
     monkeypatch.setattr(solver, "_factorize",
                         lambda K, symmetric: Perturbed(factorize(K, symmetric)))
-    zeros = (np.zeros(V.n_dofs), np.zeros(U.n_dofs))
     with pytest.raises(SolverBreakdown, match="step solve inaccurate"):
-        newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), initial=zeros)
+        newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), initial=np.zeros(U.n_dofs))
 
 
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
@@ -548,7 +553,8 @@ def test_case1_active_start_factorizes(monkeypatch):
 def test_one_linear_solve_per_level(monkeypatch):
     # the linear solve, a cold and a warm Newton solve on one LinearOperators
     # factorize K once between them; the warm start is the cold one's (case1
-    # L0 is inactive there), so no Newton step needs a factorization of its own
+    # L0 is inactive there), so no Newton step needs a factorization of its own.
+    # Each Newton solve factorizes G once for the Riesz solve of its start.
     pr, U, V, _, x = case1_default_start()
     ops = build_operators(pr, U, V)         # fresh: no linear solution yet
     cfg = PenaltyConfig.from_problem(pr)
@@ -558,22 +564,22 @@ def test_one_linear_solve_per_level(monkeypatch):
     lin = solve_linear_resmin(pr, U, V, ops=ops)
     assert calls == ["LU"]
     cold = newton_solve(pr, U, V, cfg, tol=tol, ops=ops)
-    warm = newton_solve(pr, U, V, cfg, tol=tol, ops=ops,
-                        initial=(x[:V.n_dofs], x[V.n_dofs:]))
+    warm = newton_solve(pr, U, V, cfg, tol=tol, ops=ops, initial=x[V.n_dofs:])
     assert np.array_equal(ops.linear[0], np.concatenate([lin.eps, lin.u]))
     for res in (cold, warm):
         assert res.iterations >= 1 and res.log[0].active == 0
     n_active = sum(rec.active > 0 for rec in cold.log + warm.log)
     assert calls.count("J") == n_active
-    # K once, G once for the cold start's Riesz solve, and J per active iterate
-    assert calls.count("LU") == 2 + n_active
+    # K once, G once per start's Riesz solve, and J per active iterate
+    assert calls.count("LU") == 3 + n_active
 
 
 def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     # case2 L0 refined once, warm-started from the prolonged, clipped L0
-    # solution as adaptive_solve_loop does: every iterate is inactive, the
-    # first one solves K once for the linear solution, and each step equals
-    # the factorized one (J = K assembled with an all-zero dP(u)) to 1e-12
+    # solution as adaptive_solve_loop does: the start factorizes G once for
+    # its Riesz solve, every iterate is inactive, the first one solves K once
+    # for the linear solution, and each step equals the factorized one
+    # (J = K assembled with an all-zero dP(u)) to 1e-12
     import boundfem.solver as solver
     from boundfem.adapt import prolong
     case = get_case("case2")
@@ -586,7 +592,6 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
     u0 = clip_inset(prolong(res0.u, U0, U), pr.u_min, pr.u_max)
-    initial = (ops.riesz(ops.L - ops.B @ u0), u0)
     newton_step = solver._newton_step
     steps, calls = [], []
 
@@ -598,10 +603,10 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     with monkeypatch.context() as m:
         count_calls(m, calls)
         m.setattr(solver, "_newton_step", recorded)
-        res = newton_solve(pr, U, V, cfg, tol=case.tol, ops=ops, initial=initial)
+        res = newton_solve(pr, U, V, cfg, tol=case.tol, ops=ops, initial=u0)
     n_active = sum(rec.active > 0 for rec in res.log)
     assert res.iterations >= 3 and n_active == 0 and len(steps) == res.iterations
-    assert calls.count("LU") == 1 + n_active and calls.count("J") == n_active
+    assert calls.count("LU") == 2 + n_active and calls.count("J") == n_active
     for system, x, r, dx in steps:
         ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
         assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
