@@ -165,7 +165,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
             initial = None
             if prev is not None:
                 initial = clip_inset(prolong(prev[1], prev[0], U_h),
-                                     pen_config.lower, pen_config.upper)
+                                     problem.u_min, problem.u_max)
             res = newton_solve(problem, U_h, V_h, pen_config,
                                tol=opts.tol, initial=initial, ops=ops)
             newton_iters = res.iterations
@@ -179,9 +179,8 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                 cold = newton_solve(problem, U_h, V_h, pen_config,
                                     tol=opts.tol, ops=ops)
                 newton_iters += cold.iterations
-                bounds = pen_config.lower, pen_config.upper
-                res = min((res, cold), key=lambda r: (
-                    not r.converged, sum(violations(*extrema(U_h, r.u), *bounds))))
+                res = min((res, cold), key=lambda r: (not r.converged, sum(violations(
+                    *extrema(U_h, r.u), problem.u_min, problem.u_max))))
             converged = res.converged
             u, eps, newton_log = res.u, res.eps, res.log
 

@@ -40,8 +40,7 @@ def _setup(name, with_penalty, overrides):
     problem = case.problem()
     pen = None
     if with_penalty and problem.has_bounds:
-        pen = PenaltyConfig.from_problem(problem, upper_sign=case.upper_sign,
-                                         quadrature=case.penalty_quadrature)
+        pen = PenaltyConfig(case.upper_sign, case.penalty_quadrature)
     return case, problem, pen
 
 
@@ -73,7 +72,7 @@ def _write_run_info(path, case, problem, extra):
                     "theta_mark", "penalty_quadrature", "upper_sign",
                     "layer_scaling"):
             fh.write(f"{key} = {getattr(case, key)}\n")
-        fh.write(f"bounds = {case.bounds}\n")
+        fh.write(f"bounds = {(case.lower, case.upper)}\n")
         fh.write(f"K = {problem.K_mat.tolist()}\n")
         for k, v in extra.items():
             fh.write(f"{k} = {v}\n")
@@ -93,18 +92,14 @@ class RunResult:
 def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     """Execute a case's designated pipeline and write its artifacts.
 
-    Overrides accept the CaseDefinition field names (gamma0, tol, p, levels,
-    theta_mark, upper_sign, layer_scaling, ...). Uniform cases solve once,
-    on the initial mesh; `levels` applies to adaptive runs (and to
+    Overrides accept the CaseDefinition field names (gamma0, lower, upper,
+    tol, p, levels, theta_mark, upper_sign, layer_scaling, ...); a bound
+    left unset keeps the case's value. Uniform cases solve once, on the
+    initial mesh; `levels` applies to adaptive runs (and to
     `convergence_study`). `seed` is recorded for reproducibility; the solver
-    itself is deterministic.
+    itself is deterministic. The artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
-                        {"with_penalty": with_penalty, "seed": seed})
-
     newton_log = []
     records = []
     if case.mode == "adaptive":
@@ -112,17 +107,22 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
         records = result.records
         mesh, U_h, V_h = result.mesh, result.U_h, result.V_h
         u, eps = result.u, result.eps
-        if out_dir:
+    else:
+        mesh = case.make_mesh()
+        U_h, V_h, sol, newton_log = _solve_uniform(case, problem, pen, mesh)
+        u, eps = sol.u, sol.eps
+
+    if out_dir:     # a setting the solve rejects leaves no directory behind
+        os.makedirs(out_dir, exist_ok=True)
+        _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
+                        {"with_penalty": with_penalty, "seed": seed})
+        if case.mode == "adaptive":
             write_records_csv(os.path.join(out_dir, "levels.csv"), records)
             if pen is not None:
                 write_iteration_log(os.path.join(out_dir, "iterations.csv"),
                                     [rec for r in records for rec in r.newton_log],
                                     levels=[r.level for r in records for _ in r.newton_log])
-    else:
-        mesh = case.make_mesh()
-        U_h, V_h, sol, newton_log = _solve_uniform(case, problem, pen, mesh)
-        u, eps = sol.u, sol.eps
-        if out_dir and pen is not None:
+        elif pen is not None:
             write_iteration_log(os.path.join(out_dir, "iterations.csv"), newton_log)
 
     uh = DiscreteFunction(U_h, u)

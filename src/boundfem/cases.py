@@ -46,7 +46,8 @@ class CaseDefinition:
     upper_sign: str = "restoring"
     layer_scaling: str = "sharp"             # "sharp" or "shallow" (verbatim formula)
     cross_section: tuple | None = None
-    bounds: tuple = (None, None)
+    lower: float | None = None
+    upper: float | None = None
 
     def problem(self):
         return self.make_problem(self)
@@ -97,9 +98,9 @@ def _case1_grad(x):
 
 
 def _case1_problem(case):
-    lo, hi = case.bounds
     return ProblemSpec(beta=(3.0 / _SQ10, 1.0 / _SQ10), K=0.0, sigma=0.0, f=0.0,
-                       g=_case1_exact, u_min=lo, u_max=hi, gamma0=case.gamma0)
+                       g=_case1_exact, u_min=case.lower, u_max=case.upper,
+                       gamma0=case.gamma0)
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +159,9 @@ def _rot_exact_grad(scaling):
 
 
 def _case2_problem(case, K=0.0):
-    lo, hi = case.bounds
     return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0,
-                       g=_rot_g(case.layer_scaling), u_min=lo, u_max=hi,
-                       gamma0=case.gamma0)
+                       g=_rot_g(case.layer_scaling), u_min=case.lower,
+                       u_max=case.upper, gamma0=case.gamma0)
 
 
 CASES = {
@@ -186,7 +186,7 @@ CASES = {
         gamma0=1e-5,
         tol=1e-5,
         levels=4,
-        bounds=(0.0, 1.0),
+        lower=0.0, upper=1.0,
         # cross-section normal to the advection direction through the center
         cross_section=((0.5 + 0.45 / _SQ10, 0.5 - 3 * 0.45 / _SQ10),
                        (0.5 - 0.45 / _SQ10, 0.5 + 3 * 0.45 / _SQ10)),
@@ -202,7 +202,7 @@ CASES = {
         tol=1e-5,
         levels=60,
         max_dofs=20000,
-        bounds=(0.0, 1.0),
+        lower=0.0, upper=1.0,
         cross_section=((0.0, 0.0), (1.0, 1.0)),
     ),
     "case3": CaseDefinition(
@@ -215,7 +215,7 @@ CASES = {
         tol=1e-5,
         levels=16,
         penalty_quadrature="nodal",
-        bounds=(0.0, 1.0),
+        lower=0.0, upper=1.0,
         cross_section=((0.0, 0.0), (1.0, 1.0)),
     ),
 }

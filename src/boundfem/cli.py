@@ -88,25 +88,10 @@ def _collect_overrides(args):
     over = {}
     if args.config:
         over.update(read_config(args.config))
-    for flag, name in (("p", "p"), ("gamma0", "gamma0"), ("tol", "tol"),
-                       ("levels", "levels"), ("theta_mark", "theta_mark"),
-                       ("upper_sign", "upper_sign"),
-                       ("layer_scaling", "layer_scaling")):
-        val = getattr(args, flag)
+    for name, _ in CONFIG_KEYS.values():
+        val = getattr(args, name, None)     # names without a flag read None
         if val is not None:
             over[name] = val
-    return over
-
-
-def _merge_bounds(case_name, over):
-    """Partial bounds overrides keep the case's other bound."""
-    lower = over.pop("lower", None)
-    upper = over.pop("upper", None)
-    if lower is not None or upper is not None:
-        from .cases import get_case
-        defaults = get_case(case_name).bounds
-        over["bounds"] = (defaults[0] if lower is None else lower,
-                          defaults[1] if upper is None else upper)
     return over
 
 
@@ -131,7 +116,7 @@ def main(argv=None):
 
 
 def _run(args):
-    over = _merge_bounds(args.case, _collect_overrides(args))
+    over = _collect_overrides(args)
     if args.command == "run":
         result = run_case(args.case, out_dir=args.out_dir,
                           with_penalty=not args.no_penalty,

@@ -60,7 +60,8 @@ class ProblemSpec:
 
     beta, sigma, f are fields on the domain, g a field on the boundary
     (constants or callables on (..., 2) point arrays). K is a constant
-    scalar or symmetric positive semi-definite 2x2 tensor.
+    scalar or symmetric positive semi-definite 2x2 tensor. The penalty enforces
+    u_min < u_max with the scale gamma0 in (0, 1), required once a bound is set.
     """
 
     beta: object

@@ -11,7 +11,9 @@ preserved whatever quadrature evaluates them. gamma is element-local,
 
     gamma_T = gamma0 / (|beta|_{inf,T}/h_T + |K|/h_T^2 + |sigma|_{inf,T}),
 
-and must be recomputed whenever the mesh changes.
+and must be recomputed whenever the mesh changes. The bounds u_min, u_max
+and the scale gamma0 are the ProblemSpec's; a PenaltyConfig holds only the
+method choices below, the quadrature variant and the upper-bound sign.
 
 Two quadrature variants back the elementwise pairing:
 
@@ -31,10 +33,10 @@ below u_max; "paper" keeps the plain additive variant.
 Tables. A PenaltyOperator evaluates on one quadrature table and keeps only
 what its residual, adjoint and Jacobian read: A applied to every basis
 function at the points (`A_basis`, (ne, nq, nl)), f and the weights dA at
-the points (ne, nq), the reference basis values (nq, nl) and gamma_T. The
-points, beta and sigma are dropped after construction, and beta.grad phi is
-formed from reference gradients, so no (ne, nq, nl, 2) physical-gradient
-table is ever built.
+the points (ne, nq), the reference basis values (nq, nl), gamma_T and the
+problem's bounds. The points, beta and sigma are dropped after
+construction, and beta.grad phi is formed from reference gradients, so no
+(ne, nq, nl, 2) physical-gradient table is ever built.
 """
 
 from dataclasses import dataclass
@@ -58,37 +60,25 @@ def negative_part(x):
 
 @dataclass
 class PenaltyConfig:
-    """Active bounds, penalty scale, sign convention, quadrature variant."""
+    """Method choices of the penalty: upper-bound sign convention and
+    quadrature variant. The bounds and gamma0 belong to the ProblemSpec."""
 
-    lower: float | None = None
-    upper: float | None = None
-    gamma0: float = 1e-5
     upper_sign: str = "restoring"
     quadrature: str = "gauss"
 
     def __post_init__(self):
-        if self.lower is None and self.upper is None:
-            raise ValueError("penalty requires at least one bound")
-        if not 0.0 < self.gamma0 < 1.0:
-            raise ValueError("gamma0 must lie in (0, 1)")
         if self.upper_sign not in UPPER_SIGNS:
             raise ValueError(f"upper_sign must be one of {UPPER_SIGNS}")
         if self.quadrature not in QUADRATURES:
             raise ValueError(f"quadrature must be one of {QUADRATURES}")
 
-    @classmethod
-    def from_problem(cls, problem, upper_sign="restoring", quadrature="gauss"):
-        return cls(lower=problem.u_min, upper=problem.u_max,
-                   gamma0=problem.gamma0, upper_sign=upper_sign,
-                   quadrature=quadrature)
 
-
-def compute_gammas(problem, mesh, gamma0=None):
-    """Element-local penalty parameters gamma_T > 0 for the whole mesh.
+def compute_gammas(problem, mesh):
+    """Element-local penalty parameters gamma_T > 0 for the whole mesh,
+    scaled by problem.gamma0.
 
     Coefficient sups are sampled at quadrature points and element vertices.
     """
-    gamma0 = problem.gamma0 if gamma0 is None else gamma0
     rule = triangle_rule(4)
     B, b0, _, _ = mesh.affine()
     pts = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
@@ -100,7 +90,7 @@ def compute_gammas(problem, mesh, gamma0=None):
     denom = beta_sup / h + problem.k_max / h ** 2 + sigma_sup
     if np.any(denom <= 0.0):
         raise ValueError("gamma undefined: beta, K, and sigma all vanish on an element")
-    return gamma0 / denom
+    return problem.gamma0 / denom
 
 
 def nodal_rule():
@@ -147,12 +137,15 @@ class PenaltyOperator:
     """
 
     def __init__(self, problem, U_h, V_h, config):
+        if not problem.has_bounds:
+            raise ValueError("penalty requires at least one bound")
         if U_h.mesh is not V_h.mesh:
             raise ValueError("trial and test spaces must share a mesh")
         self.U_h = U_h
         self.V_h = V_h
         self.config = config
-        self.gammas = compute_gammas(problem, U_h.mesh, config.gamma0)
+        self.lower, self.upper = problem.u_min, problem.u_max
+        self.gammas = compute_gammas(problem, U_h.mesh)
         if np.any(self.gammas <= 0.0):
             raise ValueError("gamma_T must be uniformly positive")
         if config.quadrature == "nodal":
@@ -176,13 +169,12 @@ class PenaltyOperator:
         uvals = c @ self.test_vals.T
         s = (self.A_basis @ c[:, :, None])[..., 0] - self.fvals    # A u - f
         g = self.gammas[:, None]
-        cfg = self.config
         terms = []
-        if cfg.lower is not None:
-            terms.append((+1.0, (uvals - cfg.lower) - g * s, +1.0))
-        if cfg.upper is not None:
-            sign = -1.0 if cfg.upper_sign == "restoring" else +1.0
-            terms.append((sign, (cfg.upper - uvals) - g * s, -1.0))
+        if self.lower is not None:
+            terms.append((+1.0, (uvals - self.lower) - g * s, +1.0))
+        if self.upper is not None:
+            sign = -1.0 if self.config.upper_sign == "restoring" else +1.0
+            terms.append((sign, (self.upper - uvals) - g * s, -1.0))
         return terms
 
     def active_count(self, u_coeffs):

@@ -336,7 +336,7 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     if initial is None:
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
-        initial = clip_inset(ops.linear[0][system.nv:], pen_config.lower, pen_config.upper)
+        initial = clip_inset(ops.linear[0][system.nv:], problem.u_min, problem.u_max)
     u = np.asarray(initial, dtype=float)
     x = np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
 

@@ -196,13 +196,12 @@ def penalty_terms(problem, op, u_coeffs):
     uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], ec.vals)
     s = strong_residual(problem, op.U_h, ec, u_coeffs)
     g = op.gammas[:, None]
-    cfg = op.config
     terms = []
-    if cfg.lower is not None:
-        terms.append((+1.0, (uvals - cfg.lower) - g * s, +1.0))
-    if cfg.upper is not None:
-        sign = -1.0 if cfg.upper_sign == "restoring" else +1.0
-        terms.append((sign, (cfg.upper - uvals) - g * s, -1.0))
+    if problem.u_min is not None:
+        terms.append((+1.0, (uvals - problem.u_min) - g * s, +1.0))
+    if problem.u_max is not None:
+        sign = -1.0 if op.config.upper_sign == "restoring" else +1.0
+        terms.append((sign, (problem.u_max - uvals) - g * s, -1.0))
     return terms
 
 

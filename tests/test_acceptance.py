@@ -50,7 +50,7 @@ def case1_run():
     t0 = time.perf_counter()
     ops = build_operators(problem, U, V)
     lin = solve_linear_resmin(problem, U, V, ops=ops)
-    pen = PenaltyConfig.from_problem(problem)
+    pen = PenaltyConfig()
     res = newton_solve(problem, U, V, pen, tol=case.tol, ops=ops)
     elapsed = time.perf_counter() - t0
     return dict(case=case, problem=problem, U=U, V=V, ops=ops, lin=lin,
@@ -62,7 +62,7 @@ def case1_study():
     # penalized and unpenalized solves over four uniformly refined meshes
     case = get_case("case1")
     problem = case.problem()
-    pen = PenaltyConfig.from_problem(problem)
+    pen = PenaltyConfig()
     mesh = case.make_mesh()
     rows = []
     for level in range(4):
@@ -84,7 +84,7 @@ def case1_study():
 def case3_run():
     case = get_case("case3")
     problem = case.problem()
-    pen = PenaltyConfig.from_problem(problem, quadrature=case.penalty_quadrature)
+    pen = PenaltyConfig(quadrature=case.penalty_quadrature)
     t0 = time.perf_counter()
     result = adaptive_solve_loop(
         problem, pen,
@@ -102,7 +102,7 @@ def case2_runs():
     opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
                         max_dofs=case.max_dofs, p=case.p, tol=case.tol)
     t0 = time.perf_counter()
-    pen = adaptive_solve_loop(problem, PenaltyConfig.from_problem(problem),
+    pen = adaptive_solve_loop(problem, PenaltyConfig(),
                               opts, initial_mesh=case.make_mesh())
     unpen = adaptive_solve_loop(problem, None, opts,
                                 initial_mesh=case.make_mesh())
@@ -182,7 +182,7 @@ def test_criterion_5_consistency_reproduction():
     ustar = U.interpolate(lambda x: x[..., 0])
     u_err = np.abs(sol.u - ustar).max()
     eps_norm = vh_norm(sol.eps, sol.ops.G)
-    pen = PenaltyOperator(pr, U, V, PenaltyConfig.from_problem(pr))
+    pen = PenaltyOperator(pr, U, V, PenaltyConfig())
     pen_res = np.abs(pen.residual(ustar)).max()
     ok = u_err <= 1e-10 and eps_norm <= 1e-10 and pen_res <= 1e-12
     report("criterion 5: consistency/reproduction", ok,
@@ -229,7 +229,7 @@ def test_criterion_7_penalty_jacobian_fd():
     V = build_space(mesh, 1, "broken")
     pr = ProblemSpec(beta=(1.0, 0.5), K=0.0, sigma=0.3, f=0.2, g=0.0,
                      u_min=0.0, u_max=1.0, gamma0=1e-2)
-    op = PenaltyOperator(pr, U, V, PenaltyConfig.from_problem(pr))
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     rng = np.random.default_rng(2024)
     worst = 0.0
     checked = 0
@@ -275,7 +275,7 @@ def test_criterion_8_localization_every_level():
     """Sum-of-squares identity holds at every level of a fresh short run."""
     case = get_case("case3")
     problem = case.problem()
-    pen = PenaltyConfig.from_problem(problem, quadrature=case.penalty_quadrature)
+    pen = PenaltyConfig(quadrature=case.penalty_quadrature)
     mesh = case.make_mesh()
     from boundfem.adapt import dorfler_mark
     from boundfem.mesh import bisect_marked

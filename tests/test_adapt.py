@@ -221,7 +221,7 @@ def test_penalized_adaptive_smoke():
     exact = lambda x: 0.5 * (np.tanh((x[..., 1] - x[..., 0] / 3 - 0.25) / 0.05) + 1)
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-4)
-    res = adaptive_solve_loop(pr, PenaltyConfig.from_problem(pr),
+    res = adaptive_solve_loop(pr, PenaltyConfig(),
                               opts=AdaptOptions(max_levels=3),
                               initial_mesh=build_structured_mesh(3, 3))
     assert len(res.records) == 3

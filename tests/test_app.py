@@ -284,6 +284,16 @@ def test_cli_study_with_zero_levels_fails(tmp_path, capsys):
     assert not (tmp_path / "study.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [["--tol", "-1"], ["--levels", "0"],
+                                  ["--theta-mark", "2"], ["--p", "0"]])
+def test_cli_run_rejected_during_solve_leaves_no_out_dir(flag, tmp_path):
+    # the solve checks these settings (--theta-mark only after level 0),
+    # so run_info.txt must wait for it
+    out = tmp_path / "out"
+    assert main(["run", "case3", "--out-dir", str(out)] + flag) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["study", "case1", "--no-penalty"],
                                   ["run", "case1", "--with-penalty"]])
 def test_cli_penalty_flag_of_the_other_command_exits_2(argv, capsys):
@@ -352,6 +362,11 @@ def test_cli_partial_bounds_override_merges_with_case(tmp_path):
     assert rc == 0
     info = (out / "run_info.txt").read_text()
     assert "bounds = (-0.5, 1.0)" in info
+
+
+def test_run_case_partial_bounds_keep_the_case_bound(tmp_path):
+    run_case("case1", lower=-0.5, out_dir=str(tmp_path))
+    assert "bounds = (-0.5, 1.0)" in (tmp_path / "run_info.txt").read_text()
 
 
 def test_case1_penalty_energy_error_ordering():

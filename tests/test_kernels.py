@@ -119,7 +119,7 @@ def test_penalty_keeps_no_gradient_table(p, monkeypatch):
     U = build_space(mesh, p, "continuous")
     monkeypatch.setattr(ElementContext, "grads",
                         property(lambda ec: pytest.fail("physical gradients formed")))
-    op = PenaltyOperator(pr, U, build_space(mesh, p, "broken"), PenaltyConfig.from_problem(pr))
+    op = PenaltyOperator(pr, U, build_space(mesh, p, "broken"), PenaltyConfig())
     kept = list(vars(op).values())
     assert not any(isinstance(v, ElementContext) for v in kept)
     arrays = [v for v in kept if isinstance(v, np.ndarray)]
@@ -166,7 +166,7 @@ def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, upper_sign, tm
     pr = problem(TENSOR_K, u_min=bounds[0], u_max=bounds[1], gamma0=1e-2)
     U = build_space(mesh, p, "continuous")
     V = build_space(mesh, p, "broken")
-    cfg = PenaltyConfig.from_problem(pr, upper_sign=upper_sign, quadrature=quadrature)
+    cfg = PenaltyConfig(upper_sign=upper_sign, quadrature=quadrature)
     op = PenaltyOperator(pr, U, V, cfg)
     rng = np.random.default_rng(3)
     u = rng.uniform(-0.2, 1.2, U.n_dofs)

@@ -27,8 +27,8 @@ def test_negative_part():
 
 def test_gamma_pure_advection_scales_with_h():
     mesh = build_structured_mesh(2, 2)
-    pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
-    g = compute_gammas(pr, mesh, gamma0=1e-5)
+    pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0, gamma0=1e-5)
+    g = compute_gammas(pr, mesh)
     np.testing.assert_allclose(g, 1e-5 * mesh.h_elem, rtol=1e-14)
     # reference value of the formula at h = 0.126
     assert 1e-5 / (1.0 / 0.126) == pytest.approx(1.26e-6)
@@ -36,8 +36,8 @@ def test_gamma_pure_advection_scales_with_h():
 
 def test_gamma_with_diffusion():
     mesh = build_structured_mesh(2, 2)
-    pr = ProblemSpec(beta=(1.0, 0.0), K=1e-3, sigma=0.0, f=0.0, g=0.0)
-    g = compute_gammas(pr, mesh, gamma0=1e-4)
+    pr = ProblemSpec(beta=(1.0, 0.0), K=1e-3, sigma=0.0, f=0.0, g=0.0, gamma0=1e-4)
+    g = compute_gammas(pr, mesh)
     h = mesh.h_elem
     np.testing.assert_allclose(g, 1e-4 / (1.0 / h + 1e-3 / h ** 2), rtol=1e-14)
     # hand value with h = 0.1: 1e-4 / (10 + 0.1)
@@ -46,9 +46,9 @@ def test_gamma_with_diffusion():
 
 def test_gamma_requires_some_coefficient():
     mesh = build_structured_mesh(1, 1)
-    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
+    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0, gamma0=0.5)
     with pytest.raises(ValueError):
-        compute_gammas(pr, mesh, gamma0=0.5)
+        compute_gammas(pr, mesh)
 
 
 def strong_residual_at(problem, space, coeffs, point):
@@ -76,7 +76,7 @@ def test_penalty_residual_zero_at_exact_solution(square_spaces):
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
                      f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
                      u_min=-1.0, u_max=2.0, gamma0=1e-5)
-    op = PenaltyOperator(pr, U, V, PenaltyConfig.from_problem(pr))
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     r = op.residual(U.interpolate(lambda x: x[..., 0]))
     assert np.abs(r).max() <= 1e-12
 
@@ -85,7 +85,7 @@ def test_penalty_residual_zero_when_strictly_feasible(square_spaces):
     U, V = square_spaces
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                      u_min=0.0, gamma0=1e-5)
-    op = PenaltyOperator(pr, U, V, PenaltyConfig(lower=0.0, gamma0=1e-5))
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     assert np.abs(op.residual(U.interpolate(1.0))).max() == 0.0
 
 
@@ -93,10 +93,10 @@ def test_penalty_hand_integral(square_spaces, monkeypatch):
     # u = -c with all operator terms off: residual against v = 1 equals
     # gamma^-1 * (-c) * |Omega|; gammas fixed since all coefficients vanish
     U, V = square_spaces
-    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
-    cfg = PenaltyConfig(lower=0.0, gamma0=0.5)
+    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_min=0.0, gamma0=0.5)
     fix_gammas(monkeypatch, 2.0)
-    op = PenaltyOperator(pr, U, V, cfg)
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     c = 0.75
     r = op.residual(U.interpolate(-c))
     total = np.ones(V.n_dofs) @ r
@@ -105,10 +105,10 @@ def test_penalty_hand_integral(square_spaces, monkeypatch):
 
 def test_penalty_jacobian_examples(square_spaces, monkeypatch):
     U, V = square_spaces
-    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
-    cfg = PenaltyConfig(lower=0.0, gamma0=0.5)
+    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_min=0.0, gamma0=0.5)
     fix_gammas(monkeypatch, 2.0)
-    op = PenaltyOperator(pr, U, V, cfg)
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     # strictly feasible, zero strong residual: indicator 0 everywhere
     assert abs(op.jacobian(U.interpolate(5.0))).max() == 0.0
     # u = -1 activates everything: J = gamma^-1 * mass-type pairing of z vs v
@@ -126,7 +126,7 @@ def test_penalty_jacobian_matches_central_differences(quadrature):
     pr = ProblemSpec(beta=(1.0, 0.5), K=0.0, sigma=0.3, f=0.2, g=0.0,
                      u_min=0.0, u_max=1.0, gamma0=1e-2)
     op = PenaltyOperator(pr, U, V,
-                         PenaltyConfig.from_problem(pr, quadrature=quadrature))
+                         PenaltyConfig(quadrature=quadrature))
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 20:
@@ -148,7 +148,7 @@ def test_penalty_residual_continuous_through_kink(square_spaces):
     U, V = square_spaces
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                      u_min=0.0, gamma0=1e-3)
-    op = PenaltyOperator(pr, U, V, PenaltyConfig(lower=0.0, gamma0=1e-3))
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     base = U.interpolate(0.5)
     values = []
     for t in np.linspace(-1e-6, 1e-6, 9):
@@ -166,7 +166,7 @@ def test_lower_bound_only_pushes_up(square_spaces):
     U, V = square_spaces
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                      u_min=0.0, gamma0=1e-3)
-    op = PenaltyOperator(pr, U, V, PenaltyConfig(lower=0.0, gamma0=1e-3))
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     rng = np.random.default_rng(8)
     for _ in range(10):
         u = rng.uniform(-1.0, 1.0, U.n_dofs)
@@ -177,36 +177,53 @@ def fix_gammas(monkeypatch, value):
     """Give every PenaltyOperator gamma_T = value: these problems' coefficients
     all vanish, so compute_gammas has no gamma_T to give."""
     monkeypatch.setattr(penalty, "compute_gammas",
-                        lambda problem, mesh, gamma0=None: np.full(mesh.n_elements, value))
+                        lambda problem, mesh: np.full(mesh.n_elements, value))
 
 
 def test_upper_sign_conventions(square_spaces, monkeypatch):
     # an overshoot produces a downward force with the restoring convention
     # and an upward one with the verbatim variant
     U, V = square_spaces
-    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
+    pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_max=1.0, gamma0=0.5)
     fix_gammas(monkeypatch, 1.0)
     over = U.interpolate(1.5)  # above the upper bound 1
     ones = np.ones(V.n_dofs)
-    restoring = PenaltyOperator(pr, U, V,
-                                PenaltyConfig(upper=1.0, gamma0=0.5)).residual(over)
-    paper = PenaltyOperator(pr, U, V,
-                            PenaltyConfig(upper=1.0, gamma0=0.5,
-                                          upper_sign="paper")).residual(over)
+    restoring = PenaltyOperator(pr, U, V, PenaltyConfig()).residual(over)
+    paper = PenaltyOperator(pr, U, V, PenaltyConfig(upper_sign="paper")).residual(over)
     assert ones @ restoring > 0.0        # moves the equation toward smaller u
     assert ones @ paper < 0.0
     np.testing.assert_allclose(restoring, -paper, rtol=1e-14)
 
 
+def test_operator_reads_bounds_and_gamma0_from_problem(square_spaces):
+    U, V = square_spaces
+    mesh = U.mesh
+    pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_max=0.8, gamma0=1e-2)
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
+    terms = op._terms(U.interpolate(0.5))
+    assert [(sign, u_coef) for sign, _, u_coef in terms] == [(-1.0, -1.0)]   # upper only
+    np.testing.assert_allclose(terms[0][1], 0.8 - 0.5, rtol=1e-12)     # A u - f = 0
+    np.testing.assert_array_equal(op.gammas, compute_gammas(pr, mesh))
+    unbounded = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0, gamma0=1e-2)
+    with pytest.raises(ValueError, match="at least one bound"):
+        PenaltyOperator(unbounded, U, V, PenaltyConfig())
+
+
 def test_penalty_config_validation():
+    # each rule is checked where it lives: u_min < u_max and gamma0 by the
+    # problem, the method choices by PenaltyConfig
+    with pytest.raises(ValueError, match="u_min must be strictly below u_max"):
+        ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                    u_min=1.0, u_max=0.0, gamma0=1e-3)
+    with pytest.raises(ValueError, match="gamma0"):
+        ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                    u_min=0.0, gamma0=1.5)
     with pytest.raises(ValueError):
-        PenaltyConfig()
+        PenaltyConfig(upper_sign="up")
     with pytest.raises(ValueError):
-        PenaltyConfig(lower=0.0, gamma0=1.5)
-    with pytest.raises(ValueError):
-        PenaltyConfig(lower=0.0, gamma0=1e-3, upper_sign="up")
-    with pytest.raises(ValueError):
-        PenaltyConfig(lower=0.0, gamma0=1e-3, quadrature="lobatto")
+        PenaltyConfig(quadrature="lobatto")
 
 
 def test_nodal_quadrature_requires_p1():
@@ -216,8 +233,7 @@ def test_nodal_quadrature_requires_p1():
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                      u_min=0.0, gamma0=1e-3)
     with pytest.raises(ValueError):
-        PenaltyOperator(pr, U, V, PenaltyConfig(lower=0.0, gamma0=1e-3,
-                                                quadrature="nodal"))
+        PenaltyOperator(pr, U, V, PenaltyConfig(quadrature="nodal"))
 
 
 def test_second_order_term_for_p2():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -115,7 +117,7 @@ def test_newton_trivial_bounds_single_full_step(manufactured):
     prb = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
                       f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
                       u_min=-100.0, u_max=100.0, gamma0=1e-5)
-    cfg = PenaltyConfig.from_problem(prb)
+    cfg = PenaltyConfig()
     res = newton_solve(prb, U, V, cfg, tol=1e-8, initial=np.zeros(U.n_dofs))
     assert res.converged
     assert res.iterations == 1
@@ -134,7 +136,7 @@ def test_newton_residual_zero_at_solution_and_jacobian_symmetric(manufactured):
     prb = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
                       f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
                       u_min=-0.5, u_max=1.5, gamma0=1e-4)
-    cfg = PenaltyConfig.from_problem(prb)
+    cfg = PenaltyConfig()
     ops = build_operators(prb, U, V)
     res = newton_solve(prb, U, V, cfg, tol=1e-10, ops=ops)
     system = NewtonSystem(prb, ops, cfg)
@@ -154,7 +156,7 @@ def test_newton_monotone_accepted_residuals_and_log(tmp_path):
     mesh = build_structured_mesh(6, 6)
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
+    res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
     assert res.converged
     rs = [rec.residual_norm for rec in res.log]
     assert all(a > b for a, b in zip(rs, rs[1:]))
@@ -182,7 +184,7 @@ def test_newton_deterministic():
     V = build_space(mesh, 1, "broken")
     logs = []
     for _ in range(2):
-        res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
+        res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
         logs.append([(r.k, r.residual_norm, r.t, r.zeta, r.increment_norm)
                      for r in res.log])
     assert logs[0] == logs[1]
@@ -197,7 +199,7 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     mesh = build_structured_mesh(5, 5)
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-14)
+    res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-14)
     assert not res.converged
     assert res.reason == "iteration limit reached"
     assert res.u.shape == (U.n_dofs,)
@@ -214,7 +216,7 @@ def test_assemble_newton_system_inactive_penalty_matches_linear(manufactured):
     rng = np.random.default_rng(6)
     eps = 0.01 * rng.standard_normal(V.n_dofs)
     u = rng.uniform(0.0, 1.0, U.n_dofs)
-    system = NewtonSystem(prb, ops, PenaltyConfig.from_problem(prb))
+    system = NewtonSystem(prb, ops, PenaltyConfig())
     r = system.residual(np.concatenate([eps, u]))
     J = _saddle_matrix(ops.G, ops.B + system.pen.jacobian(u))
     expected_top = ops.L - ops.G @ eps - ops.B @ u
@@ -264,7 +266,7 @@ def test_newton_on_flat_clipped_regions_converges():
     mesh = build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0))
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=1e-5)
+    res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
     assert res.converged
 
 
@@ -311,7 +313,7 @@ def test_p2_penalized_newton_runs_and_reports():
     pr, U, V = smooth_spaces(2, nx=3)
     prb = ProblemSpec(beta=pr.beta, K=pr.K, sigma=pr.sigma, f=pr.f, g=pr.g,
                       u_min=0.05, gamma0=1e-4)
-    res = newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), tol=1e-6)
+    res = newton_solve(prb, U, V, PenaltyConfig(), tol=1e-6)
     assert res.reason in ("residual at solver floor", "increment below tolerance",
                           "damping retry cap exceeded", "iteration limit reached")
     assert res.iterations >= 1 and np.all(np.isfinite(res.u))
@@ -348,7 +350,7 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
                       f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0],
                       u_min=0.2, u_max=0.8, gamma0=1e-3)
     ops = build_operators(prb, U, V)
-    system = NewtonSystem(prb, ops, PenaltyConfig.from_problem(prb))
+    system = NewtonSystem(prb, ops, PenaltyConfig())
     rng = np.random.default_rng(11)
     x = np.concatenate([0.01 * rng.standard_normal(V.n_dofs), rng.uniform(0, 1, U.n_dofs)])
     r, Bu = assembled_residual(system, x)
@@ -361,8 +363,9 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_newton_rejects_nonpositive_tol(manufactured, tol):
     pr, U, V = manufactured
+    pr = replace(pr, u_min=0.0, u_max=2.0, gamma0=1e-5)
     with pytest.raises(ValueError, match="tol must be positive"):
-        newton_solve(pr, U, V, PenaltyConfig(lower=0.0, upper=2.0), tol=tol)
+        newton_solve(pr, U, V, PenaltyConfig(), tol=tol)
 
 
 def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
@@ -383,7 +386,7 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
     monkeypatch.setattr(solver, "_factorize",
                         lambda K, symmetric: Perturbed(factorize(K, symmetric)))
     with pytest.raises(SolverBreakdown, match="step solve inaccurate"):
-        newton_solve(prb, U, V, PenaltyConfig.from_problem(prb), initial=np.zeros(U.n_dofs))
+        newton_solve(prb, U, V, PenaltyConfig(), initial=np.zeros(U.n_dofs))
 
 
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
@@ -395,7 +398,7 @@ def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
     mesh = jittered(build_structured_mesh(4, 4), 2)
     U = build_space(mesh, p, "continuous")
     V = build_space(mesh, p, "broken")
-    cfg = PenaltyConfig.from_problem(pr, upper_sign=upper_sign, quadrature=quadrature)
+    cfg = PenaltyConfig(upper_sign=upper_sign, quadrature=quadrature)
     system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
     rng = np.random.default_rng(4)
     x = np.concatenate([rng.standard_normal(V.n_dofs), rng.uniform(-0.2, 1.2, U.n_dofs)])
@@ -431,7 +434,7 @@ def test_trial_points_assemble_no_jacobian(monkeypatch):
     case, pr, U, V = case1_level0()
     calls = []
     count_calls(monkeypatch, calls)
-    res = newton_solve(pr, U, V, PenaltyConfig.from_problem(pr), tol=case.tol)
+    res = newton_solve(pr, U, V, PenaltyConfig(), tol=case.tol)
     assert res.iterations >= 1
     assert calls.count("trial") >= res.iterations
     # one Jacobian per iteration whose iterate is active, right before its
@@ -486,7 +489,7 @@ def inactive_inputs(tmp_path):
 
 def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
     for name, pr, U, V, ops, x in inactive_inputs(tmp_path):
-        system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+        system = NewtonSystem(pr, ops, PenaltyConfig())
         r = system.residual(x)
         u = system.split(x)[1]
         ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(u), r)
@@ -501,7 +504,7 @@ def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
 def test_inactive_step_falls_back_when_check_fails(monkeypatch):
     # a wrong linear solution misses the residual check: the step solves with K
     pr, U, V, ops, x = case1_default_start()
-    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    system = NewtonSystem(pr, ops, PenaltyConfig())
     r = system.residual(x)
     ref, _ = _solve_saddle(ops, ops.B + system.pen.jacobian(system.split(x)[1]), r)
     x_lin, res = ops.linear
@@ -523,7 +526,7 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
     U = build_space(mesh, 1, "continuous")
     V = build_space(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
-    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr, quadrature="nodal"))
+    system = NewtonSystem(pr, ops, PenaltyConfig(quadrature="nodal"))
     corner = np.flatnonzero(np.bincount(U.dofmap.ravel()) == 1)[0]
     for value in (0.0, -0.1):
         u = np.full(U.n_dofs, 0.5)
@@ -542,7 +545,7 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
 def test_case1_active_start_factorizes(monkeypatch):
     # the unclipped linear solution overshoots the bounds: an active start
     pr, U, V, ops, _ = case1_default_start()
-    system = NewtonSystem(pr, ops, PenaltyConfig.from_problem(pr))
+    system = NewtonSystem(pr, ops, PenaltyConfig())
     x_lin = ops.linear[0]
     calls = []
     count_calls(monkeypatch, calls)
@@ -557,7 +560,7 @@ def test_one_linear_solve_per_level(monkeypatch):
     # Each Newton solve factorizes G once for the Riesz solve of its start.
     pr, U, V, _, x = case1_default_start()
     ops = build_operators(pr, U, V)         # fresh: no linear solution yet
-    cfg = PenaltyConfig.from_problem(pr)
+    cfg = PenaltyConfig()
     tol = get_case("case1").tol
     calls = []
     count_calls(monkeypatch, calls)
@@ -584,7 +587,7 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     from boundfem.adapt import prolong
     case = get_case("case2")
     pr = case.problem()
-    cfg = PenaltyConfig.from_problem(pr)
+    cfg = PenaltyConfig()
     mesh0 = case.make_mesh()
     U0 = build_space(mesh0, 1, "continuous")
     res0 = newton_solve(pr, U0, build_space(mesh0, 1, "broken"), cfg, tol=case.tol)
