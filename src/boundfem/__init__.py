@@ -19,7 +19,7 @@ from .penalty import (PenaltyConfig, PenaltyOperator, negative_part,
                       compute_gammas)
 from .solver import (NewtonResult, build_operators, solve_linear_resmin,
                      newton_solve, damped_update, SolverBreakdown)
-from .adapt import (AdaptOptions, AdaptRecord, error_indicators, dorfler_mark,
+from .adapt import (AdaptRecord, error_indicators, dorfler_mark,
                     adaptive_solve_loop, prolong)
 from .report import bound_violation_report, error_norms, cross_section
 from .cases import CASES, get_case

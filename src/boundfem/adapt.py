@@ -14,15 +14,14 @@ linear solution runs too and the level keeps the better of the two.
 Every level builds its spaces, operators and penalty parameters afresh.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .fespace import build_space
 from .forms import gram_blocks
 from .mesh import bisect_marked
-from .report import error_norms, extrema, violations
+from .report import error_norms, extrema, violations, write_csv
 from .solver import build_operators, clip_inset, newton_solve, solve_linear_resmin
 
 
@@ -76,6 +75,7 @@ class AdaptRecord:
     n_elements: int
     dofs_u: int
     dofs_v: int
+    h_max: float
     estimator: float
     err_l2: float | None
     err_vh: float | None
@@ -85,19 +85,9 @@ class AdaptRecord:
     overshoot: float
     newton_iterations: int
     newton_converged: bool
-    h_max: float
     h_min: float
     efficiency: float | None    # estimator / err_vh; None if err_vh is None or 0
     newton_log: list = field(default_factory=list)   # of the solve whose u is recorded
-
-
-@dataclass
-class AdaptOptions:
-    theta_mark: float = 0.5
-    max_levels: int = 20
-    max_dofs: int | None = None          # cap on V_h dofs; level hitting it still solves
-    p: int = 1
-    tol: float = 1e-5                    # Newton increment tolerance
 
 
 @dataclass
@@ -133,26 +123,26 @@ def prolong(u_coeffs, old_space, new_space):
     return out
 
 
-def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
-                        exact=None, exact_grad=None):
-    """Run solve -> estimate -> mark -> refine until a stopping rule fires.
+def adaptive_solve_loop(problem, pen_config, mesh, theta_mark=0.5, max_levels=20,
+                        max_dofs=None, p=1, tol=1e-5, exact=None, exact_grad=None):
+    """Run solve -> estimate -> mark -> refine from `mesh` until a stopping rule fires.
 
     pen_config None runs the linear (unpenalized) solver at every level.
+    `max_dofs` caps the V_h dofs (the level that reaches it still solves);
+    `tol` is the Newton increment tolerance of every level's solve.
     Returns partial records when Newton fails to converge at some level.
     """
-    opts = opts or AdaptOptions()
-    if initial_mesh is None:
-        raise ValueError("an initial mesh is required")
-    if opts.max_levels < 1:
+    if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
+    if not 0.0 < theta_mark <= 1.0:
+        raise ValueError("theta_mark must lie in (0, 1]")
 
-    mesh = initial_mesh
     records = []
     prev = None  # (U_h, u) of the previous level
     stop_reason = "max_levels reached"
-    for level in range(opts.max_levels):
-        U_h = build_space(mesh, opts.p, "continuous")
-        V_h = build_space(mesh, opts.p, "broken")
+    for level in range(max_levels):
+        U_h = build_space(mesh, p, "continuous")
+        V_h = build_space(mesh, p, "broken")
         ops = build_operators(problem, U_h, V_h)
 
         newton_iters = 0
@@ -167,7 +157,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                 initial = clip_inset(prolong(prev[1], prev[0], U_h),
                                      problem.u_min, problem.u_max)
             res = newton_solve(problem, U_h, V_h, pen_config,
-                               tol=opts.tol, initial=initial, ops=ops)
+                               tol=tol, initial=initial, ops=ops)
             newton_iters = res.iterations
             if initial is not None and (pen_config.quadrature == "nodal"
                                         or not res.converged):
@@ -176,8 +166,7 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
                 # keep the converged candidate that violates least (case3
                 # level 8: 7.06e-3 warm, 0.0 cold). A failed warm solve gets
                 # the same second chance.
-                cold = newton_solve(problem, U_h, V_h, pen_config,
-                                    tol=opts.tol, ops=ops)
+                cold = newton_solve(problem, U_h, V_h, pen_config, tol=tol, ops=ops)
                 newton_iters += cold.iterations
                 res = min((res, cold), key=lambda r: (not r.converged, sum(violations(
                     *extrema(U_h, r.u), problem.u_min, problem.u_max))))
@@ -193,22 +182,21 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
         if exact is not None:
             err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad)
         records.append(AdaptRecord(
-            level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, ind.total,
+            level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, mesh.h, ind.total,
             err_l2, err_vh, lo, hi, under, over, newton_iters, converged,
-            h_max=mesh.h, h_min=float(mesh.h_elem.min()),
+            h_min=float(mesh.h_elem.min()),
             efficiency=ind.total / err_vh if err_vh else None,
             newton_log=newton_log))
-        result = AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
 
         if not converged:
             stop_reason = f"newton failed at level {level}"
             break
-        if opts.max_dofs is not None and V_h.n_dofs >= opts.max_dofs:
+        if max_dofs is not None and V_h.n_dofs >= max_dofs:
             stop_reason = "max_dofs reached"
             break
-        if level == opts.max_levels - 1:
+        if level == max_levels - 1:
             break
-        marks = dorfler_mark(ind, opts.theta_mark)
+        marks = dorfler_mark(ind, theta_mark)
         if len(marks) == 0:
             stop_reason = "estimator vanished"
             break
@@ -217,26 +205,11 @@ def adaptive_solve_loop(problem, pen_config, opts=None, initial_mesh=None,
         V_h.contexts.clear()
         mesh = bisect_marked(mesh, marks)
 
-    result.stop_reason = stop_reason
-    return result
+    return AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
 
 
 def write_records_csv(path, records):
-    """Per-level records as CSV; `efficiency` (estimator / err_vh) is empty
-    when there is no exact solution."""
-    cols = ["level", "n_elements", "dofs_u", "dofs_v", "h_max", "estimator",
-            "err_l2", "err_vh", "u_min", "u_max", "undershoot", "overshoot",
-            "newton_iterations", "newton_converged", "h_min", "efficiency"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in records:
-            w.writerow([r.level, r.n_elements, r.dofs_u, r.dofs_v,
-                        repr(float(r.h_max)), repr(float(r.estimator)),
-                        "" if r.err_l2 is None else repr(float(r.err_l2)),
-                        "" if r.err_vh is None else repr(float(r.err_vh)),
-                        repr(float(r.u_min)), repr(float(r.u_max)),
-                        repr(float(r.undershoot)),
-                        repr(float(r.overshoot)), r.newton_iterations,
-                        int(r.newton_converged), repr(float(r.h_min)),
-                        "" if r.efficiency is None else repr(float(r.efficiency))])
+    """Per-level records as CSV, one column per field but the Newton log;
+    `efficiency` (estimator / err_vh) is empty when there is no exact solution."""
+    cols = [f.name for f in fields(AdaptRecord) if f.name != "newton_log"]
+    write_csv(path, cols, ([getattr(r, c) for c in cols] for r in records))

@@ -14,21 +14,20 @@ Every run writes its artifacts into a per-case output directory:
     study.csv            error table with least-squares slopes (studies)
 """
 
-import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .adapt import AdaptOptions, adaptive_solve_loop, write_records_csv
-from .cases import case_exact, get_case
+from .adapt import adaptive_solve_loop, write_records_csv
+from .cases import get_case
 from .fespace import DiscreteFunction, build_space
 from .forms import vh_norm
 from .mesh import refine_uniform_red
 from .penalty import PenaltyConfig
 from .report import (bound_violation_report, cross_section, error_norms,
-                     write_cross_section_csv)
+                     write_cross_section_csv, write_csv)
 from .solver import build_operators, newton_solve, solve_linear_resmin, \
     write_iteration_log
 from .vtkio import export_vtk
@@ -37,6 +36,8 @@ from .vtkio import export_vtk
 def _setup(name, with_penalty, overrides):
     """The case with its overrides, its problem, and its penalty (None if unpenalized)."""
     case = get_case(name).with_overrides(**overrides)
+    if not case.tol > 0.0:      # linear runs never reach newton_solve's check
+        raise ValueError(f"tol must be positive, got {case.tol!r}")
     problem = case.problem()
     pen = None
     if with_penalty and problem.has_bounds:
@@ -45,11 +46,10 @@ def _setup(name, with_penalty, overrides):
 
 
 def _adaptive(case, problem, pen):
-    opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                        max_dofs=case.max_dofs, p=case.p, tol=case.tol)
-    exact, exact_grad = case_exact(case)
-    return adaptive_solve_loop(problem, pen, opts, initial_mesh=case.make_mesh(),
-                               exact=exact, exact_grad=exact_grad)
+    return adaptive_solve_loop(
+        problem, pen, case.make_mesh(), theta_mark=case.theta_mark,
+        max_levels=case.levels, max_dofs=case.max_dofs, p=case.p, tol=case.tol,
+        exact=case.exact, exact_grad=case.exact_grad)
 
 
 def _solve_uniform(case, problem, pen, mesh):
@@ -69,8 +69,7 @@ def _write_run_info(path, case, problem, extra):
         fh.write(f"boundfem {__version__}\n")
         fh.write(f"case = {case.name} ({case.title})\n")
         for key in ("mode", "p", "gamma0", "tol", "levels", "max_dofs",
-                    "theta_mark", "penalty_quadrature", "upper_sign",
-                    "layer_scaling"):
+                    "theta_mark", "penalty_quadrature", "upper_sign"):
             fh.write(f"{key} = {getattr(case, key)}\n")
         fh.write(f"bounds = {(case.lower, case.upper)}\n")
         fh.write(f"K = {problem.K_mat.tolist()}\n")
@@ -93,11 +92,11 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     """Execute a case's designated pipeline and write its artifacts.
 
     Overrides accept the CaseDefinition field names (gamma0, lower, upper,
-    tol, p, levels, theta_mark, upper_sign, layer_scaling, ...); a bound
-    left unset keeps the case's value. Uniform cases solve once, on the
-    initial mesh; `levels` applies to adaptive runs (and to
-    `convergence_study`). `seed` is recorded for reproducibility; the solver
-    itself is deterministic. The artifacts are written only after the solve.
+    tol, p, levels, theta_mark, upper_sign, ...); a bound left unset keeps
+    the case's value. Uniform cases solve once, on the initial mesh;
+    `levels` applies to adaptive runs (and to `convergence_study`). `seed` is
+    recorded for reproducibility; the solver itself is deterministic. The
+    artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
     newton_log = []
@@ -190,13 +189,13 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
     else:
         if case.levels < 1:
             raise ValueError("levels must be at least 1")
-        exact, exact_grad = case_exact(case)
         mesh = case.make_mesh()
         for level in range(case.levels):
             U_h, V_h, sol, _ = _solve_uniform(case, problem, pen, mesh)
             err_l2 = err_vh = None
-            if exact is not None:
-                err_l2, err_vh = error_norms(problem, U_h, sol.u, exact, exact_grad)
+            if case.exact is not None:
+                err_l2, err_vh = error_norms(problem, U_h, sol.u, case.exact,
+                                             case.exact_grad)
             under = over = 0.0
             if problem.has_bounds:
                 rep = bound_violation_report(DiscreteFunction(U_h, sol.u),
@@ -229,18 +228,8 @@ def _slope(dofs, errs):
 
 
 def write_study_csv(path, study):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "h", "dofs_u", "dofs_v", "err_l2", "err_vh",
-                    "estimator", "undershoot", "overshoot"])
-        for r in study.rows:
-            w.writerow([r.level, repr(float(r.h)), r.dofs_u, r.dofs_v,
-                        "" if r.err_l2 is None else repr(float(r.err_l2)),
-                        "" if r.err_vh is None else repr(float(r.err_vh)),
-                        repr(float(r.estimator)), repr(float(r.undershoot)),
-                        repr(float(r.overshoot))])
-        w.writerow([])
-        w.writerow(["slope_l2_vs_sqrt_dofs",
-                    "" if study.slope_l2 is None else repr(study.slope_l2)])
-        w.writerow(["slope_vh_vs_sqrt_dofs",
-                    "" if study.slope_vh is None else repr(study.slope_vh)])
+    cols = [f.name for f in fields(StudyRow)]
+    rows = [[getattr(r, c) for c in cols] for r in study.rows]
+    rows += [[], ["slope_l2_vs_sqrt_dofs", study.slope_l2],
+             ["slope_vh_vs_sqrt_dofs", study.slope_vh]]
+    write_csv(path, cols, rows)

@@ -11,10 +11,10 @@
             x = 0; adaptive runs from the 4x4 mesh with gamma0 = 1e-4 and
             the nodal penalty quadrature.
 
-The inlet ramps of case2/case3 use tanh((s - 0.35)/eps) by default (an inner
-layer of width eps between 0.35 and 0.65 along the inflow segment);
-layer_scaling="shallow" keeps the nearly flat tanh(eps (s - 0.35)) variant.
-The segment coordinate s runs from the rotation center down the inflow edge.
+The inlet profile of case2/case3 rises as 0.5 (1 + tanh((s - 0.35)/eps)) and
+falls as 0.5 (1 + tanh((0.65 - s)/eps)), switching at s = 0.5: a plateau near
+one between two inner layers of width eps = 0.01. The segment coordinate s
+runs from the rotation center down the inflow edge.
 """
 
 from dataclasses import dataclass, replace
@@ -44,7 +44,6 @@ class CaseDefinition:
     theta_mark: float = 0.5
     penalty_quadrature: str = "gauss"
     upper_sign: str = "restoring"
-    layer_scaling: str = "sharp"             # "sharp" or "shallow" (verbatim formula)
     cross_section: tuple | None = None
     lower: float | None = None
     upper: float | None = None
@@ -111,57 +110,38 @@ def _rot_beta(x):
     return np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
 
-def _inlet_profile(s, scaling):
-    if scaling == "shallow":
-        up = 0.5 * (1.0 + np.tanh(LAYER_EPS * (s - 0.35)))
-        down = 0.5 * (1.0 + np.tanh(LAYER_EPS * (0.65 - s)))
-    else:
-        up = 0.5 * (1.0 + np.tanh((s - 0.35) / LAYER_EPS))
-        down = 0.5 * (1.0 + np.tanh((0.65 - s) / LAYER_EPS))
+def _inlet_profile(s):
+    up = 0.5 * (1.0 + np.tanh((s - 0.35) / LAYER_EPS))
+    down = 0.5 * (1.0 + np.tanh((0.65 - s) / LAYER_EPS))
     return np.where(s < 0.5, up, down)
 
 
-def _rot_g(scaling):
-    def g(x):
-        s = -x[..., 1]          # along-edge coordinate on the lower-left inflow edge
-        prof = _inlet_profile(s, scaling)
-        on_inlet = (np.abs(x[..., 0]) < 1e-12) & (x[..., 1] < 0.0)
-        return np.where(on_inlet, prof, 0.0)
-
-    return g
+def _rot_g(x):
+    s = -x[..., 1]          # along-edge coordinate on the lower-left inflow edge
+    on_inlet = (np.abs(x[..., 0]) < 1e-12) & (x[..., 1] < 0.0)
+    return np.where(on_inlet, _inlet_profile(s), 0.0)
 
 
-def _rot_exact(scaling):
+def _rot_exact(x):
     # pure advection transports the inlet profile along circles around the
     # rotation center; radii above 1 are fed by homogeneous inflow data
-    def u(x):
-        r = np.hypot(x[..., 0], x[..., 1])
-        return np.where(r < 1.0, _inlet_profile(r, scaling), 0.0)
-
-    return u
+    r = np.hypot(x[..., 0], x[..., 1])
+    return np.where(r < 1.0, _inlet_profile(r), 0.0)
 
 
-def _rot_exact_grad(scaling):
-    def du(x):
-        r = np.hypot(x[..., 0], x[..., 1])
-        rs = np.maximum(r, 1e-30)
-        if scaling == "shallow":
-            d_up = 0.5 * LAYER_EPS / np.cosh(LAYER_EPS * (r - 0.35)) ** 2
-            d_down = -0.5 * LAYER_EPS / np.cosh(LAYER_EPS * (0.65 - r)) ** 2
-        else:
-            d_up = 0.5 / (np.cosh((r - 0.35) / LAYER_EPS) ** 2 * LAYER_EPS)
-            d_down = -0.5 / (np.cosh((0.65 - r) / LAYER_EPS) ** 2 * LAYER_EPS)
-        dr = np.where(r < 0.5, d_up, d_down)
-        dr = np.where(r < 1.0, dr, 0.0)
-        return dr[..., None] * np.stack([x[..., 0] / rs, x[..., 1] / rs], axis=-1)
-
-    return du
+def _rot_exact_grad(x):
+    r = np.hypot(x[..., 0], x[..., 1])
+    rs = np.maximum(r, 1e-30)
+    d_up = 0.5 / (np.cosh((r - 0.35) / LAYER_EPS) ** 2 * LAYER_EPS)
+    d_down = -0.5 / (np.cosh((0.65 - r) / LAYER_EPS) ** 2 * LAYER_EPS)
+    dr = np.where(r < 0.5, d_up, d_down)
+    dr = np.where(r < 1.0, dr, 0.0)
+    return dr[..., None] * np.stack([x[..., 0] / rs, x[..., 1] / rs], axis=-1)
 
 
 def _case2_problem(case, K=0.0):
-    return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0,
-                       g=_rot_g(case.layer_scaling), u_min=case.lower,
-                       u_max=case.upper, gamma0=case.gamma0)
+    return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0, g=_rot_g,
+                       u_min=case.lower, u_max=case.upper, gamma0=case.gamma0)
 
 
 CASES = {
@@ -197,7 +177,8 @@ CASES = {
         make_problem=lambda case: _case2_problem(case, K=0.0),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0)),
-        exact=None,      # case_exact() supplies it; depends on layer_scaling
+        exact=_rot_exact,
+        exact_grad=_rot_exact_grad,
         gamma0=1e-5,
         tol=1e-5,
         levels=60,
@@ -228,13 +209,3 @@ def get_case(name):
         known = ", ".join(sorted(CASES))
         raise KeyError(f"unknown case {name!r}; available cases: {known}") from None
 
-
-def case_exact(case):
-    """Exact solution and gradient for a case, honoring its layer scaling.
-
-    case2 has an exact pure-advection solution; case3 (with diffusion) does
-    not, and returns (None, None).
-    """
-    if case.name == "case2":
-        return _rot_exact(case.layer_scaling), _rot_exact_grad(case.layer_scaling)
-    return case.exact, case.exact_grad

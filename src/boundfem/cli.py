@@ -25,7 +25,6 @@ CONFIG_KEYS = {
     "p": ("p", int),
     "levels": ("levels", int),
     "theta_mark": ("theta_mark", float),
-    "layer_scaling": ("layer_scaling", str),
 }
 
 
@@ -68,8 +67,6 @@ def make_parser():
     common.add_argument("--theta-mark", type=float, help="bulk-marking fraction")
     common.add_argument("--upper-sign", choices=("restoring", "paper"),
                         help="sign convention of the upper-bound term")
-    common.add_argument("--layer-scaling", choices=("sharp", "shallow"),
-                        help="inlet tanh scaling for case2/case3")
     common.add_argument("--out-dir", help="artifact output directory")
 
     run = sub.add_parser("run", parents=[common], help="run one case end to end")

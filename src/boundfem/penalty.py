@@ -18,9 +18,7 @@ method choices below, the quadrature variant and the upper-bound sign.
 Two quadrature variants back the elementwise pairing:
 
 * "gauss" (default): an interior Gauss rule. The enforcement acts through
-  element integrals; violations at nodes typically end up well below the
-  consistency slack gamma*|A u - f| because neighboring active regions
-  push collectively.
+  element integrals.
 * "nodal" (p = 1): the vertex rule (mass-lumped pairing). Affine functions
   attain extrema at vertices, so this enforces the bound exactly where the
   discrete solution can violate it and gives the Newton iteration a crisp,

@@ -109,9 +109,24 @@ def cross_section(u, p_start, p_end, n=1001):
 
 def write_cross_section_csv(path, s, pts, *named_values):
     """CSV with columns s, x, y and one column per (name, values) pair."""
+    write_csv(path, ["s", "x", "y"] + [name for name, _ in named_values],
+              zip(s, pts[:, 0], pts[:, 1], *(v for _, v in named_values)))
+
+
+def write_csv(path, header, rows):
+    """The one artifact CSV format: None is an empty cell, a bool is 0 or 1, a
+    float is its round-tripping repr, and any other value is written as is."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["s", "x", "y"] + [name for name, _ in named_values])
-        for i in range(len(s)):
-            w.writerow([repr(float(s[i])), repr(float(pts[i, 0])), repr(float(pts[i, 1]))]
-                       + [repr(float(v[i])) for _, v in named_values])
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return v

@@ -71,9 +71,8 @@ Two orderings, fixed here and not configurable (`_factorize`):
   no benchmark workload has p >= 2, and a tier-1 test bounds the case1 fill.
 """
 
-import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,6 +81,7 @@ import scipy.sparse.linalg as spla
 from .fespace import trial_to_test_embedding
 from .forms import assemble_bh, assemble_gram, assemble_load, assemble_mass
 from .penalty import PenaltyOperator
+from .report import write_csv
 
 RESIDUAL_FLOOR = 1e-12
 SOLVE_RTOL = 1e-8       # a direct solve with a larger relative residual is a breakdown
@@ -379,12 +379,9 @@ def write_iteration_log(path, log, levels=None):
     `levels`, when given, holds each record's refinement level and is written
     as a leading `level` column.
     """
-    cols = ["k", "residual_norm", "t", "zeta", "increment_norm", "retries", "active"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols if levels is None else ["level"] + cols)
-        for i, rec in enumerate(log):
-            row = [rec.k, repr(float(rec.residual_norm)), repr(float(rec.t)),
-                   repr(float(rec.zeta)), repr(float(rec.increment_norm)), rec.retries,
-                   rec.active]
-            w.writerow(row if levels is None else [levels[i]] + row)
+    cols = [f.name for f in fields(IterationRecord)]
+    rows = [[getattr(rec, c) for c in cols] for rec in log]
+    if levels is not None:
+        cols = ["level"] + cols
+        rows = [[level] + row for level, row in zip(levels, rows)]
+    write_csv(path, cols, rows)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from boundfem.adapt import AdaptOptions, adaptive_solve_loop, error_indicators
+from boundfem.adapt import adaptive_solve_loop, error_indicators
 from boundfem.app import convergence_study
 from boundfem.cases import get_case
 from boundfem.fespace import DiscreteFunction, build_space
@@ -87,10 +87,8 @@ def case3_run():
     pen = PenaltyConfig(quadrature=case.penalty_quadrature)
     t0 = time.perf_counter()
     result = adaptive_solve_loop(
-        problem, pen,
-        AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                     p=case.p, tol=case.tol),
-        initial_mesh=case.make_mesh())
+        problem, pen, case.make_mesh(), theta_mark=case.theta_mark,
+        max_levels=case.levels, p=case.p, tol=case.tol)
     elapsed = time.perf_counter() - t0
     return dict(case=case, problem=problem, result=result, elapsed=elapsed)
 
@@ -99,13 +97,11 @@ def case3_run():
 def case2_runs():
     case = get_case("case2")
     problem = case.problem()
-    opts = AdaptOptions(theta_mark=case.theta_mark, max_levels=case.levels,
-                        max_dofs=case.max_dofs, p=case.p, tol=case.tol)
+    settings = dict(theta_mark=case.theta_mark, max_levels=case.levels,
+                    max_dofs=case.max_dofs, p=case.p, tol=case.tol)
     t0 = time.perf_counter()
-    pen = adaptive_solve_loop(problem, PenaltyConfig(),
-                              opts, initial_mesh=case.make_mesh())
-    unpen = adaptive_solve_loop(problem, None, opts,
-                                initial_mesh=case.make_mesh())
+    pen = adaptive_solve_loop(problem, PenaltyConfig(), case.make_mesh(), **settings)
+    unpen = adaptive_solve_loop(problem, None, case.make_mesh(), **settings)
     elapsed = time.perf_counter() - t0
     return dict(case=case, pen=pen, unpen=unpen, elapsed=elapsed)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundfem.adapt import (AdaptOptions, ErrorIndicators, adaptive_solve_loop,
+from boundfem.adapt import (ErrorIndicators, adaptive_solve_loop,
                             dorfler_mark, error_indicators, prolong,
                             write_records_csv)
 from boundfem.fespace import DiscreteFunction, build_space
@@ -142,8 +142,7 @@ def test_dorfler_minimality_and_fraction():
 
 def test_zero_data_loop_exits_converged():
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.0)
-    res = adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=5),
-                              initial_mesh=build_structured_mesh(2, 2))
+    res = adaptive_solve_loop(pr, None, build_structured_mesh(2, 2), max_levels=5)
     assert len(res.records) == 1
     assert res.stop_reason == "estimator vanished"
     assert res.records[0].estimator == 0.0
@@ -153,14 +152,12 @@ def test_zero_data_loop_exits_converged():
 def test_loop_rejects_fewer_than_one_level(max_levels):
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.0)
     with pytest.raises(ValueError, match="max_levels must be at least 1"):
-        adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=max_levels),
-                            initial_mesh=build_structured_mesh(2, 2))
+        adaptive_solve_loop(pr, None, build_structured_mesh(2, 2), max_levels=max_levels)
 
 
 def test_smooth_adaptive_run_properties(tmp_path):
     pr, uex, gex = smooth_problem()
-    res = adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=8),
-                              initial_mesh=build_structured_mesh(4, 4),
+    res = adaptive_solve_loop(pr, None, build_structured_mesh(4, 4), max_levels=8,
                               exact=uex, exact_grad=gex)
     assert len(res.records) == 8
     ests = [r.estimator for r in res.records]
@@ -182,8 +179,7 @@ def test_smooth_adaptive_run_properties(tmp_path):
     # bisection halves the smallest elements: h_min shrinks, h_max need not
     assert res.records[-1].h_min < res.records[0].h_min
     # no exact solution: the efficiency column is empty
-    unknown = adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=1),
-                                  initial_mesh=build_structured_mesh(4, 4))
+    unknown = adaptive_solve_loop(pr, None, build_structured_mesh(4, 4), max_levels=1)
     assert unknown.records[0].efficiency is None
     write_records_csv(path, unknown.records)
     assert path.read_text().splitlines()[1].endswith(",")
@@ -221,9 +217,8 @@ def test_penalized_adaptive_smoke():
     exact = lambda x: 0.5 * (np.tanh((x[..., 1] - x[..., 0] / 3 - 0.25) / 0.05) + 1)
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-4)
-    res = adaptive_solve_loop(pr, PenaltyConfig(),
-                              opts=AdaptOptions(max_levels=3),
-                              initial_mesh=build_structured_mesh(3, 3))
+    res = adaptive_solve_loop(pr, PenaltyConfig(), build_structured_mesh(3, 3),
+                              max_levels=3)
     assert len(res.records) == 3
     assert all(r.newton_converged for r in res.records)
     assert all(r.undershoot >= 0 and r.overshoot >= 0 for r in res.records)
@@ -260,8 +255,7 @@ def test_operators_and_indicators_share_contexts(monkeypatch):
 def test_one_adaptive_level_builds_each_context_once(monkeypatch):
     pr, uex, gex = smooth_problem()
     built = count_context_builds(monkeypatch)
-    adaptive_solve_loop(pr, None, opts=AdaptOptions(max_levels=1),
-                        initial_mesh=build_structured_mesh(3, 3),
+    adaptive_solve_loop(pr, None, build_structured_mesh(3, 3), max_levels=1,
                         exact=uex, exact_grad=gex)
     assert len(built) == len(set(built))
     # interior and boundary faces of V_h, and error_norms' boundary faces of U_h

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from boundfem.app import convergence_study, run_case
-from boundfem.cases import CASES, case_exact, get_case
+from boundfem.cases import CASES, get_case
 from boundfem.cli import main, read_config
 from boundfem.fespace import DiscreteFunction, build_space
 from boundfem.mesh import build_structured_mesh
-from boundfem.report import bound_violation_report, cross_section
+from boundfem.report import bound_violation_report, cross_section, write_csv
 from boundfem.vtkio import export_vtk
 
 
@@ -66,14 +66,10 @@ def test_case2_inlet_profile_and_exact_solution():
     # zero on the bottom inflow edge
     assert pr2.g_fn(np.array([[0.5, -1.0]]))[0] == 0.0
     # exact solution transports the profile along circles
-    uex, _ = case_exact(c2)
+    uex = c2.exact
     mid = uex(np.array([[0.5 / np.sqrt(2), 0.5 / np.sqrt(2)]]))[0]
     assert mid == pytest.approx(1.0, abs=1e-6)
     assert uex(np.array([[0.9, 0.9]]))[0] == 0.0   # radius > 1
-    # the shallow (verbatim) scaling stays near one half on the inlet
-    shallow = c2.with_overrides(layer_scaling="shallow").problem()
-    gs = shallow.g_fn(edge(s))
-    assert np.all(np.abs(gs - 0.5) < 0.01)
 
 
 def test_violation_report_arithmetic():
@@ -285,10 +281,11 @@ def test_cli_study_with_zero_levels_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--levels", "0"],
-                                  ["--theta-mark", "2"], ["--p", "0"]])
+                                  ["--theta-mark", "2"], ["--p", "0"],
+                                  ["--levels", "1", "--theta-mark", "2"]])
 def test_cli_run_rejected_during_solve_leaves_no_out_dir(flag, tmp_path):
-    # the solve checks these settings (--theta-mark only after level 0),
-    # so run_info.txt must wait for it
+    # the setup or the solve checks these settings (--theta-mark before
+    # level 0, so also in a one-level run), so run_info.txt must wait for it
     out = tmp_path / "out"
     assert main(["run", "case3", "--out-dir", str(out)] + flag) == 2
     assert not out.exists()
@@ -339,8 +336,24 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["-1", "0"])
 def test_cli_nonpositive_tol_exits_2(tol, tmp_path, capsys):
-    assert main(["run", "case1", "--tol", tol, "--out-dir", str(tmp_path / "run")]) == 2
-    assert "tol must be positive" in capsys.readouterr().err
+    # linear runs and studies never reach newton_solve's own check
+    for argv in (["run", "case1"], ["run", "smooth"], ["run", "case1", "--no-penalty"],
+                 ["study", "smooth", "--levels", "1"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--tol", tol, "--out-dir", str(out)]) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_write_csv_cell_rules(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b", "c"],
+              [[None, True, False], [0.1 + 0.2, np.float64(1 / 3), np.int64(7)], []])
+    lines = path.read_text().splitlines()
+    # None is empty, bools are 0/1, floats keep every digit, ints stay ints,
+    # and an empty row (the study CSV's separator) is an empty line
+    assert lines == ["a,b,c", ",1,0", "0.30000000000000004,0.3333333333333333,7", ""]
+    assert float(lines[2].split(",")[0]) == 0.1 + 0.2
 
 
 def test_study_csv_deterministic(tmp_path):
