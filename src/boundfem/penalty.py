@@ -35,6 +35,17 @@ the points (ne, nq), the reference basis values (nq, nl), gamma_T and the
 problem's bounds. The points, beta and sigma are dropped after
 construction, and beta.grad phi is formed from reference gradients, so no
 (ne, nq, nl, 2) physical-gradient table is ever built.
+
+One kernel (`_assemble`) forms P(u) and dP(u)'eps from the bound arguments
+on a given set of elements: an element whose arguments are all positive
+adds exact zeros, so only the active ones are passed. At an iterate
+(`residual_and_adjoint`) these are the elements active at u. Along a Newton
+step u + t du every argument is affine in t, so `line` tabulates each
+bound's argument and slope, and eps and its slope at the points, once per
+step and on the elements active at t = 0 or t = 1 only, the only ones that
+can be active on the segment; a damping trial
+(`residual_and_adjoint_on_line`) then takes one axpy per bound there and
+assembles on the elements active at t.
 """
 
 from dataclasses import dataclass
@@ -157,15 +168,19 @@ class PenaltyOperator:
         self.dA = ec.dA
         self.inv_gamma = 1.0 / self.gammas
 
+    def _values(self, u_coeffs):
+        """u and A u at the quadrature points, (ne, nq) each."""
+        c = np.asarray(u_coeffs, dtype=float)[self.U_h.dofmap]
+        return c @ self.test_vals.T, (self.A_basis @ c[:, :, None])[..., 0]
+
     def _terms(self, u_coeffs):
         """Per-bound tuples (sign, arg, u_coef) at the quadrature points.
 
         The residual contributes sign * gamma^-1 * [arg]_- against v, and
         d(arg)[z] = u_coef * z - gamma * A z.
         """
-        c = np.asarray(u_coeffs, dtype=float)[self.U_h.dofmap]
-        uvals = c @ self.test_vals.T
-        s = (self.A_basis @ c[:, :, None])[..., 0] - self.fvals    # A u - f
+        uvals, Au = self._values(u_coeffs)
+        s = Au - self.fvals                                          # A u - f
         g = self.gammas[:, None]
         terms = []
         if self.lower is not None:
@@ -185,40 +200,87 @@ class PenaltyOperator:
 
     def residual(self, u_coeffs):
         """Assembled penalty residual over V_h dofs."""
-        return self._residual(self._terms(u_coeffs))
+        return self.residual_and_adjoint(u_coeffs, np.zeros(self.V_h.n_dofs))[0]
 
-    def _residual(self, terms):
-        xi = sum(sign * negative_part(arg) for sign, arg, _ in terms)
-        local = (self.dA * self.inv_gamma[:, None] * xi) @ self.test_vals
-        return np.bincount(self.V_h.dofmap.ravel(), local.ravel(), minlength=self.V_h.n_dofs)
-
-    def _weights(self, terms):
-        """Sums over bounds of w = sign dA gamma^-1 ind and of u_coef * w.
+    def _weights(self, terms, dA_g):
+        """Sums over bounds of w = sign dA gamma^-1 ind and of u_coef * w,
+        with dA_g = dA gamma^-1 on the terms' elements.
 
         ind = (1 - sgn(arg))/2 is the kink subgradient, 1/2 at the kink.
         """
-        w_sum = np.zeros_like(self.dA)
-        w_coef = np.zeros_like(self.dA)
+        w_sum = np.zeros_like(dA_g)
+        w_coef = np.zeros_like(dA_g)
         for sign, arg, u_coef in terms:
-            w = sign * self.dA * self.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg))
+            w = sign * dA_g * 0.5 * (1.0 - np.sign(arg))
             w_sum += w
             w_coef += u_coef * w
         return w_sum, w_coef
 
-    def residual_and_adjoint(self, u_coeffs, eps):
-        """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling dP(u).
+    def _assemble(self, elems, terms, eps_q):
+        """P(u) over V_h dofs and dP(u)' eps over U_h dofs from the bound
+        arguments `terms` and eps at the points `eps_q`, both given on the
+        elements `elems` only; every other element must be inactive, and
+        adds exact zeros to both.
 
         Per element, dP(u)' eps = sum_q eps(q) (w_coef phi - w_sum gamma A phi)
         with `_weights`' sums, the transpose of `jacobian`'s blocks.
         """
-        terms = self._terms(u_coeffs)
-        eps_q = eps[self.V_h.dofmap] @ self.test_vals.T       # eps at the points
-        w_sum, w_coef = self._weights(terms)
+        dA_g = self.dA[elems] * self.inv_gamma[elems, None]
+        xi = sum(sign * negative_part(arg) for sign, arg, _ in terms)
+        local = (dA_g * xi) @ self.test_vals
+        P = np.bincount(self.V_h.dofmap[elems].ravel(), local.ravel(),
+                        minlength=self.V_h.n_dofs)
+        w_sum, w_coef = self._weights(terms, dA_g)
         local = (w_coef * eps_q) @ self.test_vals
-        local -= self.gammas[:, None] * ((w_sum * eps_q)[:, None, :] @ self.A_basis)[:, 0]
-        adjoint = np.bincount(self.U_h.dofmap.ravel(), local.ravel(),
+        local -= self.gammas[elems, None] * (
+            (w_sum * eps_q)[:, None, :] @ self.A_basis[elems])[:, 0]
+        adjoint = np.bincount(self.U_h.dofmap[elems].ravel(), local.ravel(),
                               minlength=self.U_h.n_dofs)
-        return self._residual(terms), adjoint
+        return P, adjoint
+
+    def _at_points(self, v, elems):
+        """The V_h function v at the quadrature points of `elems`."""
+        return v[self.V_h.dofmap[elems]] @ self.test_vals.T
+
+    def residual_and_adjoint(self, u_coeffs, eps):
+        """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling
+        dP(u), evaluated on the active elements only."""
+        terms = self._terms(u_coeffs)
+        elems = _active_elements(arg for _, arg, _ in terms)
+        return self._assemble(elems, [(sign, arg[elems], u_coef) for sign, arg, u_coef in terms],
+                              self._at_points(eps, elems))
+
+    def line(self, u, du, eps, d_eps):
+        """Tables of P and dP(.)' eps along (u + t du, eps + t d_eps), t in [0, 1].
+
+        Every bound argument is affine in u, so on the segment it is
+        arg + t darg with darg = u_coef du - gamma A du. An element whose
+        arguments are all positive at t = 0 and at t = 1 is inactive on the
+        whole segment; the tables keep only the other elements: their
+        indices `elems`, per bound (sign, arg, darg, u_coef), and eps and
+        d_eps at their points.
+        """
+        terms = self._terms(u)
+        duvals, dAu = self._values(du)
+        g = self.gammas[:, None]
+        slopes = [u_coef * duvals - g * dAu for _, _, u_coef in terms]
+        elems = _active_elements([arg for _, arg, _ in terms]
+                                 + [arg + darg for (_, arg, _), darg in zip(terms, slopes)])
+        return (elems,
+                [(sign, arg[elems], darg[elems], u_coef)
+                 for (sign, arg, u_coef), darg in zip(terms, slopes)],
+                self._at_points(eps, elems), self._at_points(d_eps, elems))
+
+    def residual_and_adjoint_on_line(self, line, t):
+        """`residual_and_adjoint` at the point t in (0, 1] of a `line`,
+        evaluated on the elements active at t."""
+        elems, bounds, eps_q, deps_q = line
+        args = [arg + t * darg for _, arg, darg, _ in bounds]
+        act = _active_elements(args)
+        return self._assemble(elems[act],
+                              [(sign, arg[act], u_coef)
+                               for (sign, _, _, u_coef), arg in zip(bounds, args)],
+                              eps_q[act] + t * deps_q[act])
 
     def jacobian(self, u_coeffs):
         """Assembled Gateaux derivative as a sparse V_h x U_h matrix: the
@@ -227,9 +289,15 @@ class PenaltyOperator:
         The kink subgradient uses sgn(0) = 0, i.e. indicator 1/2 exactly at
         the kink.
         """
-        w_sum, w_coef = self._weights(self._terms(u_coeffs))
+        w_sum, w_coef = self._weights(self._terms(u_coeffs), self.dA * self.inv_gamma[:, None])
         phi = self.test_vals
         blocks = phi.T @ (w_coef[:, :, None] * phi)
         blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.A_basis))
         return _block_diagonal(blocks) @ gather_matrix(self.U_h)
 
+
+def _active_elements(args):
+    """Indices of the elements with some argument <= 0 (or NaN) among the
+    (ne, nq) arrays `args`."""
+    positive = np.logical_and.reduce([arg > 0.0 for arg in args])
+    return np.flatnonzero(~positive.all(axis=1))

@@ -205,6 +205,44 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     assert res.u.shape == (U.n_dofs,)
 
 
+def test_error_in_trial_propagates(monkeypatch):
+    # only the retry cap is reported as a result; any other RuntimeError
+    # raised while a trial is evaluated leaves newton_solve
+    case, pr, U, V = case1_level0()
+
+    def failing(self, line, t):
+        raise RuntimeError("trial evaluation failed")
+
+    monkeypatch.setattr(NewtonSystem, "residual_norm", failing)
+    with pytest.raises(RuntimeError, match="trial evaluation failed"):
+        newton_solve(pr, U, V, PenaltyConfig(), tol=case.tol)
+
+
+@pytest.mark.parametrize("name", ["case1", "case3"])
+def test_newton_history_independent_of_trial_evaluation(name, monkeypatch):
+    # trials from the line tables and trials from the full residual at
+    # x + t dx take the same decisions: equal logs, bitwise-equal u and eps
+    case = get_case(name)
+    pr = case.problem()
+    mesh = case.make_mesh()
+    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    cfg = PenaltyConfig(case.upper_sign, case.penalty_quadrature)
+    assert cfg.quadrature == {"case1": "gauss", "case3": "nodal"}[name]
+    runs = []
+    for full in (False, True):
+        with monkeypatch.context() as m:
+            if full:
+                m.setattr(NewtonSystem, "residual_norm", lambda self, line, t:
+                          np.linalg.norm(self.residual(line.x + t * line.dx)))
+            runs.append(newton_solve(pr, U, V, cfg, tol=case.tol))
+    lined, full = runs
+    assert sum(rec.retries for rec in lined.log) >= 1
+    assert [(r.t, r.zeta, r.retries, r.residual_norm, r.active) for r in lined.log] == \
+        [(r.t, r.zeta, r.retries, r.residual_norm, r.active) for r in full.log]
+    assert lined.reason == full.reason
+    assert np.array_equal(lined.u, full.u) and np.array_equal(lined.eps, full.eps)
+
+
 def test_assemble_newton_system_inactive_penalty_matches_linear(manufactured):
     # bounds far away: B_u equals the linear form and the residual is the
     # linear block residual
@@ -389,10 +427,9 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
         newton_solve(prb, U, V, PenaltyConfig(), initial=np.zeros(U.n_dofs))
 
 
-@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
-@pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
-def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
+def penalized_system(p, quadrature, bounds, upper_sign, seed):
+    """A NewtonSystem on a jittered mesh, and a random iterate maker whose
+    iterates straddle the bounds."""
     pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
                      u_min=bounds[0], u_max=bounds[1], gamma0=1e-3)
     mesh = jittered(build_structured_mesh(4, 4), 2)
@@ -400,13 +437,41 @@ def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
     V = build_space(mesh, p, "broken")
     cfg = PenaltyConfig(upper_sign=upper_sign, quadrature=quadrature)
     system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
-    rng = np.random.default_rng(4)
-    x = np.concatenate([rng.standard_normal(V.n_dofs), rng.uniform(-0.2, 1.2, U.n_dofs)])
+    rng = np.random.default_rng(seed)
+    return system, lambda: np.concatenate([rng.standard_normal(V.n_dofs),
+                                           rng.uniform(-0.2, 1.2, U.n_dofs)])
+
+
+@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
+@pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
+@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
+def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
+    system, iterate = penalized_system(p, quadrature, bounds, upper_sign, 4)
+    x = iterate()
     r, Bu = assembled_residual(system, x)
     assert abs(Bu - system.ops.B).max() > 0.0    # the penalty is active
     np.testing.assert_allclose(system.residual(x), r, rtol=0, atol=1e-13 * np.abs(r).max())
     ref = np.linalg.norm(r)
-    assert abs(system.residual_norm(x) - ref) <= 1e-13 * ref
+    assert abs(system.residual_norm(system.line(np.zeros_like(x), x), 1.0) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
+@pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
+@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
+def test_line_residual_norm_matches_full_residual(p, quadrature, bounds, upper_sign):
+    # a step between two random iterates, along which the active set changes
+    system, iterate = penalized_system(p, quadrature, bounds, upper_sign, 5)
+    x = iterate()
+    line = system.line(x, iterate() - x)
+    actives = [system.pen.active_count(system.split(x + t * line.dx)[1])
+               for t in (0.0, 0.5, 1.0)]
+    assert len(set(actives)) == 3
+    for t in (1.0, 0.5, 1e-3, 1e-8):
+        ref = np.linalg.norm(system.residual(x + t * line.dx))
+        assert abs(system.residual_norm(line, t) - ref) <= 1e-13 * ref, t
+    for t in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            system.residual_norm(line, t)
 
 
 def count_calls(monkeypatch, calls):
@@ -421,7 +486,7 @@ def count_calls(monkeypatch, calls):
                         lambda K, symmetric: calls.append("LU") or factorize(K, symmetric))
     residual_norm = NewtonSystem.residual_norm
     monkeypatch.setattr(NewtonSystem, "residual_norm",
-                        lambda self, x: calls.append("trial") or residual_norm(self, x))
+                        lambda self, line, t: calls.append("trial") or residual_norm(self, line, t))
 
 
 def case1_level0():
@@ -496,9 +561,9 @@ def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
         calls = []
         with monkeypatch.context() as m:
             count_calls(m, calls)
-            dx, active = _newton_step(system, x, r)
+            line, active = _newton_step(system, x, r)
         assert active == 0 and calls == [], name
-        assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref), name
+        assert np.linalg.norm(line.dx - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
 def test_inactive_step_falls_back_when_check_fails(monkeypatch):
@@ -511,9 +576,9 @@ def test_inactive_step_falls_back_when_check_fails(monkeypatch):
     ops.linear = (2.0 * x_lin, res)
     calls = []
     count_calls(monkeypatch, calls)
-    dx, active = _newton_step(system, x, r)
+    line, active = _newton_step(system, x, r)
     assert active == 0 and calls == ["LU"]       # K, with no all-zero dP(u)
-    assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(line.dx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_kink_and_active_iterates_factorize(monkeypatch):
@@ -599,9 +664,9 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     steps, calls = [], []
 
     def recorded(system, x, r):
-        dx, active = newton_step(system, x, r)
-        steps.append((system, x, r, dx))
-        return dx, active
+        line, active = newton_step(system, x, r)
+        steps.append((system, x, r, line.dx))
+        return line, active
 
     with monkeypatch.context() as m:
         count_calls(m, calls)
