@@ -98,7 +98,6 @@ class AdaptResult:
     V_h: object
     u: np.ndarray
     eps: np.ndarray
-    indicators: ErrorIndicators
     stop_reason: str
 
 
@@ -201,11 +200,9 @@ def adaptive_solve_loop(problem, pen_config, mesh, theta_mark=0.5, max_levels=20
             stop_reason = "estimator vanished"
             break
         prev = (U_h, u)
-        # the shared quadrature/geometry tables die with their level
-        V_h.contexts.clear()
         mesh = bisect_marked(mesh, marks)
 
-    return AdaptResult(records, mesh, U_h, V_h, u, eps, ind, stop_reason)
+    return AdaptResult(records, mesh, U_h, V_h, u, eps, stop_reason)
 
 
 def write_records_csv(path, records):

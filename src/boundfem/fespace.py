@@ -118,9 +118,8 @@ class FunctionSpace:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
         self._node_coords = None
-        # quadrature/geometry tables by kind, shared by every space of this
-        # mesh and polynomial degree; see forms.volume_context
-        self.contexts = mesh.contexts.setdefault(self.p, {})
+        # quadrature/geometry tables, kept by forms._contexts/_block_pattern
+        self.contexts = {}
 
     def node_coords(self):
         """Physical coordinates of every global dof (nodal bases only)."""

@@ -136,7 +136,7 @@ class ElementContext:
     """Per-element quadrature table: physical points, weights, basis traces.
 
     All arrays are read-only, because the volume context is shared by every
-    caller on its space (see `volume_context`). The physical gradients
+    caller on its space (see `_contexts`). The physical gradients
     `grads` (ne, nq, nl, 2) are formed on first use from the reference
     gradients `gref` (nq, nl, 2); tables that only need beta.grad (the
     penalty's) contract beta with Binv instead and never form them.
@@ -190,23 +190,16 @@ class FaceContext:
         _freeze(self.qp, self.w)
 
 
-def volume_context(space):
-    """The degree-(2p+2) ElementContext of `space`, built once and kept on the space."""
-    if "element" not in space.contexts:
-        space.contexts["element"] = ElementContext(space, 2 * space.p + 2)
-    return space.contexts["element"]
-
-
 def _contexts(space):
-    """(element, interior-face, boundary-face) contexts of `space`, built once.
-
-    Faces use the degree-(2p+3) edge rule.
+    """(element, interior-face, boundary-face) contexts of `space`, built once
+    and kept on it; elements use the degree-(2p+2) rule, faces degree 2p+3.
     """
-    if "faces" not in space.contexts:
-        degree = 2 * space.p + 3
-        space.contexts["faces"] = (FaceContext(space, "interior", degree),
-                                   FaceContext(space, "boundary", degree))
-    return (volume_context(space), *space.contexts["faces"])
+    if "tables" not in space.contexts:
+        q = 2 * space.p + 2
+        space.contexts["tables"] = (ElementContext(space, q),
+                                    FaceContext(space, "interior", q + 1),
+                                    FaceContext(space, "boundary", q + 1))
+    return space.contexts["tables"]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,8 @@ Conventions
   from its low to its high vertex is i, and p - 2 - i when it runs from high
   to low. For p = 1 the dofmap is `elements`.
 * Meshes are immutable after construction; refinement returns a new mesh
-  carrying `parent_mesh` / `parent_elements` provenance.
+  carrying `parent_mesh` / `parent_elements` provenance. The parent is held
+  weakly, so no mesh keeps its ancestors alive.
 
 The plain-text exchange format (see `write_mesh` / `read_mesh`):
 
@@ -36,6 +37,8 @@ The plain-text exchange format (see `write_mesh` / `read_mesh`):
     x y            (one line per vertex)
     a b c          (one line per element, 0-based vertex indices)
 """
+
+import weakref
 
 import numpy as np
 
@@ -72,7 +75,7 @@ class Mesh:
         self.elements = elements
         self.edges = edges
         self.elem2edge = elem2edge
-        self.parent_mesh = parent_mesh
+        self._parent = None if parent_mesh is None else weakref.ref(parent_mesh)
         self.parent_elements = parent_elements
 
         p0 = vertices[elements[:, 0]]
@@ -88,11 +91,14 @@ class Mesh:
         self._build_faces()
         self._affine_cache = None
         self._locator = None
-        self.contexts = {}      # quadrature tables of the spaces on this mesh, by degree p
         _freeze(self.vertices, self.elements, self.edges, self.elem2edge,
                 self.element_area, self.h_elem)
 
     # ------------------------------------------------------------------
+    @property
+    def parent_mesh(self):
+        return None if self._parent is None else self._parent()
+
     @property
     def n_vertices(self):
         return len(self.vertices)

@@ -388,29 +388,30 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     zeta = 0.0
     r = system.residual(x)
     rnorm = np.linalg.norm(r)
+    converged, reason = False, "iteration limit reached"
     for k in range(MAX_ITER):
         if rnorm <= floor:
-            eps, u = system.split(x)
-            return NewtonResult(u, eps, True, "residual at solver floor", log, ops)
+            converged, reason = True, "residual at solver floor"
+            break
         line, active = _newton_step(system, x, r)
         try:
             x_new, _, t, zeta, retries = damped_update(
                 x, line.dx, rnorm, zeta, functools.partial(system.residual_norm, line))
         except _RetryCapExceeded:
-            eps, u = system.split(x)
-            return NewtonResult(u, eps, False, "damping retry cap exceeded", log, ops)
+            reason = "damping retry cap exceeded"
+            break
         del line        # its tables would outlive the next step's factorization
         du = system.split(x_new)[1] - system.split(x)[1]
         inc = float(np.sqrt(max(du @ (ops.M_u @ du), 0.0)))
         log.append(IterationRecord(k, rnorm, t, zeta, inc, retries, active))
         x = x_new
         if inc < tol:
-            eps, u = system.split(x)
-            return NewtonResult(u, eps, True, "increment below tolerance", log, ops)
+            converged, reason = True, "increment below tolerance"
+            break
         r = system.residual(x)
         rnorm = np.linalg.norm(r)
     eps, u = system.split(x)
-    return NewtonResult(u, eps, False, "iteration limit reached", log, ops)
+    return NewtonResult(u, eps, converged, reason, log, ops)
 
 
 def write_iteration_log(path, log, levels=None):

@@ -12,10 +12,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from boundfem.forms import (THETA, ElementContext, FaceContext, _contexts,
-                            _norm_face_weight, gram_blocks, sipg_eta, volume_context)
+                            _norm_face_weight, gram_blocks, sipg_eta)
 from boundfem.fields import scalar_field, vector_field
 from boundfem.mesh import char_tolerance
 from boundfem.penalty import nodal_rule
+from boundfem.quadrature import triangle_rule
 
 
 class _Accumulator:
@@ -241,8 +242,8 @@ def penalty_adjoint(problem, op, u_coeffs, eps):
 
 
 def extrema(space, coeffs):
-    ec = volume_context(space)
-    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ec.vals)
+    ref_vals, _ = space.basis.eval(triangle_rule(2 * space.p + 2).points)
+    vals = np.einsum("el,ql->eq", coeffs[space.dofmap], ref_vals)
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,27 @@ def test_prolong_is_exact_for_coarse_functions():
     np.testing.assert_allclose(f_fine(pts), f_coarse(pts), atol=1e-12)
 
 
+def test_prolong_rejects_a_mesh_refined_from_another_mesh():
+    mesh = build_structured_mesh(3, 3)
+    U = build_space(mesh, 1, "continuous")
+    c = np.zeros(U.n_dofs)
+    twin = build_structured_mesh(3, 3)       # equal to mesh, but not mesh
+    for fine_mesh in (bisect_marked(twin, [0, 4, 7]),
+                      bisect_marked(build_structured_mesh(3, 3), [0])):    # parent gone
+        with pytest.raises(ValueError, match="does not descend"):
+            prolong(c, U, build_space(fine_mesh, 1, "continuous"))
+
+
+def test_adaptive_loop_keeps_no_ancestor_mesh_alive():
+    pr, _, _ = smooth_problem()
+    mesh = build_structured_mesh(3, 3)
+    initial = weakref.ref(mesh)
+    res = adaptive_solve_loop(pr, None, mesh, max_levels=4)
+    del mesh
+    assert len(res.records) == 4
+    assert initial() is None
+
+
 def test_penalized_adaptive_smoke():
     # a tiny bounded run: records carry newton counts and violations
     exact = lambda x: 0.5 * (np.tanh((x[..., 1] - x[..., 0] / 3 - 0.25) / 0.05) + 1)
@@ -260,5 +283,15 @@ def test_one_adaptive_level_builds_each_context_once(monkeypatch):
     assert len(built) == len(set(built))
     # interior and boundary faces of V_h, and error_norms' boundary faces of U_h
     assert sum(kind == "FaceContext" for kind, *_ in built) == 3
-    # the volume table, shared by V_h's forms and U_h's extrema, and error_norms'
+    # V_h's volume table and error_norms'; extrema tabulates only the reference rule
     assert sum(kind == "ElementContext" for kind, *_ in built) == 2
+
+
+def test_penalized_case1_study_builds_four_element_contexts_per_level(monkeypatch):
+    from boundfem.app import convergence_study
+    built = count_context_builds(monkeypatch)
+    study = convergence_study("case1", with_penalty=True)
+    # V_h's volume table, the trial mass matrix's, the penalty's and
+    # error_norms'; extrema tabulates the reference rule and builds none
+    assert len(study.rows) == 4
+    assert sum(kind == "ElementContext" for kind, *_ in built) == 16

@@ -231,6 +231,24 @@ def test_adaptive_run_with_zero_levels_raises():
         run_case("case3", levels=0)
 
 
+def test_run_case_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'uniform' or 'adaptive'"):
+        run_case("case2", mode="adaptiv")
+
+
+def test_convergence_study_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'uniform' or 'adaptive'"):
+        convergence_study("case2", mode="adaptiv", levels=2)
+
+
+def test_adaptive_run_info_records_the_stop_reason(tmp_path):
+    run_case("case3", out_dir=str(tmp_path / "adaptive"), with_penalty=False, levels=2)
+    run_case("smooth", out_dir=str(tmp_path / "uniform"))
+    info = (tmp_path / "adaptive" / "run_info.txt").read_text().splitlines()
+    assert info[-1] == "stop_reason = max_levels reached"
+    assert "stop_reason" not in (tmp_path / "uniform" / "run_info.txt").read_text()
+
+
 def test_penalized_uniform_run_writes_iteration_log(tmp_path):
     out = tmp_path / "pen"
     result = run_case("case1", out_dir=str(out))

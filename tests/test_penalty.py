@@ -51,6 +51,18 @@ def test_gamma_requires_some_coefficient():
         compute_gammas(pr, mesh)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gamma_rejects_a_nonfinite_coefficient(square_spaces, bad):
+    """A beta that is NaN or infinite on some elements has no gamma_T there."""
+    beta = lambda x: np.where(x[..., :1] > 0.5, bad, 1.0) * np.ones(2)
+    pr = ProblemSpec(beta=beta, K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_min=0.0, u_max=1.0, gamma0=0.5)
+    with pytest.raises(ValueError, match="gamma undefined"):
+        compute_gammas(pr, square_spaces[0].mesh)
+    with pytest.raises(ValueError, match="gamma undefined"):
+        PenaltyOperator(pr, *square_spaces, PenaltyConfig())
+
+
 def strong_residual_at(problem, space, coeffs, point):
     """A(u_h) - f at one reference point of every element, via _strong_tables."""
     rule = QuadratureRule("triangle", 0, [point], [0.5])
