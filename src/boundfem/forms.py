@@ -24,21 +24,27 @@ inflow/outflow classification).
 Matrices are scipy CSR; rows follow the broken element-major dof order,
 loads are plain numpy arrays over the same dofs.
 
-Kernel convention, shared by `penalty`, `report`, `adapt`, `fespace` and
-`mesh`: sums over quadrature points are batched matrix products a^T (w b)
-(a 2-D GEMM on a reshaped view where one factor is shared by all elements);
-per-element 2x2 maps and dot products over a length-2 axis are two-term
-broadcasts (`_matmul2`, `_dot2`); products with the constant K are one GEMM
-on the (..., 2) rows; scatters into global vectors are `np.bincount`. No
-kernel goes through einsum. Matrices are summed as element-pair blocks, with
-no COO triplets: V_h x V_h operators are block-sparse over element adjacency
-(`_block_pattern`), and each group of local blocks is added straight into
-the block data (`_block_matrix`), which is converted to CSR once.
+Reference tensors. Maps are affine and K is constant, so no kernel forms a
+physical basis-gradient table. Mass blocks are det B M^ and diffusion blocks
+det B sum_ab (Binv K Binv^T)_ab R_ab, one 4-column GEMM on the tensors R_ab =
+sum_q w_q d_a phi_i d_b phi_j of the rule (`ElementContext`). Other gradients
+contract Binv with the coefficient: v.grad phi = (Binv v).grad_ref phi for
+beta (`_beta_grad`, shared with the penalty) and K n (`_flux_traces`).
+
+Kernels, shared by `penalty`, `report`, `adapt`, `fespace` and `mesh`: sums
+over quadrature points are batched matrix products a^T (w b) (a 2-D GEMM on
+a reshaped view where one factor is shared by all elements); per-element
+2x2 maps at the points are batched matmuls; dot products over a length-2
+axis are two-term broadcasts (`_dot2`); scatters into global vectors are
+`np.bincount`. No kernel goes through einsum. Matrices are summed as
+element-pair blocks, with no COO triplets: V_h x V_h operators are
+block-sparse over element adjacency (`_block_pattern`), and each group of
+local blocks is added straight into the block data (`_block_matrix`), which
+is converted to CSR once.
 Block-diagonal operators (the mass, the penalty Jacobian) gather a
 continuous space through its one-hot dofmap matrix (`fespace.gather_matrix`).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,56 +122,43 @@ def sipg_eta(p, d, K, h_F):
 # Shared geometry/trace tables
 # ----------------------------------------------------------------------
 
-def _matmul2(a, b):
-    """a @ b over a contracted axis of length 2, e.g. gradients times Jacobians.
-
-    A two-term broadcast product: with a per-element 2x2 factor such as the
-    inverse Jacobians it is several times faster than the equivalent einsum
-    or batched matmul. A constant factor such as K is faster as one GEMM on
-    the (..., 2) rows.
-    """
-    return a[..., 0, None] * b[..., 0, :] + a[..., 1, None] * b[..., 1, :]
-
-
 def _dot2(a, b):
     """Broadcast dot product over a trailing axis of length 2, e.g. beta.grad v."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 class ElementContext:
-    """Per-element quadrature table: physical points, weights, basis traces.
-
-    All arrays are read-only, because the volume context is shared by every
-    caller on its space (see `_contexts`). The physical gradients
-    `grads` (ne, nq, nl, 2) are formed on first use from the reference
-    gradients `gref` (nq, nl, 2); tables that only need beta.grad (the
-    penalty's) contract beta with Binv instead and never form them.
+    """Per-element quadrature table of a space (read-only, shared by every
+    caller on the space; see `_contexts`): points `qp` and weights `dA`
+    (ne, nq), basis values `vals` (nq, nl) and reference gradients `gref`
+    (nq, nl, 2), the mesh's `detB` and `Binv`, and the reference `mass`
+    (nl, nl) and `stiffness` (4, nl nl), R_ab at row 2a + b.
     """
 
     def __init__(self, space, degree, rule=None):
         mesh = space.mesh
         rule = triangle_rule(degree) if rule is None else rule
-        B, b0, detB, Binv = mesh.affine()
+        B, b0, self.detB, self.Binv = mesh.affine()
         self.rule = rule
         self.qp = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
-        self.dA = rule.weights[None, :] * detB[:, None]
+        self.dA = rule.weights[None, :] * self.detB[:, None]
         self.vals, self.gref = space.basis.eval(rule.points)   # (nq, nl), (nq, nl, 2)
-        self.Binv = Binv
-        _freeze(self.qp, self.dA, self.vals, self.gref)
-
-    @functools.cached_property
-    def grads(self):
-        """Physical basis gradients (ne, nq, nl, 2), formed on first use."""
-        return _freeze(_matmul2(self.gref, self.Binv[:, None, None]))[0]
+        nl = self.vals.shape[1]
+        g = self.gref.transpose(2, 1, 0).reshape(2 * nl, -1)   # rows (a, i)
+        self.mass = self.vals.T @ (rule.weights[:, None] * self.vals)
+        R = ((g * rule.weights) @ g.T).reshape(2, nl, 2, nl)
+        self.stiffness = R.swapaxes(1, 2).reshape(4, nl * nl)
+        _freeze(self.qp, self.dA, self.vals, self.gref, self.mass, self.stiffness)
 
 
 class FaceContext:
     """Quadrature points and basis traces on the "interior" or the "boundary"
     faces of a space's mesh (read-only).
 
-    `sides` holds (elements, values (nf, nq, nl), gradients (nf, nq, nl, 2))
-    for [minus, plus], or for the boundary element, gathered from the
-    reference-edge tables by each side's local edge (see the module notes).
+    `sides` holds (elements, values (nf, nq, nl), edge codes (nf,)) for
+    [minus, plus], or for the boundary element. The code (local edge k, or
+    k + 3 reversed) picks a side's rows of the reference-edge tables: values
+    (see the module notes) and the gradients `gref` (6, nq, nl, 2).
     """
 
     def __init__(self, space, faces, degree):
@@ -180,14 +173,27 @@ class FaceContext:
         p0, p1 = mesh.vertices[vertices.T]
         self.qp = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
         self.w = rule.weights[None, :] * h[:, None]
-        vals, gref = space.basis.edge_traces(rule.points)
-        _, _, _, Binv = mesh.affine()
-        self.sides = []
-        for reverse, (elems, edges) in enumerate(sides):
-            code = edges + 3 * reverse
-            grads = _matmul2(gref[code], Binv[elems][:, None, None])
-            self.sides.append((elems, *_freeze(vals[code], grads)))
-        _freeze(self.qp, self.w)
+        vals, self.gref = space.basis.edge_traces(rule.points)
+        _, _, _, self.Binv = mesh.affine()
+        codes = [(elems, edges + 3 * reverse) for reverse, (elems, edges) in enumerate(sides)]
+        self.sides = [(elems, *_freeze(vals[code], code)) for elems, code in codes]
+        _freeze(self.qp, self.w, self.gref)
+
+
+def _beta_grad(problem, ec):
+    """beta.grad phi = (Binv beta).grad_ref phi at ec's points, (ne, nq, nl):
+    one (ne, 2) x (2, nl) product per point."""
+    bref = problem.beta_fn(ec.qp) @ ec.Binv.swapaxes(1, 2)
+    out = np.empty(bref.shape[:2] + ec.vals.shape[1:])
+    np.matmul(bref.swapaxes(0, 1), ec.gref.swapaxes(1, 2), out=out.swapaxes(0, 1))
+    return out
+
+
+def _flux_traces(fc, side, Kn):
+    """K grad phi.n = grad_ref phi.(Binv K n) on one side of fc, (nf, nq, nl),
+    from the faces' K n (nf, 2)."""
+    elems, _, code = side
+    return _dot2(fc.gref[code], _dot2(fc.Binv[elems], Kn[:, None])[:, None, None])
 
 
 def _contexts(space):
@@ -285,12 +291,11 @@ def _face_data(problem, ctx, normals):
 
 
 def _diffusion_blocks(ec, K):
-    """Element blocks (K grad phi_j, grad phi_i): one product over (q, d) rows."""
-    ne, nq, nl, _ = ec.grads.shape
-    g = ec.grads.swapaxes(2, 3).reshape(ne, 2 * nq, nl)
-    Kg = (ec.grads.reshape(-1, 2) @ K.T).reshape(ec.grads.shape)
-    Kg = Kg.swapaxes(2, 3).reshape(ne, 2 * nq, nl)
-    return g.swapaxes(1, 2) @ (np.repeat(ec.dA[:, :, None], 2, axis=1) * Kg)
+    """Element blocks (K grad phi_j, grad phi_i) = det B sum_ab (Binv K Binv^T)_ab R_ab,
+    one GEMM with the reference tensors R (`ElementContext.stiffness`)."""
+    nl = ec.vals.shape[1]
+    coef = ec.detB[:, None] * (ec.Binv @ K @ ec.Binv.swapaxes(1, 2)).reshape(-1, 4)
+    return (coef @ ec.stiffness).reshape(-1, nl, nl)
 
 
 def _boundary_traces(problem, V_h, fb):
@@ -299,8 +304,8 @@ def _boundary_traces(problem, V_h, fb):
     mesh = V_h.mesh
     bn, inflow = _face_data(problem, fb, mesh.bface_normals)
     eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
-    (eb, vb, gb), = fb.sides
-    Kn = _dot2(gb, (mesh.bface_normals @ problem.K_mat)[:, None, None])
+    (eb, vb, _), = fb.sides
+    Kn = _flux_traces(fb, fb.sides[0], mesh.bface_normals @ problem.K_mat)
     test = THETA * Kn + (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
     return eb, vb, Kn, test
 
@@ -319,7 +324,7 @@ def assemble_bh(problem, V_h):
     ec, fi, fb = _contexts(V_h)
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
-    adv = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
+    adv = _beta_grad(problem, ec)
     adv += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
     element = _diffusion_blocks(ec, problem.K_mat)
     element += ec.vals.T @ (ec.dA[:, :, None] * adv)
@@ -330,10 +335,10 @@ def assemble_bh(problem, V_h):
     if len(mesh.iface_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
-        (_, vm, gm), (_, vp, gp) = fi.sides
-        Kn = (mesh.iface_normals @ problem.K_mat)[:, None, None]
+        (_, vm, _), (_, vp, _) = fi.sides
+        Kn = mesh.iface_normals @ problem.K_mat
         jump = np.concatenate([vm, -vp], axis=-1)
-        avg = 0.5 * np.concatenate([_dot2(gm, Kn), _dot2(gp, Kn)], axis=-1)
+        avg = 0.5 * np.concatenate([_flux_traces(fi, side, Kn) for side in fi.sides], axis=-1)
         P = THETA * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
         P -= 0.5 * bn[:, :, None] * np.concatenate([vm, vp], axis=-1)
         w = fi.w[:, :, None]
@@ -368,10 +373,9 @@ def gram_blocks(problem, V_h):
     """
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h)
-    dA = ec.dA[:, :, None]
-    bg = _dot2(problem.beta_fn(ec.qp)[:, :, None], ec.grads)
-    blocks = ec.vals.T @ (dA * ec.vals)
-    blocks += bg.swapaxes(1, 2) @ (mesh.h_elem[:, None, None] * dA * bg)
+    bg = _beta_grad(problem, ec)
+    blocks = ec.detB[:, None, None] * ec.mass
+    blocks += bg.swapaxes(1, 2) @ (mesh.h_elem[:, None, None] * ec.dA[:, :, None] * bg)
     blocks += _diffusion_blocks(ec, problem.K_mat)
     groups = [(np.arange(mesh.n_elements)[:, None], blocks)]
 
@@ -419,7 +423,7 @@ def assemble_mass(space):
     reads it.
     """
     ec = ElementContext(space, 2 * space.p)
-    M = _block_diagonal(ec.vals.T @ (ec.dA[:, :, None] * ec.vals))
+    M = _block_diagonal(ec.detB[:, None, None] * ec.mass)
     if space.continuity == BROKEN:
         return M
     S = gather_matrix(space)

@@ -33,8 +33,9 @@ what its residual, adjoint and Jacobian read: A applied to every basis
 function at the points (`A_basis`, (ne, nq, nl)), f and the weights dA at
 the points (ne, nq), the reference basis values (nq, nl), gamma_T and the
 problem's bounds. The points, beta and sigma are dropped after
-construction, and beta.grad phi is formed from reference gradients, so no
-(ne, nq, nl, 2) physical-gradient table is ever built.
+construction; beta.grad phi comes from `forms._beta_grad`, so no (ne, nq,
+nl, 2) physical-gradient table is built. A Newton iterate's residual, active
+count, line and Jacobian share one evaluation of its bound arguments.
 
 One kernel (`_assemble`) forms P(u) and dP(u)'eps from the bound arguments
 on a given set of elements: an element whose arguments are all positive
@@ -54,7 +55,7 @@ import numpy as np
 
 from .quadrature import QuadratureRule, triangle_rule
 from .fespace import gather_matrix
-from .forms import ElementContext, _block_diagonal, _dot2
+from .forms import ElementContext, _beta_grad, _block_diagonal
 
 UPPER_SIGNS = ("restoring", "paper")
 QUADRATURES = ("gauss", "nodal")
@@ -114,13 +115,11 @@ def _strong_tables(problem, space, ec):
     quadrature points of the ElementContext `ec`, (ne, nq, nl), and f there,
     (ne, nq), so that A(u) - f = A_basis u_T - fvals.
 
-    beta.grad phi is formed as (Binv beta).grad_ref phi, so no
-    physical-gradient table is built. For p = 1 the second-order term
+    beta.grad phi comes from `forms._beta_grad`. For p = 1 the second-order term
     vanishes identically (K is constant per problem) and is skipped; for
     p >= 2 it uses elementwise basis Hessians.
     """
-    bref = _dot2(ec.Binv[:, None], problem.beta_fn(ec.qp)[:, :, None])   # (ne, nq, 2)
-    A_basis = _dot2(bref[:, :, None], ec.gref)
+    A_basis = _beta_grad(problem, ec)
     A_basis += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
     if space.p >= 2 and problem.k_max > 0.0:
         A_basis -= _div_K_grad_basis(problem, space, ec)
@@ -165,6 +164,7 @@ class PenaltyOperator:
         self.test_vals = ec.vals          # same reference basis for U_h and V_h
         self.dA = ec.dA
         self.inv_gamma = 1.0 / self.gammas
+        self._last = None               # (u, terms) of the last `_terms` call
 
     def _values(self, u_coeffs):
         """u and A u at the quadrature points, (ne, nq) each."""
@@ -175,9 +175,13 @@ class PenaltyOperator:
         """Per-bound tuples (sign, arg, u_coef) at the quadrature points.
 
         The residual contributes sign * gamma^-1 * [arg]_- against v, and
-        d(arg)[z] = u_coef * z - gamma * A z.
+        d(arg)[z] = u_coef * z - gamma * A z. The last u's terms are kept for
+        the next call at the same u; callers only read them.
         """
-        uvals, Au = self._values(u_coeffs)
+        u = np.asarray(u_coeffs, dtype=float)
+        if self._last is not None and np.array_equal(self._last[0], u):
+            return self._last[1]
+        uvals, Au = self._values(u)
         s = Au - self.fvals                                          # A u - f
         g = self.gammas[:, None]
         terms = []
@@ -186,6 +190,7 @@ class PenaltyOperator:
         if self.upper is not None:
             sign = -1.0 if self.config.upper_sign == "restoring" else +1.0
             terms.append((sign, (self.upper - uvals) - g * s, -1.0))
+        self._last = (u.copy(), terms)
         return terms
 
     def active_count(self, u_coeffs):

@@ -65,7 +65,8 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     The dG norm needs the exact gradient; without it only the L2 error is
     returned (err_vh None). The trial solution is continuous, so interior
     jump terms vanish and only volume and boundary terms contribute. The
-    degree-(2p+4) tables are built here and not kept on the space.
+    degree-(2p+4) tables are built here and not kept on the space; grad u_h
+    is Binv^T (c.grad_ref phi), so no basis-gradient table is formed.
     """
     mesh = U_h.mesh
     degree = 2 * U_h.p + 4
@@ -79,7 +80,8 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
         return err_l2, None
 
     exact_grad = vector_field(exact_grad)
-    gdiff = (c[:, None, None, :] @ ec.grads)[:, :, 0] - exact_grad(ec.qp)
+    gref_u = (c @ ec.gref.swapaxes(0, 1).reshape(c.shape[1], -1)).reshape(len(c), -1, 2)
+    gdiff = gref_u @ ec.Binv - exact_grad(ec.qp)
     bg = _dot2(problem.beta_fn(ec.qp), gdiff)
     Kg = (gdiff.reshape(-1, 2) @ problem.K_mat.T).reshape(gdiff.shape)
     err2 = l2 + np.vdot(mesh.h_elem[:, None] * ec.dA, bg ** 2) + np.vdot(ec.dA, _dot2(Kg, gdiff))

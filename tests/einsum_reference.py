@@ -4,7 +4,10 @@ These are the plain `np.einsum` formulations that the batched-product
 kernels in `forms`, `penalty`, `report`, `adapt`, `fespace` and `mesh` must
 reproduce up to round-off; only the tests use them. Each function takes the
 same inputs as the library function it mirrors and reads the library's
-shared quadrature/geometry tables, so only the arithmetic differs.
+shared quadrature/geometry tables, so only the arithmetic differs. The
+library forms no physical basis gradients; the references form them here
+from the tables' reference gradients and inverse Jacobians
+(`element_grads`, `face_grads`).
 """
 
 import numpy as np
@@ -50,6 +53,17 @@ def physical_points(mesh, ref_points):
     return b0[:, None, :] + np.einsum("eij,qj->eqi", B, ref_points)
 
 
+def element_grads(ec):
+    """Physical basis gradients (ne, nq, nl, 2) at an ElementContext's points."""
+    return np.einsum("qlr,erk->eqlk", ec.gref, ec.Binv)
+
+
+def face_grads(fc, side):
+    """Physical basis gradients (nf, nq, nl, 2) on one side of a FaceContext."""
+    elems, _, code = side
+    return np.einsum("fqlr,frk->fqlk", fc.gref[code], fc.Binv[elems])
+
+
 def to_reference(mesh, elems, points):
     _, b0, _, Binv = mesh.affine()
     return np.einsum("...ij,...j->...i", Binv[elems], points - b0[elems])
@@ -83,18 +97,19 @@ def assemble_bh(problem, V_h, nonzero=False):
 
     beta = problem.beta_fn(ec.qp)
     sigma = problem.sigma_fn(ec.qp)
-    bg = np.einsum("eqd,eqld->eql", beta, ec.grads)
-    Kg = np.einsum("dk,eqlk->eqld", K, ec.grads)
-    blocks = term("eq,eqjd,eqid->eij", ec.dA, Kg, ec.grads)
+    grads = element_grads(ec)
+    bg = np.einsum("eqd,eqld->eql", beta, grads)
+    Kg = np.einsum("dk,eqlk->eqld", K, grads)
+    blocks = term("eq,eqjd,eqid->eij", ec.dA, Kg, grads)
     blocks += term("eq,eqj,qi->eij", ec.dA, bg + sigma[:, :, None] * ec.vals[None, :, :], ec.vals)
     acc.add_blocks(V_h.dofmap, V_h.dofmap, blocks)
 
     if len(mesh.iface_h):
         bn, _ = face_data(problem, fi, mesh.iface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
-        (em, vm, gm), (ep, vp, gp) = fi.sides
-        Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, g), mesh.iface_normals)
-              for g in (gm, gp)]
+        (em, vm, _), (ep, vp, _) = fi.sides
+        Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, face_grads(fi, side)),
+                        mesh.iface_normals) for side in fi.sides]
         vals = {0: vm, 1: vp}
         dofs = {0: V_h.dofmap[em], 1: V_h.dofmap[ep]}
         sign = {0: 1.0, 1: -1.0}
@@ -114,7 +129,8 @@ def assemble_bh(problem, V_h, nonzero=False):
     if len(mesh.bface_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
-        (eb, vb, gb), = fb.sides
+        (eb, vb, _), = fb.sides
+        gb = face_grads(fb, fb.sides[0])
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
         dofs = V_h.dofmap[eb]
         blk = term("fq,fqj,fqi->fij", fb.w * theta, vb, Kn)
@@ -147,7 +163,8 @@ def assemble_load(problem, V_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
         g = problem.g_fn(fb.qp)
-        (eb, vb, gb), = fb.sides
+        (eb, vb, _), = fb.sides
+        gb = face_grads(fb, fb.sides[0])
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
         coef = fb.w * g * (eta[:, None] + np.where(inflow, bn, 0.0))
         local = np.einsum("fq,fqi->fi", coef, vb)
@@ -173,7 +190,7 @@ def penalty_context(op):
 
 def strong_basis(problem, space, ec):
     """penalty._strong_tables' A_basis: A applied to every basis function at ec's points."""
-    A = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), ec.grads)
+    A = np.einsum("eqd,eqld->eql", problem.beta_fn(ec.qp), element_grads(ec))
     A += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals[None, :, :]
     if space.p >= 2 and problem.k_max > 0.0:
         href = space.basis.eval_hessians(ec.rule.points)
@@ -257,7 +274,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     err_l2 = float(np.sqrt(np.einsum("eq,eq->", ec.dA, diff ** 2)))
     if exact_grad is None:
         return err_l2, None
-    gdiff = np.einsum("el,eqlk->eqk", c, ec.grads) - vector_field(exact_grad)(ec.qp)
+    gdiff = np.einsum("el,eqlk->eqk", c, element_grads(ec)) - vector_field(exact_grad)(ec.qp)
     bg = np.einsum("eqd,eqd->eq", problem.beta_fn(ec.qp), gdiff)
     Kg = np.einsum("dk,eqk->eqd", problem.K_mat, gdiff)
     err2 = np.einsum("eq,eq->", ec.dA, diff ** 2)

@@ -67,7 +67,7 @@ def reference_indicators(problem, V, eps):
     mesh = V.mesh
     ec, fi, fb = _contexts(V)
     c = eps[V.dofmap]
-    grads = np.einsum("el,eqlk->eqk", c, ec.grads)
+    grads = np.einsum("el,qlr,erk->eqk", c, ec.gref, ec.Binv)
     bg = np.einsum("eqd,eqd->eq", problem.beta_fn(ec.qp), grads)
     ind2 = np.einsum("eq,eq->e", ec.dA, np.einsum("el,ql->eq", c, ec.vals) ** 2)
     ind2 += mesh.h_elem * np.einsum("eq,eq->e", ec.dA, bg ** 2)

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from boundfem.fespace import build_space, trial_to_test_embedding
 from boundfem.forms import (THETA, ElementContext, FaceContext,
-                            NumericalBreakdown, ProblemSpec, assemble_bh,
+                            NumericalBreakdown, ProblemSpec, _beta_grad,
+                            _flux_traces, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass,
                             sipg_eta, vh_norm)
 from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh,
@@ -217,18 +218,29 @@ def jittered_mesh(seed=3):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_context_gradients_equal_einsum_form(p):
-    # the broadcast product must reproduce gref . Binv bit for bit
+    # beta.grad phi and K grad phi.n, contracted with Binv on the reference
+    # gradients, equal the einsum forms on physical gradients gref . Binv
     mesh = jittered_mesh()
     V = build_space(mesh, p, "broken")
     _, _, _, Binv = mesh.affine()
+    K = np.array([[2e-2, 5e-3], [5e-3, 1e-2]])
+    pr = ProblemSpec(beta=lambda x: np.stack([1.0 + x[..., 1], 0.5 - x[..., 0]], axis=-1),
+                     K=K, sigma=0.0, f=0.0, g=0.0)
     ec = ElementContext(V, 2 * p + 2)
     _, gref = V.basis.eval(ec.rule.points)
-    assert np.array_equal(ec.grads, np.einsum("qlr,erk->eqlk", gref, Binv))
+    grads = np.einsum("qlr,erk->eqlk", gref, Binv)
+    bg = np.einsum("eqd,eqld->eql", pr.beta_fn(ec.qp), grads)
+    np.testing.assert_allclose(_beta_grad(pr, ec), bg, rtol=0, atol=1e-14 * np.abs(bg).max())
     fc = FaceContext(V, "interior", 2 * p + 3)
     _, gref = V.basis.edge_traces(edge_rule(2 * p + 3).points)
-    for side, (elems, _, grads) in enumerate(fc.sides):
-        code = mesh.iface_local_edges[:, side] + 3 * side
-        assert np.array_equal(grads, np.einsum("fqlr,frk->fqlk", gref[code], Binv[elems]))
+    Kn = mesh.iface_normals @ K
+    for side, sides in enumerate(fc.sides):
+        elems, _, code = sides
+        assert np.array_equal(code, mesh.iface_local_edges[:, side] + 3 * side)
+        grads = np.einsum("fqlr,frk->fqlk", gref[code], Binv[elems])
+        flux = np.einsum("fqlk,fk->fql", grads, Kn)
+        np.testing.assert_allclose(_flux_traces(fc, sides, Kn), flux, rtol=0,
+                                   atol=1e-14 * np.abs(flux).max())
 
 
 def trace_meshes(tmp_path):
@@ -269,17 +281,15 @@ def test_face_traces_vanish_exactly_off_the_face(p, tmp_path):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_face_traces_match_mapped_back_points(p, tmp_path):
-    # the tabulated traces equal the basis at the face points mapped back
-    # through the inverse affine map, up to round-off
+    # the tabulated traces and reference gradients equal the basis at the
+    # face points mapped back through the inverse affine map, up to round-off
     for mesh in trace_meshes(tmp_path):
         V = build_space(mesh, p, "broken")
-        _, _, _, Binv = mesh.affine()
-        for _, _, fc, (elems, vals, grads) in face_sides(V):
+        for _, _, fc, (elems, vals, code) in face_sides(V):
             mapped, gref = V.basis.eval(mesh.to_reference(elems[:, None], fc.qp))
-            mapped_grads = np.einsum("fqlr,frk->fqlk", gref, Binv[elems])
             np.testing.assert_allclose(vals, mapped, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(grads, mapped_grads, rtol=0,
-                                       atol=1e-14 * np.abs(mapped_grads).max())
+            np.testing.assert_allclose(fc.gref[code], gref, rtol=0,
+                                       atol=1e-14 * np.abs(gref).max())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

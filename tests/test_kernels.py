@@ -15,7 +15,7 @@ import einsum_reference as ref
 from boundfem.adapt import error_indicators, prolong
 from boundfem.cases import get_case
 from boundfem.fespace import DiscreteFunction, build_space, trial_to_test_embedding
-from boundfem.forms import (ElementContext, ProblemSpec, _contexts, assemble_bh,
+from boundfem.forms import (ElementContext, FaceContext, ProblemSpec, _contexts, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass)
 from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
@@ -95,7 +95,6 @@ def test_assembly_transient_memory():
     case = get_case("case1")
     pr = case.problem()
     V = build_space(refine_uniform_red(refine_uniform_red(case.make_mesh())), 1, "broken")
-    _contexts(V)[0].grads      # the shared tables are not assembly temporaries
     peaks = {}
     for assemble in (assemble_gram, assemble_bh):
         tracemalloc.start()
@@ -110,22 +109,41 @@ def test_assembly_transient_memory():
     assert peaks["assemble_bh"] < 10 * g_bytes, peaks
 
 
+def arrays_in(obj):
+    """Every numpy array among an object's attributes, in lists and tuples too."""
+    stack, found = list(vars(obj).values()), []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found
+
+
 @pytest.mark.parametrize("p", [1, 2])
-def test_penalty_keeps_no_gradient_table(p, monkeypatch):
-    # A_basis is formed from reference gradients, and the operator keeps no
-    # (ne, nq, nl, 2) table nor the context it was evaluated on
+def test_penalty_keeps_no_gradient_table(p):
+    # neither the shared element and face tables nor the penalty operator
+    # keep a table of ne*nq*nl*2 or nf*nq*nl*2 entries: every gradient is
+    # contracted on the reference side, and the operator keeps no context
     mesh = jittered(build_structured_mesh(4, 4), 2)
     pr = problem(TENSOR_K, u_min=0.2, u_max=0.8, gamma0=1e-2)
     U = build_space(mesh, p, "continuous")
-    monkeypatch.setattr(ElementContext, "grads",
-                        property(lambda ec: pytest.fail("physical gradients formed")))
-    op = PenaltyOperator(pr, U, build_space(mesh, p, "broken"), PenaltyConfig())
+    V = build_space(mesh, p, "broken")
+    assemble_gram(pr, V), assemble_bh(pr, V), assemble_load(pr, V)   # would form lazy tables
+    ec, fi, fb = _contexts(V)
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
+    op.jacobian(U.interpolate(lambda x: x[..., 0]))      # fills its one-iterate cache
     kept = list(vars(op).values())
-    assert not any(isinstance(v, ElementContext) for v in kept)
-    arrays = [v for v in kept if isinstance(v, np.ndarray)]
-    nq = len(triangle_rule(2 * p + 6).weights)
-    assert op.A_basis.shape == (mesh.n_elements, nq, U.n_local)
-    assert all(a.size != mesh.n_elements * nq * U.n_local * 2 for a in arrays)
+    assert not any(isinstance(v, (ElementContext, FaceContext)) for v in kept)
+    nq_penalty = len(triangle_rule(2 * p + 6).weights)
+    assert op.A_basis.shape == (mesh.n_elements, nq_penalty, U.n_local)
+    for obj, n, nq in ((ec, mesh.n_elements, len(ec.rule)),
+                       (op, mesh.n_elements, nq_penalty),
+                       (fi, len(mesh.iface_h), fi.w.shape[1]),
+                       (fb, len(mesh.bface_h), fb.w.shape[1])):
+        sizes = [a.size for a in arrays_in(obj)]
+        assert n * nq * V.n_local * 2 not in sizes, type(obj).__name__
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

@@ -1,8 +1,13 @@
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
 from math import factorial
 
-from boundfem.quadrature import edge_rule, triangle_rule, MAX_DEGREE
+import numpy as np
+import pytest
+
+import boundfem
+from boundfem.quadrature import MAX_DEGREE, _gauss_jacobi10, edge_rule, triangle_rule
 
 
 def exact_triangle_monomial(a, b):
@@ -64,3 +69,28 @@ def test_rules_are_cached_and_read_only(rule_fn):
     for arr in (rule.points, rule.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DEGREE // 2 + 2))
+def test_gauss_jacobi_matches_scipy(n):
+    # scipy's roots_jacobi(n, 1, 0) weights are themselves off by up to
+    # 5.5e-13 relative (against 40-digit references), so the weights are
+    # held to 1e-12 of scipy's and to 1e-14 through the exact moments
+    from scipy.special import roots_jacobi
+    x, w = _gauss_jacobi10(n)
+    x_ref, w_ref = roots_jacobi(n, 1.0, 0.0)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+    for k in range(2 * n):
+        # int_{-1}^{1} (1 - x) x^k dx
+        exact = 2.0 / (k + 1) if k % 2 == 0 else -2.0 / (k + 2)
+        terms = w * x ** k
+        assert abs(terms.sum() - exact) <= 1e-14 * np.abs(terms).sum()
+
+
+def test_import_leaves_scipy_special_out():
+    # in a fresh interpreter: the test above imports scipy.special into this one
+    src = os.path.dirname(os.path.dirname(boundfem.__file__))
+    code = "import sys, boundfem; sys.exit('scipy.special' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -510,6 +510,26 @@ def test_trial_points_assemble_no_jacobian(monkeypatch):
     assert calls.count("LU") == 2
 
 
+def test_newton_evaluates_the_bound_arguments_once_per_iterate(monkeypatch):
+    # an iterate's residual, active count and line (and Jacobian, when
+    # active) share one evaluation of u and A u at the penalty points; the
+    # line also evaluates its step du once
+    from boundfem.penalty import PenaltyOperator
+    case = get_case("case3")
+    mesh = case.make_mesh()
+    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    seen = []
+    values = PenaltyOperator._values
+    monkeypatch.setattr(PenaltyOperator, "_values",
+                        lambda self, u: seen.append(np.array(u)) or values(self, u))
+    res = newton_solve(case.problem(), U, V, PenaltyConfig(), tol=case.tol)
+    assert res.iterations >= 2 and res.reason == "increment below tolerance"
+    # one u per step's starting iterate and one du per step; the last
+    # iterate, which passes the increment test, is not evaluated
+    assert len(seen) == 2 * res.iterations
+    assert len({u.tobytes() for u in seen}) == len(seen)
+
+
 def case1_default_start():
     """(problem, U_h, V_h, ops, x) with x newton_solve's default start on case1 L0.
 
