@@ -229,6 +229,7 @@ def _block_pattern(space):
         rows = np.concatenate([np.arange(ne), em, ep])
         cols = np.concatenate([np.arange(ne), ep, em])
         keys, slot = np.unique(rows * ne + cols, return_inverse=True)
+        slot = slot.astype(np.int32)        # `_block_matrix`'s scatter indices stay int32
         diag = slot[:ne]
         face = np.stack([diag[em], slot[ne:ne + nf], slot[ne + nf:], diag[ep]],
                         axis=1).reshape(nf, 2, 2)
@@ -239,12 +240,12 @@ def _block_pattern(space):
 
 def _block_matrix(space, element, iface, bface, symmetrize=False):
     """CSR operator on the broken `space` from element, interior-face and
-    boundary-face blocks (any may be None), summed on `_block_pattern`.
+    boundary-face blocks (face groups may be None), summed on `_block_pattern`.
 
     Interior-face blocks (nf, 2 n_l, 2 n_l) run over the [minus, plus] dofs of
     the mesh's interior faces, boundary-face blocks over their element's dofs.
-    Each group is added into the block data with one `np.add.at`, in the
-    order element, interior face, boundary face: unlike a `np.bincount`
+    Element blocks fill their distinct diagonal slots, then each face group is
+    added with one `np.add.at` on int32 indices: unlike a `np.bincount`
     scatter it allocates no output array, and each entry sums its terms in
     the order the COO triplets it replaces mostly did. `symmetrize` averages
     the operator with its transpose, which on the block data is a transpose
@@ -252,17 +253,14 @@ def _block_matrix(space, element, iface, bface, symmetrize=False):
     zeros are dropped, so the CSR pattern is that of the nonzero entries.
     """
     indptr, indices, diag, face = _block_pattern(space)
-    mesh = space.mesh
     nl = space.n_local
-    n = len(indices) * nl * nl
-    local = np.arange(nl * nl).reshape(nl, 1, nl)         # i * nl + j at axes (i, -, j)
-    data = np.zeros(n)
-    for slots, blocks in ((diag[:, None, None], element), (face, iface),
-                          (diag[mesh.bface_elements][:, None, None], bface)):
+    local = np.arange(nl * nl, dtype=np.int32).reshape(nl, 1, nl)    # i nl + j at (i, -, j)
+    data = np.zeros((len(indices), nl, nl))
+    data[diag] = element
+    for slots, blocks in ((face, iface), (diag[space.mesh.bface_elements][:, None, None], bface)):
         if blocks is not None:
             idx = slots[:, :, None, :, None] * (nl * nl) + local
-            np.add.at(data, idx.ravel(), blocks.ravel())
-    data = data.reshape(-1, nl, nl)
+            np.add.at(data.reshape(-1), idx.ravel(), blocks.ravel())
     if symmetrize:
         swap = np.arange(len(data))
         swap[face[:, 0, 1]], swap[face[:, 1, 0]] = face[:, 1, 0], face[:, 0, 1]
@@ -299,14 +297,17 @@ def _diffusion_blocks(ec, K):
 
 
 def _boundary_traces(problem, V_h, fb):
-    """Boundary-face elements, traces v and K grad v.n, and the weak
-    Dirichlet test function THETA K grad v.n + (eta + [beta.n]_inflow) v."""
+    """Boundary-face elements, traces v and K grad v.n (None if K = 0), and
+    the weak Dirichlet test function THETA K grad v.n + (eta + [beta.n]_inflow) v."""
     mesh = V_h.mesh
     bn, inflow = _face_data(problem, fb, mesh.bface_normals)
     eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
     (eb, vb, _), = fb.sides
-    Kn = _flux_traces(fb, fb.sides[0], mesh.bface_normals @ problem.K_mat)
-    test = THETA * Kn + (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
+    test = (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
+    Kn = None
+    if problem.K_mat.any():
+        Kn = _flux_traces(fb, fb.sides[0], mesh.bface_normals @ problem.K_mat)
+        test += THETA * Kn
     return eb, vb, Kn, test
 
 
@@ -318,16 +319,19 @@ def assemble_bh(problem, V_h):
     """Assemble the dG form b_h = b_h^diff + b_h^adv on V_h x V_h.
 
     Block rows are test dofs and columns trial dofs; interior faces form one
-    block over the [minus, plus] dofs, as in `gram_blocks`.
+    block over the [minus, plus] dofs, as in `gram_blocks`. With K = 0 the
+    diffusion terms, all exact zeros, are not formed.
     """
     mesh = V_h.mesh
     ec, fi, fb = _contexts(V_h)
+    diffusion = problem.K_mat.any()
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
     adv = _beta_grad(problem, ec)
     adv += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
-    element = _diffusion_blocks(ec, problem.K_mat)
-    element += ec.vals.T @ (ec.dA[:, :, None] * adv)
+    element = ec.vals.T @ (ec.dA[:, :, None] * adv)
+    if diffusion:
+        element += _diffusion_blocks(ec, problem.K_mat)
 
     # interior faces: P^T (w jump) - jump^T (w avg flux) with
     # P = THETA avg flux + (eta + |b.n|/2) jump - (b.n) mean
@@ -336,20 +340,25 @@ def assemble_bh(problem, V_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
         eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
         (_, vm, _), (_, vp, _) = fi.sides
-        Kn = mesh.iface_normals @ problem.K_mat
         jump = np.concatenate([vm, -vp], axis=-1)
-        avg = 0.5 * np.concatenate([_flux_traces(fi, side, Kn) for side in fi.sides], axis=-1)
-        P = THETA * avg + (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
+        P = (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
+        if diffusion:
+            Kn = mesh.iface_normals @ problem.K_mat
+            avg = 0.5 * np.concatenate([_flux_traces(fi, side, Kn) for side in fi.sides], axis=-1)
+            P += THETA * avg
         P -= 0.5 * bn[:, :, None] * np.concatenate([vm, vp], axis=-1)
         w = fi.w[:, :, None]
         iface = P.swapaxes(1, 2) @ (w * jump)
-        iface -= jump.swapaxes(1, 2) @ (w * avg)
+        if diffusion:
+            iface -= jump.swapaxes(1, 2) @ (w * avg)
 
     # boundary faces
     if len(mesh.bface_h):
         _, vb, Kn, test = _boundary_traces(problem, V_h, fb)
         w = fb.w[:, :, None]
-        bface = test.swapaxes(1, 2) @ (w * vb) - vb.swapaxes(1, 2) @ (w * Kn)
+        bface = test.swapaxes(1, 2) @ (w * vb)
+        if Kn is not None:
+            bface -= vb.swapaxes(1, 2) @ (w * Kn)
 
     return _block_matrix(V_h, element, iface, bface)
 
@@ -376,7 +385,8 @@ def gram_blocks(problem, V_h):
     bg = _beta_grad(problem, ec)
     blocks = ec.detB[:, None, None] * ec.mass
     blocks += bg.swapaxes(1, 2) @ (mesh.h_elem[:, None, None] * ec.dA[:, :, None] * bg)
-    blocks += _diffusion_blocks(ec, problem.K_mat)
+    if problem.K_mat.any():
+        blocks += _diffusion_blocks(ec, problem.K_mat)
     groups = [(np.arange(mesh.n_elements)[:, None], blocks)]
 
     coef = _norm_face_weight(problem, V_h, fi, mesh.iface_normals, mesh.iface_h)

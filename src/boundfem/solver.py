@@ -32,7 +32,9 @@ is assembled at most once per iteration, right before the Newton matrix is
 factorized.
 `LinearOperators.riesz` factorizes G on each call and keeps no factor: the
 uniform studies solve with G once per level, and a kept factor would stay
-alive through every Newton factorization of that level.
+alive through every Newton factorization of that level. `newton_solve`
+forms its start (cold: K, then G; warm: G only) before it builds the penalty
+tables (15.5 MB at case1 L3), so neither factor coexists with them.
 
 Step rule. An iterate is inactive when every bound argument is strictly
 positive at every penalty quadrature point (`PenaltyOperator.active_count`
@@ -45,9 +47,9 @@ factorizing; all solves on one `LinearOperators` share its one linear
 solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
 against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
 with K. Every level of the case1 study starts inactive, so its Newton solves
-factorize only the linear K and G. Keeping the linear LU alive for reuse
-instead would overlap that factor with the Riesz factorization of G, the
-peak of each level's memory.
+factorize only the linear K and G. At L3 (RSS right after each LU, one
+process, 2-core VM) the saddle LU phase peaks near 177 MB, the Riesz LU
+phase near 155 MB, and the Newton phase after them stays near 133 MB.
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
@@ -59,33 +61,31 @@ between; the tables keep only the other elements. A trial
 elements and the penalty assembly on the elements active at t, through the
 same kernel as the iterate residual; it agrees with the residual at
 x + t dx to round-off, and x + t dx is formed only once a trial is
-accepted. On the case1 study with the penalty (2-core VM, cProfile) the 51
-trials took 0.45 s before and take 0.17 s, plus 0.03 s for the four lines:
-at L3, 9,077 of the 15,488 elements lie on the step's segment, 9,077 are
-active at t = 1, and 1,408 or none at the trials with t < 1e-5.
+accepted.
 
-Two orderings, fixed here and not configurable (`_factorize`):
+Orderings (`_factorize`), fixed and picked from the matrix by `_solve_saddle`
+(one-off runs, 2-core VM, scipy 1.17; tier-1 tests bound the case1 fills):
 
-* Saddle systems with P1 trial spaces, and G at every degree, are
-  factorized symmetrically (`SYMMETRIC_LU`): a reverse Cuthill-McKee
-  pre-order, then SuperLU with minimum degree on A'+A and threshold
-  pivoting that prefers the diagonal. On the case1 mesh refined three times
-  (54,385 saddle rows, 602,624 entries; 2-core VM, scipy 1.17) this takes
-  0.24 s instead of 0.78 s and L+U fill falls from 13.7 M to 5.0 M; G alone
-  takes 0.13 s instead of 0.21 s, with 2.9 M fill instead of 5.0 M. Each part
-  is needed (on the earlier matrix with round-off face couplings): without the
-  pre-order minimum degree took 4.0-4.6 s, with partial pivoting 174 s, and a
-  zero threshold lost all accuracy at p = 2.
-* Saddle systems with p >= 2 trial spaces keep plain `splu` (COLAMD with
-  partial pivoting). With diffusion the symmetric path would be faster: on
-  the smooth mesh refined three times at p = 2 (16,513 rows) it takes 0.14 s
-  and 2.8 M fill against COLAMD's 0.43 s and 6.3 M. Without diffusion
-  (K = 0) it breaks down: on case1's 11x11 mesh L+U fill is 1.48 M at p = 2
-  and 1.40 M at p = 3 against COLAMD's 229,082 and 614,085; on case1 refined
-  once (7,833 rows, p = 2) 11.0 s and 23.4 M against 0.14 s and 1.70 M (26.8
-  s and 33.6 M on a jittered mesh), and on case2 refined twice (8,289 rows)
-  20.9 s and 32.0 M against 0.11 s and 1.70 M. One-off runs on a 2-core VM;
-  no benchmark workload has p >= 2, and a tier-1 test bounds the case1 fill.
+* The linear K with a P1 trial space, and G at every degree, are factorized
+  symmetrically (`SYMMETRIC_LU`): a reverse Cuthill-McKee pre-order, then
+  SuperLU with minimum degree on A'+A and threshold pivoting that prefers
+  the diagonal. On case1 L3 (54,385 rows) this takes 0.24 s instead of
+  COLAMD's 0.78 s, with 5.0 M fill instead of 13.7 M; G 0.13 s and 2.9 M
+  instead of 0.21 s and 5.0 M. Without the pre-order minimum degree took
+  4.0-4.6 s, with partial pivoting 174 s (on the earlier matrix with
+  round-off face couplings); a zero threshold lost all accuracy at p = 2.
+* Newton matrices with J = B + dP(u), dP != 0, take COLAMD (plain `splu`);
+  on case1, J at the level's linear solution, symmetric -> COLAMD:
+
+    level  rows    L+U fill                time
+    L0        870  237,278 -> 61,479       0.026 -> 0.006 s
+    L1      3,433  2,045,327 -> 417,481    0.327 -> 0.025 s
+    L2     13,641  21.4 M -> 2.71 M        6.3 -> 0.18 s
+* So does the linear K with p >= 2. Without diffusion the symmetric path
+  breaks down: on case1's 11x11 mesh L+U fill is 1.48 M at p = 2 and 1.40 M
+  at p = 3 against COLAMD's 229,082 and 614,085, and on case1 L1 at p = 2
+  11.0 s and 23.4 M against 0.14 s and 1.70 M. With diffusion it would be
+  faster (smooth L3, p = 2: 0.14 s and 2.8 M against 0.43 s and 6.3 M).
 """
 
 import functools
@@ -217,10 +217,11 @@ class ResMinSolution:
 def _solve_saddle(ops, B, rhs):
     """Solve [[G, B], [B', 0]] x = rhs; returns x and |K x - rhs| / |rhs|.
 
-    Saddle systems take the symmetric ordering only with P1 trial spaces.
+    Only the linear K (B is `ops.B`) with a P1 trial space takes the
+    symmetric ordering (module docstring, "Orderings").
     """
     K = _saddle_matrix(ops.G, B)
-    x = _factorize(K, ops.U_h.p == 1).solve(rhs)
+    x = _factorize(K, B is ops.B and ops.U_h.p == 1).solve(rhs)
     res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
@@ -324,11 +325,12 @@ class NewtonSystem:
         return np.concatenate([top, -(self.ops.B.T @ eps + dPt_eps)])
 
     def line(self, x, dx):
-        """The `Line` of the step (x, dx)."""
+        """The `Line` of the step (x, dx); G, B and B' take one 2-column product each."""
         (eps, u), (d_eps, du) = self.split(x), self.split(dx)
-        G, B = self.ops.G, self.ops.B
-        r0 = np.concatenate([self.ops.L - G @ eps - B @ u, -(B.T @ eps)])
-        Kdx = np.concatenate([G @ d_eps + B @ du, B.T @ d_eps])
+        E, U = np.column_stack([eps, d_eps]), np.column_stack([u, du])
+        GE, BU, BtE = self.ops.G @ E, self.ops.B @ U, self.ops.B.T @ E
+        r0 = np.concatenate([self.ops.L - GE[:, 0] - BU[:, 0], -BtE[:, 0]])
+        Kdx = np.concatenate([GE[:, 1] + BU[:, 1], BtE[:, 1]])
         return Line(x, dx, r0, Kdx, self.pen.line(u, du, eps, d_eps))
 
     def residual_norm(self, line, t):
@@ -374,14 +376,13 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ops = ops or build_operators(problem, U_h, V_h)
-    system = NewtonSystem(problem, ops, pen_config)
-
     if initial is None:
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
-        initial = clip_inset(ops.linear[0][system.nv:], problem.u_min, problem.u_max)
+        initial = clip_inset(ops.linear[0][ops.V_h.n_dofs:], problem.u_min, problem.u_max)
     u = np.asarray(initial, dtype=float)
     x = np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
+    system = NewtonSystem(problem, ops, pen_config)     # after the start's LUs
 
     floor = RESIDUAL_FLOOR * max(1.0, np.linalg.norm(ops.L))
     log = []

@@ -435,6 +435,34 @@ def test_case1_penalized_study_matches_reference(monkeypatch):
         assert res.reason == want["newton_reason"]
 
 
+def test_penalized_study_holds_one_level_at_each_factorization(monkeypatch):
+    # each uniform level's spaces, operators and solution are released
+    # before the next level is built, so no level's G, B and M_u outlive it
+    # into the next level's LUs
+    import weakref
+    import boundfem.app as app
+    import boundfem.solver as solver
+    levels, alive = [], []
+    build_operators = app.build_operators
+
+    def built(*args):
+        ops = build_operators(*args)
+        levels.append(weakref.ref(ops))
+        return ops
+
+    factorize = solver._factorize
+
+    def counted(K, symmetric):
+        alive.append(sum(ref() is not None for ref in levels))
+        return factorize(K, symmetric)
+
+    monkeypatch.setattr(app, "build_operators", built)
+    monkeypatch.setattr(solver, "_factorize", counted)
+    study = convergence_study("case1", with_penalty=True)
+    # one saddle LU and one Riesz LU of G per level
+    assert len(levels) == len(study.rows) == 4 and alive == [1] * 8
+
+
 @pytest.fixture(scope="module")
 def case2_penalized_run(tmp_path_factory):
     """levels.csv and iterations.csv rows of the penalized case2 run to 2,500 dG dofs."""

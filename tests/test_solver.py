@@ -325,11 +325,8 @@ def test_higher_degree_linear_solve_meets_contract(p):
     assert sol.block_residual <= 1e-10
 
 
-@pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
-def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkeypatch):
-    # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,082
-    # (p = 2) and 614,085 (p = 3) entries, the symmetric ordering with 1.48 M
-    # and 1.40 M (module docstring, "Two orderings")
+def record_fills(monkeypatch):
+    """A list that receives the L+U fill of every `splu` factorization."""
     fills = []
     splu = spla.splu
 
@@ -339,12 +336,37 @@ def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkey
         return lu
 
     monkeypatch.setattr(spla, "splu", recorded)
+    return fills
+
+
+@pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
+def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkeypatch):
+    # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,082
+    # (p = 2) and 614,085 (p = 3) entries, the symmetric ordering with 1.48 M
+    # and 1.40 M (module docstring, "Orderings")
+    fills = record_fills(monkeypatch)
     case = get_case("case1")
     mesh = case.make_mesh()
     sol = solve_linear_resmin(case.problem(), build_space(mesh, p, "continuous"),
                               build_space(mesh, p, "broken"))
     assert sol.block_residual <= 1e-10
     assert len(fills) == 1 and fills[0] <= max_fill
+
+
+def test_active_newton_matrix_takes_colamd(monkeypatch):
+    # J = B + dP(u) at the linear solution of case1 refined once, where the
+    # Gauss penalty is active: COLAMD fills L+U with 417,481 entries, the
+    # symmetric ordering with 2,045,327 (module docstring, "Orderings")
+    case = get_case("case1")
+    pr = case.problem()
+    mesh = refine_uniform_red(case.make_mesh())
+    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    system = NewtonSystem(pr, ops, PenaltyConfig())
+    x = ops.linear[0]
+    fills = record_fills(monkeypatch)
+    line, active = _newton_step(system, x, system.residual(x))
+    assert active > 0 and np.all(np.isfinite(line.dx))
+    assert len(fills) == 1 and fills[0] <= 600_000
 
 
 def test_p2_penalized_newton_runs_and_reports():
@@ -636,6 +658,27 @@ def test_case1_active_start_factorizes(monkeypatch):
     count_calls(monkeypatch, calls)
     _, active = _newton_step(system, x_lin, system.residual(x_lin))
     assert active > 0 and calls == ["J", "LU"]
+
+
+def test_newton_start_is_formed_before_the_penalty_tables(monkeypatch):
+    # a cold start solves with the linear K and then with G, a warm start
+    # with G only, before the penalty builds its tables, so no factor
+    # coexists with them; case1 L0's iterates are inactive, so the warm
+    # solve's steps factorize only K, for the linear solution
+    import boundfem.solver as solver
+    case, pr, U, V = case1_level0()
+    order = []
+    factorize = solver._factorize
+    monkeypatch.setattr(solver, "_factorize", lambda K, symmetric: order.append(
+        "G" if K.shape[0] == V.n_dofs else "K") or factorize(K, symmetric))
+    penalty = solver.PenaltyOperator
+    monkeypatch.setattr(solver, "PenaltyOperator",
+                        lambda *args: order.append("penalty") or penalty(*args))
+    cold = newton_solve(pr, U, V, PenaltyConfig(), tol=case.tol)
+    assert order == ["K", "G", "penalty"]
+    order.clear()
+    newton_solve(pr, U, V, PenaltyConfig(), tol=case.tol, initial=cold.u)
+    assert order == ["G", "penalty", "K"]
 
 
 def test_one_linear_solve_per_level(monkeypatch):
