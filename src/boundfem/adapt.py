@@ -11,7 +11,10 @@ Across levels the trial solution is prolonged by nodal interpolation (via
 refinement parent elements) to warm start Newton; with nodal penalty
 quadrature, or if the warm solve does not converge, a cold solve from the
 linear solution runs too and the level keeps the better of the two.
-Every level builds its spaces, operators and penalty parameters afresh.
+Every level builds its spaces, operators and penalty parameters afresh, and
+releases the previous level's before it builds them, so no earlier level's
+operators, tables or solution outlive it into the next level's LUs; only a
+penalized run keeps the previous (U_h, u), for the warm start.
 """
 
 from dataclasses import dataclass, field, fields
@@ -199,7 +202,9 @@ def adaptive_solve_loop(problem, pen_config, mesh, theta_mark=0.5, max_levels=20
         if len(marks) == 0:
             stop_reason = "estimator vanished"
             break
-        prev = (U_h, u)
+        # hold one level at a time (module docstring)
+        prev = (U_h, u) if pen_config is not None else None
+        U_h = V_h = ops = sol = res = cold = ind = u = eps = None
         mesh = bisect_marked(mesh, marks)
 
     return AdaptResult(records, mesh, U_h, V_h, u, eps, stop_reason)

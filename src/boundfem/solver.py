@@ -48,8 +48,8 @@ solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
 against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
 with K. Every level of the case1 study starts inactive, so its Newton solves
 factorize only the linear K and G. At L3 (RSS right after each LU, one
-process, 2-core VM) the saddle LU phase peaks near 177 MB, the Riesz LU
-phase near 155 MB, and the Newton phase after them stays near 133 MB.
+process, 2-core VM) the saddle LU phase peaks near 170 MB, the Riesz LU
+phase near 148 MB, and the Newton phase after them stays near 133 MB.
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
@@ -86,6 +86,22 @@ Orderings (`_factorize`), fixed and picked from the matrix by `_solve_saddle`
   at p = 3 against COLAMD's 229,082 and 614,085, and on case1 L1 at p = 2
   11.0 s and 23.4 M against 0.14 s and 1.70 M. With diffusion it would be
   faster (smooth L3, p = 2: 0.14 s and 2.8 M against 0.43 s and 6.3 M).
+
+Workspace. SuperLU's panel work arrays grow with rows x panel size, so the
+symmetric path takes one-column panels (`SYMMETRIC_LU`: panel_size = relax
+= 1; scipy's default panel is 20). The factor is the same; on case1 L3 K
+(fill 5,109,397) the RSS peak over a standalone LU grows with the panel:
+
+    panel size    1      4      8      12     20     32
+    peak (MB)    +50.4  +51.0  +54.3  +57.7  +68.4  +78.4
+
+Median LU time, panel 20 -> 1: case1 L3 K 0.298 -> 0.262 s, G 0.148 ->
+0.115 s; smooth L4 K -9 %, G -31 %; G on case1 L2 at p = 2 and 3 -26 and
+-24 %; the 32 LUs of case2 to 10k dofs about 0.24 -> 0.19 s together.
+COLAMD keeps scipy's defaults: one-column panels slowed it on smooth L3 at
+p = 2 (0.438 -> 0.475 s). Caution: panel_size = 32 with the default relax
+corrupted the heap (a crash at interpreter exit) in 4 of 4 standalone runs;
+do not sweep panel sizes above 20 in-process.
 """
 
 import functools
@@ -109,7 +125,7 @@ MAX_ITER = 100          # Newton steps allowed per solve
 # The symmetric ordering's splu arguments (after the RCM pre-order); the
 # measurements behind them are in the module docstring.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
-                "options": {"SymmetricMode": True}}
+                "relax": 1, "panel_size": 1, "options": {"SymmetricMode": True}}
 
 
 def clip_inset(u, lower, upper):

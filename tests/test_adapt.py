@@ -295,3 +295,55 @@ def test_penalized_case1_study_builds_four_element_contexts_per_level(monkeypatc
     # error_norms'; extrema tabulates the reference rule and builds none
     assert len(study.rows) == 4
     assert sum(kind == "ElementContext" for kind, *_ in built) == 16
+
+
+def levels_alive_at_each_factorization(monkeypatch, name, levels, **kw):
+    """Run `name` for `levels` levels; at every `_factorize`, the indices of the
+    levels whose `LinearOperators` and whose trial space are still alive."""
+    import boundfem.adapt as adapt
+    import boundfem.solver as solver
+    from boundfem.app import run_case
+    operators, trial_spaces, alive = [], [], []
+    build_operators, build_space_, factorize = (adapt.build_operators, adapt.build_space,
+                                                solver._factorize)
+
+    def built_operators(*args):
+        ops = build_operators(*args)
+        operators.append(weakref.ref(ops))
+        return ops
+
+    def built_space(mesh, p, kind):
+        space = build_space_(mesh, p, kind)
+        if kind == "continuous":
+            trial_spaces.append(weakref.ref(space))
+        return space
+
+    def counted(K, symmetric):
+        alive.append(tuple([i for i, ref in enumerate(refs) if ref() is not None]
+                           for refs in (operators, trial_spaces)))
+        return factorize(K, symmetric)
+
+    monkeypatch.setattr(adapt, "build_operators", built_operators)
+    monkeypatch.setattr(adapt, "build_space", built_space)
+    monkeypatch.setattr(solver, "_factorize", counted)
+    result = run_case(name, levels=levels, **kw)
+    assert len(result.records) == len(operators) == len(trial_spaces) == levels
+    return alive
+
+
+def test_adaptive_run_holds_one_level_at_each_factorization(monkeypatch):
+    # each unpenalized level's spaces, operators and solution are released
+    # before the next level is built: one saddle LU per level, with only
+    # that level alive
+    alive = levels_alive_at_each_factorization(monkeypatch, "case2", 4, with_penalty=False)
+    assert alive == [([level], [level]) for level in range(4)]
+
+
+def test_penalized_adaptive_run_keeps_only_the_previous_trial_space(monkeypatch):
+    # the warm start prolongs the previous level's u, so a penalized run
+    # keeps that level's U_h (not its operators) through the next level
+    alive = levels_alive_at_each_factorization(monkeypatch, "case3", 3)
+    assert sorted({ops[0] for ops, _ in alive}) == [0, 1, 2]
+    for ops, spaces in alive:
+        level = ops[0]
+        assert ops == [level] and spaces == list(range(max(level - 1, 0), level + 1))

@@ -326,17 +326,32 @@ def test_higher_degree_linear_solve_meets_contract(p):
 
 
 def record_fills(monkeypatch):
-    """A list that receives the L+U fill of every `splu` factorization."""
-    fills = []
+    """Lists that receive the L+U fill and the keyword arguments of every `splu` call."""
+    fills, options = [], []
     splu = spla.splu
 
     def recorded(A, *args, **kwargs):
         lu = splu(A, *args, **kwargs)
         fills.append(lu.L.nnz + lu.U.nnz)
+        options.append(kwargs)
         return lu
 
     monkeypatch.setattr(spla, "splu", recorded)
-    return fills
+    return fills, options
+
+
+def test_symmetric_factorizations_use_one_column_panels(monkeypatch):
+    # the linear P1 saddle K and the Riesz G take panel_size = relax = 1,
+    # which shrinks SuperLU's panel work arrays (module docstring, "Workspace")
+    case = get_case("case1")
+    mesh = case.make_mesh()
+    ops = build_operators(case.problem(), build_space(mesh, 1, "continuous"),
+                          build_space(mesh, 1, "broken"))
+    _, options = record_fills(monkeypatch)
+    ops.linear
+    ops.riesz(ops.L)
+    assert len(options) == 2
+    assert all(o["panel_size"] == 1 and o["relax"] == 1 for o in options)
 
 
 @pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
@@ -344,7 +359,7 @@ def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkey
     # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,082
     # (p = 2) and 614,085 (p = 3) entries, the symmetric ordering with 1.48 M
     # and 1.40 M (module docstring, "Orderings")
-    fills = record_fills(monkeypatch)
+    fills, _ = record_fills(monkeypatch)
     case = get_case("case1")
     mesh = case.make_mesh()
     sol = solve_linear_resmin(case.problem(), build_space(mesh, p, "continuous"),
@@ -363,10 +378,12 @@ def test_active_newton_matrix_takes_colamd(monkeypatch):
     ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
     system = NewtonSystem(pr, ops, PenaltyConfig())
     x = ops.linear[0]
-    fills = record_fills(monkeypatch)
+    fills, options = record_fills(monkeypatch)
     line, active = _newton_step(system, x, system.residual(x))
     assert active > 0 and np.all(np.isfinite(line.dx))
     assert len(fills) == 1 and fills[0] <= 600_000
+    # COLAMD keeps SuperLU's default panels (module docstring, "Workspace")
+    assert "panel_size" not in options[0] and "relax" not in options[0]
 
 
 def test_p2_penalized_newton_runs_and_reports():
