@@ -1,4 +1,5 @@
-"""A posteriori error indication and the solve-estimate-mark-refine loop.
+"""A posteriori error indication, Dorfler marking, the per-level record and
+the warm start of the adaptive levels.
 
 The residual representative eps_h doubles as the error estimate: its dG norm
 is localized to elements through the Gram matrix's own local blocks (the
@@ -7,25 +8,21 @@ boundary-face blocks), so the indicator squares sum to |eps_h|^2 by
 construction. Marking is bulk-chasing (Dorfler): the smallest
 indicator-sorted prefix carrying theta_mark^2 of the total squared estimate.
 
-Across levels the trial solution is prolonged by nodal interpolation (via
-refinement parent elements) to warm start Newton; with nodal penalty
-quadrature, or if the warm solve does not converge, a cold solve from the
-linear solution runs too and the level keeps the better of the two.
-Every level builds its spaces, operators and penalty parameters afresh, and
-releases the previous level's before it builds them, so no earlier level's
-operators, tables or solution outlive it into the next level's LUs; only a
-penalized run keeps the previous (U_h, u), for the warm start.
+Across adaptive levels the trial solution is prolonged by nodal
+interpolation (via refinement parent elements) to warm start Newton; with
+nodal penalty quadrature, or if the warm solve does not converge, a cold
+solve from the linear solution runs too and the level keeps the better of
+the two. The level loop itself, shared with uniform refinement, is
+`app.level_loop`; `adaptive_solve_loop` runs it with the Dorfler rule.
 """
 
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fespace import build_space
 from .forms import gram_blocks
-from .mesh import bisect_marked
-from .report import error_norms, extrema, violations, write_csv
-from .solver import build_operators, clip_inset, newton_solve, solve_linear_resmin
+from .report import extrema, violations, write_csv
+from .solver import clip_inset, newton_solve
 
 
 @dataclass
@@ -33,7 +30,6 @@ class ErrorIndicators:
     """Per-element localization of the estimator norm."""
 
     values: np.ndarray          # indicator_T >= 0
-    total: float                # |eps_h|_{V_h}
 
     @property
     def squared(self):
@@ -49,8 +45,7 @@ def error_indicators(problem, V_h, eps_coeffs):
         q = (c[:, None, :] @ blocks @ c[:, :, None])[:, 0, 0]
         for col in elems.T:
             ind2 += np.bincount(col, q / elems.shape[1], minlength=len(ind2))
-    total = float(np.sqrt(max(ind2.sum(), 0.0)))
-    return ErrorIndicators(np.sqrt(np.maximum(ind2, 0.0)), total)
+    return ErrorIndicators(np.sqrt(np.maximum(ind2, 0.0)))
 
 
 def dorfler_mark(indicators, theta_mark):
@@ -74,6 +69,8 @@ def dorfler_mark(indicators, theta_mark):
 
 @dataclass
 class AdaptRecord:
+    """One level of a uniform or adaptive run; `estimator` is |eps_h|_{V_h}."""
+
     level: int
     n_elements: int
     dofs_u: int
@@ -91,6 +88,11 @@ class AdaptRecord:
     h_min: float
     efficiency: float | None    # estimator / err_vh; None if err_vh is None or 0
     newton_log: list = field(default_factory=list)   # of the solve whose u is recorded
+
+    @property
+    def h(self):
+        """`h_max`, under the name study readers use."""
+        return self.h_max
 
 
 @dataclass
@@ -125,6 +127,23 @@ def prolong(u_coeffs, old_space, new_space):
     return out
 
 
+def warm_solve(problem, U_h, V_h, pen_config, prev, tol, ops):
+    """Newton from the previous level's (U_h, u), prolonged and clipped inside
+    the bounds; returns the kept solve and the steps of every candidate."""
+    initial = clip_inset(prolong(prev[1], prev[0], U_h), problem.u_min, problem.u_max)
+    res = newton_solve(problem, U_h, V_h, pen_config, tol=tol, initial=initial, ops=ops)
+    if pen_config.quadrature != "nodal" and res.converged:
+        return res, res.iterations
+    # Nodal enforcement pins the solution extrema, so every stationary point
+    # is feasible up to the consistency slack; keep the converged candidate
+    # that violates least (case3 level 8: 7.06e-3 warm, 0.0 cold). A failed
+    # warm solve gets the same second chance.
+    cold = newton_solve(problem, U_h, V_h, pen_config, tol=tol, ops=ops)
+    best = min((res, cold), key=lambda r: (not r.converged, sum(violations(
+        *extrema(U_h, r.u), problem.u_min, problem.u_max))))
+    return best, res.iterations + cold.iterations
+
+
 def adaptive_solve_loop(problem, pen_config, mesh, theta_mark=0.5, max_levels=20,
                         max_dofs=None, p=1, tol=1e-5, exact=None, exact_grad=None):
     """Run solve -> estimate -> mark -> refine from `mesh` until a stopping rule fires.
@@ -133,85 +152,20 @@ def adaptive_solve_loop(problem, pen_config, mesh, theta_mark=0.5, max_levels=20
     `max_dofs` caps the V_h dofs (the level that reaches it still solves);
     `tol` is the Newton increment tolerance of every level's solve.
     Returns partial records when Newton fails to converge at some level.
+    This is `app.level_loop` with the Dorfler rule.
     """
-    if max_levels < 1:
-        raise ValueError("max_levels must be at least 1")
-    if not 0.0 < theta_mark <= 1.0:
-        raise ValueError("theta_mark must lie in (0, 1]")
+    from .app import level_loop     # app imports this module
+    return level_loop(problem, pen_config, mesh, "adaptive", theta_mark, max_levels,
+                      max_dofs, p, tol, exact, exact_grad)
 
-    records = []
-    prev = None  # (U_h, u) of the previous level
-    stop_reason = "max_levels reached"
-    for level in range(max_levels):
-        U_h = build_space(mesh, p, "continuous")
-        V_h = build_space(mesh, p, "broken")
-        ops = build_operators(problem, U_h, V_h)
 
-        newton_iters = 0
-        newton_log = []
-        converged = True
-        if pen_config is None:
-            sol = solve_linear_resmin(problem, U_h, V_h, ops=ops)
-            u, eps = sol.u, sol.eps
-        else:
-            initial = None
-            if prev is not None:
-                initial = clip_inset(prolong(prev[1], prev[0], U_h),
-                                     problem.u_min, problem.u_max)
-            res = newton_solve(problem, U_h, V_h, pen_config,
-                               tol=tol, initial=initial, ops=ops)
-            newton_iters = res.iterations
-            if initial is not None and (pen_config.quadrature == "nodal"
-                                        or not res.converged):
-                # Nodal enforcement pins the solution extrema, so every
-                # stationary point is feasible up to the consistency slack;
-                # keep the converged candidate that violates least (case3
-                # level 8: 7.06e-3 warm, 0.0 cold). A failed warm solve gets
-                # the same second chance.
-                cold = newton_solve(problem, U_h, V_h, pen_config, tol=tol, ops=ops)
-                newton_iters += cold.iterations
-                res = min((res, cold), key=lambda r: (not r.converged, sum(violations(
-                    *extrema(U_h, r.u), problem.u_min, problem.u_max))))
-            converged = res.converged
-            u, eps, newton_log = res.u, res.eps, res.log
-
-        ind = error_indicators(problem, V_h, eps)
-        lo, hi = extrema(U_h, u)
-        # violations are reported against the problem bounds also for
-        # unpenalized comparison runs
-        under, over = violations(lo, hi, problem.u_min, problem.u_max)
-        err_l2 = err_vh = None
-        if exact is not None:
-            err_l2, err_vh = error_norms(problem, U_h, u, exact, exact_grad)
-        records.append(AdaptRecord(
-            level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, mesh.h, ind.total,
-            err_l2, err_vh, lo, hi, under, over, newton_iters, converged,
-            h_min=float(mesh.h_elem.min()),
-            efficiency=ind.total / err_vh if err_vh else None,
-            newton_log=newton_log))
-
-        if not converged:
-            stop_reason = f"newton failed at level {level}"
-            break
-        if max_dofs is not None and V_h.n_dofs >= max_dofs:
-            stop_reason = "max_dofs reached"
-            break
-        if level == max_levels - 1:
-            break
-        marks = dorfler_mark(ind, theta_mark)
-        if len(marks) == 0:
-            stop_reason = "estimator vanished"
-            break
-        # hold one level at a time (module docstring)
-        prev = (U_h, u) if pen_config is not None else None
-        U_h = V_h = ops = sol = res = cold = ind = u = eps = None
-        mesh = bisect_marked(mesh, marks)
-
-    return AdaptResult(records, mesh, U_h, V_h, u, eps, stop_reason)
+def record_table(records):
+    """(columns, rows) of per-level records: one column per field but the Newton log."""
+    cols = [f.name for f in fields(AdaptRecord) if f.name != "newton_log"]
+    return cols, [[getattr(r, c) for c in cols] for r in records]
 
 
 def write_records_csv(path, records):
     """Per-level records as CSV, one column per field but the Newton log;
     `efficiency` (estimator / err_vh) is empty when there is no exact solution."""
-    cols = [f.name for f in fields(AdaptRecord) if f.name != "newton_log"]
-    write_csv(path, cols, ([getattr(r, c) for c in cols] for r in records))
+    write_csv(path, *record_table(records))

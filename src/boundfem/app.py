@@ -1,33 +1,41 @@
-"""Case pipelines: single runs, convergence studies, artifact writing.
+"""Case pipelines: the level loop, single runs, convergence studies, artifacts.
 
-Every run writes its artifacts into a per-case output directory:
+Every run and study goes through one level loop (`level_loop`): spaces,
+operators, solve, measure, one `AdaptRecord`, stop rules, refine. The case's
+`mode` picks the refinement: "uniform" red-refines every element,
+"adaptive" bisects the Dorfler-marked ones. A uniform `run_case` is one
+level of that loop. Every run writes its artifacts into a per-case output
+directory:
 
-    run_info.txt         all effective settings (for reproducibility)
+    run_info.txt         all effective settings (for reproducibility) and
+                         the loop's stop_reason
     solution.vtk         final solution u and residual representative eps
+    levels.csv           per-level records
     iterations.csv       Newton log of a penalized run, one row per accepted
-                         step with its damping retries and the active-set
-                         size of the iterate it started from; adaptive runs
-                         add a leading level column
+                         step of each level's kept solve, with its level,
+                         damping retries and the active-set size of the
+                         iterate it started from
     violation.txt        bound-violation report (when bounds are set)
     cross_section.csv    sampled line values (cases that define one)
-    levels.csv           per-level records (adaptive runs)
-    study.csv            error table with least-squares slopes (studies)
+
+A study writes study.csv: the levels.csv columns, then least-squares slopes.
 """
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .adapt import adaptive_solve_loop, write_records_csv
+from .adapt import (AdaptRecord, AdaptResult, adaptive_solve_loop, dorfler_mark,
+                    error_indicators, record_table, warm_solve, write_records_csv)
 from .cases import get_case
 from .fespace import DiscreteFunction, build_space
 from .forms import vh_norm
-from .mesh import refine_uniform_red
+from .mesh import bisect_marked, refine_uniform_red
 from .penalty import PenaltyConfig
-from .report import (bound_violation_report, cross_section, error_norms,
-                     write_cross_section_csv, write_csv)
+from .report import (bound_violation_report, cross_section, error_norms, extrema,
+                     violations, write_cross_section_csv, write_csv)
 from .solver import build_operators, newton_solve, solve_linear_resmin, \
     write_iteration_log
 from .vtkio import export_vtk
@@ -47,23 +55,92 @@ def _setup(name, with_penalty, overrides):
     return case, problem, pen
 
 
-def _adaptive(case, problem, pen):
-    return adaptive_solve_loop(
-        problem, pen, case.make_mesh(), theta_mark=case.theta_mark,
-        max_levels=case.levels, max_dofs=case.max_dofs, p=case.p, tol=case.tol,
-        exact=case.exact, exact_grad=case.exact_grad)
+def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs,
+               p, tol, exact, exact_grad):
+    """Solve, measure and refine from `mesh` until a stopping rule fires.
+
+    `mode` "uniform" red-refines every element; "adaptive" forms the
+    indicators on every level and bisects the Dorfler-marked elements
+    (`theta_mark`). pen_config None solves linearly; otherwise each level
+    runs Newton with increment tolerance `tol`, cold on the first level and
+    on red levels, warm from the previous level on adaptive ones
+    (`adapt.warm_solve`). `max_dofs` caps the V_h dofs (the level that
+    reaches it still solves); a Newton failure ends the loop after its
+    level's record. Every level builds its spaces and operators afresh and
+    releases the previous level's first, so no earlier level's operators,
+    tables or solution outlive it into the next level's LUs; only adaptive
+    Newton keeps the previous (U_h, u), for the warm start.
+    """
+    if max_levels < 1:
+        raise ValueError("max_levels must be at least 1")
+    adaptive = mode == "adaptive"
+    if adaptive and not 0.0 < theta_mark <= 1.0:
+        raise ValueError("theta_mark must lie in (0, 1]")
+
+    records = []
+    prev = None  # (U_h, u) of the previous level
+    stop_reason = "max_levels reached"
+    for level in range(max_levels):
+        U_h = build_space(mesh, p, "continuous")
+        V_h = build_space(mesh, p, "broken")
+        ops = build_operators(problem, U_h, V_h)
+        if not adaptive:
+            V_h.contexts.clear()    # unread from here on; 10 MB at case1 L3, freed before the LU peak
+        if pen_config is None:
+            sol, iterations = solve_linear_resmin(problem, U_h, V_h, ops=ops), 0
+        elif prev is None:
+            sol = newton_solve(problem, U_h, V_h, pen_config, tol=tol, ops=ops)
+            iterations = sol.iterations
+        else:
+            sol, iterations = warm_solve(problem, U_h, V_h, pen_config, prev, tol, ops)
+        converged = pen_config is None or sol.converged
+
+        ind = error_indicators(problem, V_h, sol.eps) if adaptive else None
+        lo, hi = extrema(U_h, sol.u)
+        # violations are reported against the problem bounds also for
+        # unpenalized comparison runs
+        under, over = violations(lo, hi, problem.u_min, problem.u_max)
+        err_l2 = err_vh = None
+        if exact is not None:
+            err_l2, err_vh = error_norms(problem, U_h, sol.u, exact, exact_grad)
+        estimator = vh_norm(sol.eps, ops.G)
+        records.append(AdaptRecord(
+            level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, mesh.h, estimator,
+            err_l2, err_vh, lo, hi, under, over, iterations, converged,
+            h_min=float(mesh.h_elem.min()),
+            efficiency=estimator / err_vh if err_vh else None,
+            newton_log=[] if pen_config is None else sol.log))
+
+        if not converged:
+            stop_reason = f"newton failed at level {level}"
+            break
+        if max_dofs is not None and V_h.n_dofs >= max_dofs:
+            stop_reason = "max_dofs reached"
+            break
+        if level == max_levels - 1:
+            break
+        if adaptive:
+            marks = dorfler_mark(ind, theta_mark)
+            if len(marks) == 0:
+                stop_reason = "estimator vanished"
+                break
+        # hold one level at a time (docstring)
+        prev = (U_h, sol.u) if adaptive and pen_config is not None else None
+        U_h = V_h = ops = sol = ind = None
+        mesh = bisect_marked(mesh, marks) if adaptive else refine_uniform_red(mesh)
+
+    return AdaptResult(records, mesh, U_h, V_h, sol.u, sol.eps, stop_reason)
 
 
-def _solve_uniform(case, problem, pen, mesh):
-    """Linear or Newton solve on `mesh`; returns (U_h, V_h, solution, Newton log)."""
-    U_h = build_space(mesh, case.p, "continuous")
-    V_h = build_space(mesh, case.p, "broken")
-    ops = build_operators(problem, U_h, V_h)
-    V_h.contexts.clear()    # unread from here on; 10 MB at case1 L3, freed before the LU peak
-    if pen is None:
-        return U_h, V_h, solve_linear_resmin(problem, U_h, V_h, ops=ops), []
-    res = newton_solve(problem, U_h, V_h, pen, tol=case.tol, ops=ops)
-    return U_h, V_h, res, res.log
+def _levels(case, problem, pen, max_levels):
+    """The case's level loop from its initial mesh; adaptive runs enter
+    through `adaptive_solve_loop`."""
+    args = (problem, pen, case.make_mesh())
+    kw = dict(theta_mark=case.theta_mark, max_levels=max_levels, max_dofs=case.max_dofs,
+              p=case.p, tol=case.tol, exact=case.exact, exact_grad=case.exact_grad)
+    if case.mode == "adaptive":
+        return adaptive_solve_loop(*args, **kw)
+    return level_loop(*args, "uniform", **kw)
 
 
 def _write_run_info(path, case, problem, extra):
@@ -85,8 +162,7 @@ class RunResult:
     u: DiscreteFunction
     eps: DiscreteFunction
     violation: object            # ViolationReport or None
-    records: list                # adaptive records (empty for uniform runs)
-    newton_log: list
+    records: list                # one AdaptRecord per level (one for a uniform run)
     out_dir: str | None
 
 
@@ -101,34 +177,21 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
-    newton_log = []
-    records = []
-    info = {"with_penalty": with_penalty, "seed": seed}
-    if case.mode == "adaptive":
-        result = _adaptive(case, problem, pen)
-        records = result.records
-        info["stop_reason"] = result.stop_reason
-        mesh, U_h, V_h = result.mesh, result.U_h, result.V_h
-        u, eps = result.u, result.eps
-    else:
-        mesh = case.make_mesh()
-        U_h, V_h, sol, newton_log = _solve_uniform(case, problem, pen, mesh)
-        u, eps = sol.u, sol.eps
-
+    result = _levels(case, problem, pen, case.levels if case.mode == "adaptive" else 1)
+    records = result.records
     if out_dir:     # a setting the solve rejects leaves no directory behind
         os.makedirs(out_dir, exist_ok=True)
-        _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem, info)
-        if case.mode == "adaptive":
-            write_records_csv(os.path.join(out_dir, "levels.csv"), records)
-            if pen is not None:
-                write_iteration_log(os.path.join(out_dir, "iterations.csv"),
-                                    [rec for r in records for rec in r.newton_log],
-                                    levels=[r.level for r in records for _ in r.newton_log])
-        elif pen is not None:
-            write_iteration_log(os.path.join(out_dir, "iterations.csv"), newton_log)
+        _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
+                        {"with_penalty": with_penalty, "seed": seed,
+                         "stop_reason": result.stop_reason})
+        write_records_csv(os.path.join(out_dir, "levels.csv"), records)
+        if pen is not None:
+            write_iteration_log(os.path.join(out_dir, "iterations.csv"),
+                                [rec for r in records for rec in r.newton_log],
+                                levels=[r.level for r in records for _ in r.newton_log])
 
-    uh = DiscreteFunction(U_h, u)
-    eh = DiscreteFunction(V_h, eps)
+    uh = DiscreteFunction(result.U_h, result.u)
+    eh = DiscreteFunction(result.V_h, result.eps)
     report = None
     if problem.has_bounds:
         report = bound_violation_report(uh, (problem.u_min, problem.u_max))
@@ -141,32 +204,19 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
                     fh.write(f"undershoot_pct = {report.undershoot_pct!r}\n")
                     fh.write(f"overshoot_pct = {report.overshoot_pct!r}\n")
     if out_dir:
-        export_vtk(mesh, {"u": uh, "eps": eh},
+        export_vtk(result.mesh, {"u": uh, "eps": eh},
                    os.path.join(out_dir, "solution.vtk"), title=case.name)
         if case.cross_section is not None:
             p0, p1 = case.cross_section
             s, pts, vals = cross_section(uh, p0, p1)
             write_cross_section_csv(os.path.join(out_dir, "cross_section.csv"),
                                     s, pts, ("u", vals))
-    return RunResult(case, uh, eh, report, records, newton_log, out_dir)
-
-
-@dataclass
-class StudyRow:
-    level: int
-    h: float
-    dofs_u: int
-    dofs_v: int
-    err_l2: float | None
-    err_vh: float | None
-    estimator: float
-    undershoot: float
-    overshoot: float
+    return RunResult(case, uh, eh, report, records, out_dir)
 
 
 @dataclass
 class StudyResult:
-    rows: list
+    rows: list                   # one AdaptRecord per level
     slope_l2: float | None       # least-squares slope vs sqrt(dofs_u)
     slope_vh: float | None
 
@@ -183,23 +233,7 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
     like 1/h, so -2 corresponds to second order in h.
     """
     case, problem, pen = _setup(name, with_penalty, dict(overrides, mode=mode))
-    rows = []
-    if case.mode == "adaptive":
-        for r in _adaptive(case, problem, pen).records:
-            rows.append(StudyRow(r.level, r.h_max, r.dofs_u, r.dofs_v,
-                                 r.err_l2, r.err_vh, r.estimator,
-                                 r.undershoot, r.overshoot))
-    else:
-        if case.levels < 1:
-            raise ValueError("levels must be at least 1")
-        mesh = case.make_mesh()
-        for level in range(case.levels):
-            rows.append(_study_row(case, problem, pen, mesh, level))
-            if level == case.levels - 1 or (case.max_dofs is not None
-                                            and rows[-1].dofs_v >= case.max_dofs):
-                break
-            mesh = refine_uniform_red(mesh)
-
+    rows = _levels(case, problem, pen, case.levels).records
     slope_l2 = _slope([r.dofs_u for r in rows], [r.err_l2 for r in rows])
     slope_vh = _slope([r.dofs_u for r in rows], [r.err_vh for r in rows])
     result = StudyResult(rows, slope_l2, slope_vh)
@@ -207,21 +241,6 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
         os.makedirs(out_dir, exist_ok=True)
         write_study_csv(os.path.join(out_dir, "study.csv"), result)
     return result
-
-
-def _study_row(case, problem, pen, mesh, level):
-    """One uniform level's `StudyRow`; its spaces and operators die on return."""
-    U_h, V_h, sol, _ = _solve_uniform(case, problem, pen, mesh)
-    err_l2 = err_vh = None
-    if case.exact is not None:
-        err_l2, err_vh = error_norms(problem, U_h, sol.u, case.exact, case.exact_grad)
-    under = over = 0.0
-    if problem.has_bounds:
-        rep = bound_violation_report(DiscreteFunction(U_h, sol.u),
-                                     (problem.u_min, problem.u_max))
-        under, over = rep.undershoot, rep.overshoot
-    return StudyRow(level, mesh.h, U_h.n_dofs, V_h.n_dofs, err_l2, err_vh,
-                    vh_norm(sol.eps, sol.ops.G), under, over)
 
 
 def _slope(dofs, errs):
@@ -234,8 +253,8 @@ def _slope(dofs, errs):
 
 
 def write_study_csv(path, study):
-    cols = [f.name for f in fields(StudyRow)]
-    rows = [[getattr(r, c) for c in cols] for r in study.rows]
+    """The levels.csv columns of the study's records, then the two slopes."""
+    cols, rows = record_table(study.rows)
     rows += [[], ["slope_l2_vs_sqrt_dofs", study.slope_l2],
              ["slope_vh_vs_sqrt_dofs", study.slope_vh]]
     write_csv(path, cols, rows)

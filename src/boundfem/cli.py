@@ -138,7 +138,7 @@ def _run(args):
     for r in study.rows:
         err = "" if r.err_l2 is None else f" L2={r.err_l2:.4e}"
         vh = "" if r.err_vh is None else f" Vh={r.err_vh:.4e}"
-        print(f"level {r.level}: h={r.h:.5f} dofs={r.dofs_u}{err}{vh} "
+        print(f"level {r.level}: h={r.h_max:.5f} dofs={r.dofs_u}{err}{vh} "
               f"est={r.estimator:.4e}")
     if study.slope_l2 is not None:
         print(f"L2 slope vs sqrt(dofs): {study.slope_l2:.3f}")

@@ -246,15 +246,17 @@ def test_adaptive_run_info_records_the_stop_reason(tmp_path):
     run_case("smooth", out_dir=str(tmp_path / "uniform"))
     info = (tmp_path / "adaptive" / "run_info.txt").read_text().splitlines()
     assert info[-1] == "stop_reason = max_levels reached"
-    assert "stop_reason" not in (tmp_path / "uniform" / "run_info.txt").read_text()
+    # a uniform run is the same loop with one level
+    info = (tmp_path / "uniform" / "run_info.txt").read_text().splitlines()
+    assert info[-1] == "stop_reason = max_levels reached"
 
 
 def test_penalized_uniform_run_writes_iteration_log(tmp_path):
     out = tmp_path / "pen"
     result = run_case("case1", out_dir=str(out))
     lines = (out / "iterations.csv").read_text().splitlines()
-    assert lines[0] == "k,residual_norm,t,zeta,increment_norm,retries,active"
-    assert len(lines) - 1 == len(result.newton_log) > 0
+    assert lines[0] == "level,k,residual_norm,t,zeta,increment_norm,retries,active"
+    assert len(lines) - 1 == len(result.records[0].newton_log) > 0
 
 
 def test_penalized_adaptive_run_writes_iteration_log(tmp_path):
@@ -433,6 +435,21 @@ def test_case1_penalized_study_matches_reference(monkeypatch):
         assert res.iterations == int(want["newton_iterations"])
         assert sum(rec.retries for rec in res.log) == int(want["damping_retries"])
         assert res.reason == want["newton_reason"]
+
+
+def test_study_rows_are_the_level_records(tmp_path):
+    # studies and runs share one level loop and one record: study.csv has the
+    # levels.csv columns, and a penalized study row carries its Newton status
+    convergence_study("smooth", levels=2, out_dir=str(tmp_path / "study"))
+    run_case("smooth", out_dir=str(tmp_path / "run"))
+    study = (tmp_path / "study" / "study.csv").read_text().splitlines()
+    levels = (tmp_path / "run" / "levels.csv").read_text().splitlines()
+    assert study[0] == levels[0]
+    pen = convergence_study("case1", levels=2, with_penalty=True)
+    with open(os.path.join(DATA, "case1_penalized_reference.csv")) as fh:
+        ref = list(csv.DictReader(fh))[:2]
+    got = [(r.newton_converged, r.newton_iterations) for r in pen.rows]
+    assert got == [(True, int(want["newton_iterations"])) for want in ref] == [(True, 1)] * 2
 
 
 def test_penalized_study_holds_one_level_at_each_factorization(monkeypatch):
