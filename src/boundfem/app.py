@@ -132,11 +132,11 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
     return AdaptResult(records, mesh, U_h, V_h, sol.u, sol.eps, stop_reason)
 
 
-def _levels(case, problem, pen, max_levels):
-    """The case's level loop from its initial mesh; adaptive runs enter
-    through `adaptive_solve_loop`."""
+def _levels(case, problem, pen):
+    """The case's level loop from its initial mesh, at most `case.levels`
+    levels; adaptive runs enter through `adaptive_solve_loop`."""
     args = (problem, pen, case.make_mesh())
-    kw = dict(theta_mark=case.theta_mark, max_levels=max_levels, max_dofs=case.max_dofs,
+    kw = dict(theta_mark=case.theta_mark, max_levels=case.levels, max_dofs=case.max_dofs,
               p=case.p, tol=case.tol, exact=case.exact, exact_grad=case.exact_grad)
     if case.mode == "adaptive":
         return adaptive_solve_loop(*args, **kw)
@@ -171,13 +171,15 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
 
     Overrides accept the CaseDefinition field names (gamma0, lower, upper,
     tol, p, levels, theta_mark, upper_sign, ...); a bound left unset keeps
-    the case's value. Uniform cases solve once, on the initial mesh;
-    `levels` applies to adaptive runs (and to `convergence_study`). `seed` is
-    recorded for reproducibility; the solver itself is deterministic. The
-    artifacts are written only after the solve.
+    the case's value. Uniform cases solve once, on the initial mesh (their
+    `levels` becomes 1); `levels` applies to adaptive runs (and to
+    `convergence_study`). `seed` is recorded for reproducibility; the solver
+    itself is deterministic. The artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
-    result = _levels(case, problem, pen, case.levels if case.mode == "adaptive" else 1)
+    if case.mode == "uniform":
+        case = case.with_overrides(levels=1)
+    result = _levels(case, problem, pen)
     records = result.records
     if out_dir:     # a setting the solve rejects leaves no directory behind
         os.makedirs(out_dir, exist_ok=True)
@@ -233,7 +235,7 @@ def convergence_study(name, mode=None, with_penalty=False, out_dir=None, **overr
     like 1/h, so -2 corresponds to second order in h.
     """
     case, problem, pen = _setup(name, with_penalty, dict(overrides, mode=mode))
-    rows = _levels(case, problem, pen, case.levels).records
+    rows = _levels(case, problem, pen).records
     slope_l2 = _slope([r.dofs_u for r in rows], [r.err_l2 for r in rows])
     slope_vh = _slope([r.dofs_u for r in rows], [r.err_vh for r in rows])
     result = StudyResult(rows, slope_l2, slope_vh)

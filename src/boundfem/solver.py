@@ -49,7 +49,7 @@ against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
 with K. Every level of the case1 study starts inactive, so its Newton solves
 factorize only the linear K and G. At L3 (RSS right after each LU, one
 process, 2-core VM) the saddle LU phase peaks near 170 MB, the Riesz LU
-phase near 148 MB, and the Newton phase after them stays near 133 MB.
+phase near 145 MB, and the Newton phase after them stays near 125 MB.
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
@@ -67,41 +67,42 @@ Orderings (`_factorize`), fixed and picked from the matrix by `_solve_saddle`
 (one-off runs, 2-core VM, scipy 1.17; tier-1 tests bound the case1 fills):
 
 * The linear K with a P1 trial space, and G at every degree, are factorized
-  symmetrically (`SYMMETRIC_LU`): a reverse Cuthill-McKee pre-order, then
-  SuperLU with minimum degree on A'+A and threshold pivoting that prefers
-  the diagonal. On case1 L3 (54,385 rows) this takes 0.24 s instead of
-  COLAMD's 0.78 s, with 5.0 M fill instead of 13.7 M; G 0.13 s and 2.9 M
-  instead of 0.21 s and 5.0 M. Without the pre-order minimum degree took
-  4.0-4.6 s, with partial pivoting 174 s (on the earlier matrix with
-  round-off face couplings); a zero threshold lost all accuracy at p = 2.
+  symmetrically (`SYMMETRIC_LU`) in their own dof order: SuperLU with
+  minimum degree on A'+A and threshold pivoting that prefers the diagonal.
+  On case1 L3 (54,385 rows) this takes 0.39 s instead of COLAMD's 1.61 s,
+  with 5.1 M fill instead of 13.7 M; G 0.16 s and 2.5 M instead of 0.40 s
+  and 5.0 M. A reverse Cuthill-McKee pre-order gave more fill (K 5.11 M,
+  G 2.88 M) and a permuted copy of the matrix. A zero threshold lost all
+  accuracy at p = 2.
 * Newton matrices with J = B + dP(u), dP != 0, take COLAMD (plain `splu`);
   on case1, J at the level's linear solution, symmetric -> COLAMD:
 
     level  rows    L+U fill                time
-    L0        870  237,278 -> 61,479       0.026 -> 0.006 s
-    L1      3,433  2,045,327 -> 417,481    0.327 -> 0.025 s
-    L2     13,641  21.4 M -> 2.71 M        6.3 -> 0.18 s
+    L0        870  220,861 -> 61,479       0.016 -> 0.006 s
+    L1      3,433  1,722,000 -> 417,481    0.230 -> 0.034 s
+    L2     13,641  24.8 M -> 2.71 M        11.4 -> 0.22 s
 * So does the linear K with p >= 2. Without diffusion the symmetric path
-  breaks down: on case1's 11x11 mesh L+U fill is 1.48 M at p = 2 and 1.40 M
-  at p = 3 against COLAMD's 229,082 and 614,085, and on case1 L1 at p = 2
-  11.0 s and 23.4 M against 0.14 s and 1.70 M. With diffusion it would be
-  faster (smooth L3, p = 2: 0.14 s and 2.8 M against 0.43 s and 6.3 M).
+  breaks down: on case1's 11x11 mesh L+U fill is 1.29 M at p = 2 and 1.47 M
+  at p = 3 against COLAMD's 229,049 and 613,395, and on case1 L1 at p = 2
+  27.4 s and 27.9 M against 0.13 s and 1.65 M. With diffusion it would be
+  faster (smooth L3, p = 2: 0.15 s and 2.6 M against 0.61 s and 6.3 M).
 
 Workspace. SuperLU's panel work arrays grow with rows x panel size, so the
 symmetric path takes one-column panels (`SYMMETRIC_LU`: panel_size = relax
 = 1; scipy's default panel is 20). The factor is the same; on case1 L3 K
-(fill 5,109,397) the RSS peak over a standalone LU grows with the panel:
+(fill 5,081,374) the RSS peak over a standalone LU with relax = 1 grows
+with the panel:
 
     panel size    1      4      8      12     20     32
-    peak (MB)    +50.4  +51.0  +54.3  +57.7  +68.4  +78.4
+    peak (MB)    +56.1  +58.6  +62.0  +65.3  +71.9  +81.9
 
-Median LU time, panel 20 -> 1: case1 L3 K 0.298 -> 0.262 s, G 0.148 ->
-0.115 s; smooth L4 K -9 %, G -31 %; G on case1 L2 at p = 2 and 3 -26 and
--24 %; the 32 LUs of case2 to 10k dofs about 0.24 -> 0.19 s together.
-COLAMD keeps scipy's defaults: one-column panels slowed it on smooth L3 at
-p = 2 (0.438 -> 0.475 s). Caution: panel_size = 32 with the default relax
-corrupted the heap (a crash at interpreter exit) in 4 of 4 standalone runs;
-do not sweep panel sizes above 20 in-process.
+Median LU time, panel 20 -> 1: case1 L3 K 0.52 -> 0.49 s, G 0.24 ->
+0.18 s (G +43.5 -> +30.1 MB). In the dof order relax = 1 is essential:
+scipy's default relax took 38 s and +651 MB on case1 L3 K (relax = 4,
+panel 1: 0.79 s, +78 MB). COLAMD keeps scipy's defaults: one-column panels
+slowed it on smooth L3 at p = 2 (0.438 -> 0.475 s). Caution: panel_size =
+32 corrupted the heap (a crash at interpreter exit) in every standalone
+run, with relax = 1 too; do not sweep panel sizes above 20 in-process.
 """
 
 import functools
@@ -122,8 +123,8 @@ OMEGA = 0.5             # damping acceptance threshold, see the module docstring
 MAX_RETRIES = 20        # rejected damping trials allowed per Newton step
 MAX_ITER = 100          # Newton steps allowed per solve
 
-# The symmetric ordering's splu arguments (after the RCM pre-order); the
-# measurements behind them are in the module docstring.
+# The symmetric ordering's splu arguments; the measurements behind them are
+# in the module docstring.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                 "relax": 1, "panel_size": 1, "options": {"SymmetricMode": True}}
 
@@ -193,28 +194,10 @@ def _saddle_matrix(G, B):
     return sp.bmat([[G, B], [B.T, None]], format="csc")
 
 
-class _PermutedLU:
-    """LU factors of K[perm][:, perm] that solve with K itself."""
-
-    def __init__(self, lu, perm):
-        self.lu = lu
-        self.perm = perm
-
-    def solve(self, b):
-        x = np.empty_like(b)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
-
-
 def _factorize(K, symmetric):
     """Sparse LU of the symmetric matrix K: the symmetric ordering, or COLAMD."""
     try:
-        if not symmetric:
-            return spla.splu(K)
-        # imported here so that runs with no symmetric factorization skip it
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-        perm = reverse_cuthill_mckee(K, symmetric_mode=True)
-        return _PermutedLU(spla.splu(K[perm][:, perm].tocsc(), **SYMMETRIC_LU), perm)
+        return spla.splu(K.tocsc(), **SYMMETRIC_LU) if symmetric else spla.splu(K)
     except RuntimeError as exc:
         ordering = "symmetric" if symmetric else "COLAMD"
         raise SolverBreakdown(
@@ -431,19 +414,14 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     return NewtonResult(u, eps, converged, reason, log, ops)
 
 
-def write_iteration_log(path, log, levels=None):
-    """Iteration log as CSV with columns k, residual_norm, t, zeta,
-    increment_norm, retries (rejected damping trials before the step was
-    accepted) and active (`PenaltyOperator.active_count` at the iterate the
-    step started from; at 0, the step goes to the linear solution without a
-    factorization).
-
-    `levels`, when given, holds each record's refinement level and is written
-    as a leading `level` column.
+def write_iteration_log(path, log, levels):
+    """Iteration log as CSV with columns level (`levels` holds each record's
+    refinement level), k, residual_norm, t, zeta, increment_norm, retries
+    (rejected damping trials before the step was accepted) and active
+    (`PenaltyOperator.active_count` at the iterate the step started from; at
+    0, the step goes to the linear solution without a factorization).
     """
     cols = [f.name for f in fields(IterationRecord)]
-    rows = [[getattr(rec, c) for c in cols] for rec in log]
-    if levels is not None:
-        cols = ["level"] + cols
-        rows = [[level] + row for level, row in zip(levels, rows)]
-    write_csv(path, cols, rows)
+    rows = [[level] + [getattr(rec, c) for c in cols]
+            for level, rec in zip(levels, log, strict=True)]
+    write_csv(path, ["level"] + cols, rows)

@@ -246,8 +246,9 @@ def test_adaptive_run_info_records_the_stop_reason(tmp_path):
     run_case("smooth", out_dir=str(tmp_path / "uniform"))
     info = (tmp_path / "adaptive" / "run_info.txt").read_text().splitlines()
     assert info[-1] == "stop_reason = max_levels reached"
-    # a uniform run is the same loop with one level
+    # a uniform run is the same loop with one level, and records that level
     info = (tmp_path / "uniform" / "run_info.txt").read_text().splitlines()
+    assert "levels = 1" in info
     assert info[-1] == "stop_reason = max_levels reached"
 
 

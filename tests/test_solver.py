@@ -161,18 +161,15 @@ def test_newton_monotone_accepted_residuals_and_log(tmp_path):
     rs = [rec.residual_norm for rec in res.log]
     assert all(a > b for a, b in zip(rs, rs[1:]))
     path = tmp_path / "log.csv"
-    write_iteration_log(path, res.log)
+    # the log leads with the level of each record
+    write_iteration_log(path, res.log, levels=[7] * len(res.log))
     header = path.read_text().splitlines()[0]
-    assert header == "k,residual_norm,t,zeta,increment_norm,retries,active"
+    assert header == "level,k,residual_norm,t,zeta,increment_norm,retries,active"
     rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
     assert len(rows) == len(res.log)
+    assert all(row[0] == "7" for row in rows)
     assert [int(row[-2]) for row in rows] == [rec.retries for rec in res.log]
     assert [int(row[-1]) for row in rows] == [rec.active for rec in res.log]
-    # an adaptive log leads with the level of each record
-    write_iteration_log(path, res.log, levels=[7] * len(res.log))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level," + header
-    assert all(line.startswith("7,") for line in lines[1:])
 
 
 def test_newton_deterministic():
@@ -326,40 +323,47 @@ def test_higher_degree_linear_solve_meets_contract(p):
 
 
 def record_fills(monkeypatch):
-    """Lists that receive the L+U fill and the keyword arguments of every `splu` call."""
-    fills, options = [], []
+    """Lists that receive the L+U fill, the keyword arguments and the matrix
+    of every `splu` call."""
+    fills, options, matrices = [], [], []
     splu = spla.splu
 
     def recorded(A, *args, **kwargs):
         lu = splu(A, *args, **kwargs)
         fills.append(lu.L.nnz + lu.U.nnz)
         options.append(kwargs)
+        matrices.append(A)
         return lu
 
     monkeypatch.setattr(spla, "splu", recorded)
-    return fills, options
+    return fills, options, matrices
 
 
 def test_symmetric_factorizations_use_one_column_panels(monkeypatch):
-    # the linear P1 saddle K and the Riesz G take panel_size = relax = 1,
-    # which shrinks SuperLU's panel work arrays (module docstring, "Workspace")
+    # the linear P1 saddle K and the Riesz G are factorized in their own dof
+    # order with panel_size = relax = 1, which shrinks SuperLU's panel work
+    # arrays; in that order a larger relax is slow (module docstring, "Workspace")
     case = get_case("case1")
     mesh = case.make_mesh()
     ops = build_operators(case.problem(), build_space(mesh, 1, "continuous"),
                           build_space(mesh, 1, "broken"))
-    _, options = record_fills(monkeypatch)
+    _, options, matrices = record_fills(monkeypatch)
     ops.linear
     ops.riesz(ops.L)
     assert len(options) == 2
     assert all(o["panel_size"] == 1 and o["relax"] == 1 for o in options)
+    K_lu, G_lu = matrices
+    assert K_lu.shape == (ops.V_h.n_dofs + ops.U_h.n_dofs,) * 2
+    assert (K_lu != _saddle_matrix(ops.G, ops.B)).nnz == 0
+    assert G_lu.shape == ops.G.shape and (G_lu != ops.G).nnz == 0
 
 
 @pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
 def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkeypatch):
-    # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,082
-    # (p = 2) and 614,085 (p = 3) entries, the symmetric ordering with 1.48 M
-    # and 1.40 M (module docstring, "Orderings")
-    fills, _ = record_fills(monkeypatch)
+    # case1 has no diffusion: on its 11x11 mesh COLAMD fills L+U with 229,049
+    # (p = 2) and 613,395 (p = 3) entries, the symmetric ordering with 1.29 M
+    # and 1.47 M (module docstring, "Orderings")
+    fills, _, _ = record_fills(monkeypatch)
     case = get_case("case1")
     mesh = case.make_mesh()
     sol = solve_linear_resmin(case.problem(), build_space(mesh, p, "continuous"),
@@ -371,14 +375,14 @@ def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkey
 def test_active_newton_matrix_takes_colamd(monkeypatch):
     # J = B + dP(u) at the linear solution of case1 refined once, where the
     # Gauss penalty is active: COLAMD fills L+U with 417,481 entries, the
-    # symmetric ordering with 2,045,327 (module docstring, "Orderings")
+    # symmetric ordering with 1,722,000 (module docstring, "Orderings")
     case = get_case("case1")
     pr = case.problem()
     mesh = refine_uniform_red(case.make_mesh())
     ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
     system = NewtonSystem(pr, ops, PenaltyConfig())
     x = ops.linear[0]
-    fills, options = record_fills(monkeypatch)
+    fills, options, _ = record_fills(monkeypatch)
     line, active = _newton_step(system, x, system.residual(x))
     assert active > 0 and np.all(np.isfinite(line.dx))
     assert len(fills) == 1 and fills[0] <= 600_000
