@@ -171,14 +171,18 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
 
     Overrides accept the CaseDefinition field names (gamma0, lower, upper,
     tol, p, levels, theta_mark, upper_sign, ...); a bound left unset keeps
-    the case's value. Uniform cases solve once, on the initial mesh (their
-    `levels` becomes 1); `levels` applies to adaptive runs (and to
-    `convergence_study`). `seed` is recorded for reproducibility; the solver
-    itself is deterministic. The artifacts are written only after the solve.
+    the case's value. Uniform cases solve one level, on the initial mesh;
+    any other `levels` raises ValueError before a solve (`convergence_study`
+    runs more). `seed` is recorded for reproducibility; the solver itself
+    is deterministic. The artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
     if case.mode == "uniform":
-        case = case.with_overrides(levels=1)
+        levels = overrides.get("levels", 1)
+        if levels > 1:
+            raise ValueError(f"a uniform run solves one level, got levels={levels}; "
+                             "a study runs more")
+        case = case.with_overrides(levels=levels)
     result = _levels(case, problem, pen)
     records = result.records
     if out_dir:     # a setting the solve rejects leaves no directory behind

@@ -47,9 +47,11 @@ factorizing; all solves on one `LinearOperators` share its one linear
 solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
 against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
 with K. Every level of the case1 study starts inactive, so its Newton solves
-factorize only the linear K and G. At L3 (RSS right after each LU, one
-process, 2-core VM) the saddle LU phase peaks near 170 MB, the Riesz LU
-phase near 145 MB, and the Newton phase after them stays near 125 MB.
+factorize only the linear K and G. At L3 (one process, 2-core VM) RSS reads
+145.6 MB right after the saddle LU and 114.9 MB right after the Riesz LU;
+the Newton phase after them reaches ~147 MB in its damping trials (the
+first, at t = 1, adds 12 MB over the line tables) and sets the level's
+high-water ("Workspace").
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
@@ -103,8 +105,28 @@ panel 1: 0.79 s, +78 MB). COLAMD keeps scipy's defaults: one-column panels
 slowed it on smooth L3 at p = 2 (0.438 -> 0.475 s). Caution: panel_size =
 32 corrupted the heap (a crash at interpreter exit) in every standalone
 run, with relax = 1 too; do not sweep panel sizes above 20 in-process.
+
+Before each LU (K, G and J alike) `_factorize` hands the C heap's free pages
+back to the OS: glibc's malloc_trim(0), resolved once through ctypes
+(`_release_heap`; a no-op where the C library has no such symbol). Once an
+array has been freed, glibc's dynamic mmap threshold keeps arrays below
+32 MB in the heap, and the heap is not trimmed while live arrays sit above
+the holes left by freed assembly temporaries and V_h tables; those pages
+stay resident, and SuperLU takes fresh ones for its factor. Before the
+case1 L3 K LU, RSS reads 118.3 MB: 21.5 MB of live numpy data (tracemalloc)
+over a 61 MB import baseline, the rest freed heap. The trim lowers it to
+86.6 MB; RSS after the K LU falls 167.9 -> 145.6 MB, after the G LU
+142.8 -> 114.9 MB. Benchmark peak RSS, medians of 10 fresh runs:
+case1-penalized 172.0 -> 147.7 MB, smooth-uniform 130.3 -> 118.2 MB,
+case2-adaptive-linear 84.2 -> 80.6 MB. No arithmetic changes. A trim takes
+0.05-3 ms (8 on the case1 study, 32 on the case2 run), but the heap faults
+the released pages in again when it reuses them (case2 run: 10.3 k ->
+21.3 k minor faults): its wall time rose ~6 % in traced runs, and min-of-3
+in-process repeats slowed 0.507 -> 0.565 s (case2) and 0.374 -> 0.392 s
+(smooth).
 """
 
+import ctypes
 import functools
 from dataclasses import dataclass, fields
 
@@ -194,8 +216,20 @@ def _saddle_matrix(G, B):
     return sp.bmat([[G, B], [B.T, None]], format="csc")
 
 
+try:    # glibc's malloc_trim(0), resolved once; a no-op where the C library has none
+    _release_heap = functools.partial(ctypes.CDLL(None).malloc_trim, ctypes.c_size_t(0))
+except (AttributeError, OSError, TypeError):
+    def _release_heap():
+        return 0
+
+
 def _factorize(K, symmetric):
-    """Sparse LU of the symmetric matrix K: the symmetric ordering, or COLAMD."""
+    """Sparse LU of the symmetric matrix K: the symmetric ordering, or COLAMD.
+
+    The C heap's free pages go back to the OS first, so the factor does not
+    stack on freed temporaries (module docstring, "Workspace").
+    """
+    _release_heap()
     try:
         return spla.splu(K.tocsc(), **SYMMETRIC_LU) if symmetric else spla.splu(K)
     except RuntimeError as exc:

@@ -140,6 +140,28 @@ def test_run_case_smooth_artifacts(tmp_path):
     assert "case = smooth" in info
 
 
+@pytest.mark.parametrize("levels,match", [(3, "a uniform run solves one level"),
+                                          (0, "max_levels must be at least 1")])
+def test_uniform_run_rejects_other_level_counts_before_any_solve(levels, match, tmp_path,
+                                                                 monkeypatch):
+    # a uniform run solves one level (a study runs more); the override is
+    # rejected, not dropped, and nothing is solved or written
+    import boundfem.app as app
+    monkeypatch.setattr(app, "build_operators", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        run_case("smooth", out_dir=str(out), levels=levels)
+    assert not out.exists()
+
+
+def test_cli_uniform_run_with_levels_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "smooth", "--levels", "3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "a uniform run solves one level, got levels=3" in err and "study" in err
+    assert not out.exists()
+
+
 def test_run_case_unknown_name():
     with pytest.raises(KeyError):
         run_case("case9")

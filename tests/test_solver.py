@@ -1,3 +1,4 @@
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,32 @@ def test_active_newton_matrix_takes_colamd(monkeypatch):
     assert len(fills) == 1 and fills[0] <= 600_000
     # COLAMD keeps SuperLU's default panels (module docstring, "Workspace")
     assert "panel_size" not in options[0] and "relax" not in options[0]
+
+
+def test_every_factorization_follows_a_heap_release(monkeypatch):
+    # the C heap's free pages go back to the OS right before each LU, so no
+    # factor is stacked on freed assembly temporaries (module docstring,
+    # "Workspace"); two penalized case1 levels factorize K and G each
+    import boundfem.solver as solver
+    from boundfem.app import convergence_study
+    events = []
+    monkeypatch.setattr(solver, "_release_heap", lambda: events.append("release"))
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: events.append("LU")
+                        or splu(*args, **kwargs))
+    study = convergence_study("case1", with_penalty=True, levels=2)
+    assert len(study.rows) == 2
+    assert events == ["release", "LU"] * 4
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="malloc_trim is a glibc function")
+def test_heap_release_is_glibc_malloc_trim():
+    # on glibc the release is never silently the no-op fallback
+    import boundfem.solver as solver
+    assert solver._release_heap.func.__name__ == "malloc_trim"
+    assert solver._release_heap.args[0].value == 0
+    assert solver._release_heap() in (0, 1)
 
 
 def test_p2_penalized_newton_runs_and_reports():
