@@ -51,7 +51,8 @@ def read_config(path):
 
 
 def make_parser():
-    ap = argparse.ArgumentParser(prog="boundfem",
+    # allow_abbrev=False: a flag prefix (`--upper` for `--upper-sign`) is an error
+    ap = argparse.ArgumentParser(prog="boundfem", allow_abbrev=False,
                                  description="bound-preserving adaptive FEM solver")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -69,11 +70,13 @@ def make_parser():
                         help="sign convention of the upper-bound term")
     common.add_argument("--out-dir", help="artifact output directory")
 
-    run = sub.add_parser("run", parents=[common], help="run one case end to end")
+    run = sub.add_parser("run", parents=[common], allow_abbrev=False,
+                         help="run one case end to end")
     run.add_argument("--no-penalty", action="store_true",
                      help="skip the bound penalty (linear solves)")
     run.add_argument("--seed", type=int, help="recorded in run_info.txt for reproducibility")
-    st = sub.add_parser("study", parents=[common], help="convergence study")
+    st = sub.add_parser("study", parents=[common], allow_abbrev=False,
+                        help="convergence study")
     st.add_argument("--mode", choices=("uniform", "adaptive"),
                     help="refinement mode (defaults to the case's mode)")
     st.add_argument("--with-penalty", action="store_true",

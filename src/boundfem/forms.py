@@ -250,7 +250,10 @@ def _block_matrix(space, element, iface, bface, symmetrize=False):
     the order the COO triplets it replaces mostly did. `symmetrize` averages
     the operator with its transpose, which on the block data is a transpose
     of every block plus a swap of each face's two off-diagonal slots. Exact
-    zeros are dropped, so the CSR pattern is that of the nonzero entries.
+    zeros are dropped, so the CSR pattern is that of the nonzero entries,
+    and `data` and `indices` are copied to nnz entries: `eliminate_zeros`
+    leaves views of the zero-padded buffers when it keeps more than half of
+    them (G at case1 L3: 6.65 MB held for 3.89 MB of entries).
     """
     indptr, indices, diag, face = _block_pattern(space)
     nl = space.n_local
@@ -270,6 +273,7 @@ def _block_matrix(space, element, iface, bface, symmetrize=False):
         data = sym
     M = sp.bsr_matrix((data, indices, indptr), shape=(space.n_dofs,) * 2).tocsr()
     M.eliminate_zeros()
+    M.data, M.indices = M.data.copy(), M.indices.copy()
     return M
 
 

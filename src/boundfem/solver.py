@@ -22,9 +22,10 @@ norms of the assembled block vector.
 
 Linear solves use a direct sparse LU factorization; saddle systems are
 symmetric indefinite, and only the block-residual contract (<= 1e-10
-relative) is part of the interface; `_solve_saddle` solves the linear
-system once per `LinearOperators` (`LinearOperators.linear`) and every
-Newton step from an active iterate, and no saddle factor outlives its
+relative) is part of the interface. `_solve_saddle` solves the linear
+system once per `LinearOperators` (`LinearOperators.linear`), with a
+single-precision factor refined in double ("Precision"), and every Newton
+step from an active iterate in double; no saddle factor outlives its
 solve. Every residual takes its bottom block B'eps + dP(u)'eps without
 assembling dP(u), and evaluates the penalty on the elements with some bound
 argument <= 0 only (`PenaltyOperator.residual_and_adjoint`); the Jacobian
@@ -48,10 +49,35 @@ solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
 against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
 with K. Every level of the case1 study starts inactive, so its Newton solves
 factorize only the linear K and G. At L3 (one process, 2-core VM) RSS reads
-145.6 MB right after the saddle LU and 114.9 MB right after the Riesz LU;
-the Newton phase after them reaches ~147 MB in its damping trials (the
-first, at t = 1, adds 12 MB over the line tables) and sets the level's
-high-water ("Workspace").
+125.4 MB right after the saddle LU (145.1 MB with a double factor) and
+111.5 MB right after the Riesz LU; the Newton phase after them reaches
+~143 MB in its damping trials (the first, at t = 1, adds 12 MB over the
+line tables) and sets the level's high-water ("Workspace").
+
+Precision. The linear P1 saddle matrix K is factorized in single precision,
+a float32 copy of its values on K's own index arrays, and its solution is
+refined in double (`_refined_solve`): x += LU^-1 (rhs - K x), the residual
+formed in float64 and scaled to unit norm for the float32 solve, while the
+residual norm at least halves; the better of the last two iterates is
+kept. Each step multiplies the error by about kappa(K) u_32 (u_32 = 2^-24):
+the relative residual falls 3.6e-4, 6.3e-9, 7.6e-13, 9.7e-14, 9.5e-14 on
+smooth L4 (five solves; the double LU leaves 6.8e-13) and 2.3e-6, 3.5e-11,
+7.8e-16, 5.7e-16 on case1 L3 (double: 4.7e-15). Once kappa(K) u_32 >~ 1
+the steps stop halving the residual, and the SOLVE_RTOL check raises
+SolverBreakdown; there is no double fallback. LAPACK dsgesv's stop
+(|r|_inf <= sqrt(n) eps |K|_inf |x|_inf) quit one step early on the last
+K of the case2 run to 20k dofs (24,161 rows): residual 7.3e-12, error
+1.1e-11. The fill stays (case1 L3: 5,081,350 against 5,081,374), and the
+LU's RSS peak over its input falls +37.5 -> +24.2 MB on smooth L4 and
++56.6 -> +36.9 MB on case1 L3 (standalone LUs in fresh processes);
+smooth-uniform's benchmark peak RSS, medians of 10: 118.3 -> 105.1 MB.
+LU and solves, medians of 7: smooth L4
+324 -> 276 ms, case1 L3 421 -> 400 ms, and 27.4 -> 27.9 ms on the 11,964
+rows of the case2 run to 10k dofs, where float32 gains little and the
+extra solves cost. G stays double: its float32 factor at case1 L3 holds
+2,276 subnormal entries (K's factors hold none) and takes 214 ms against
+160 ms (medians of 9). Newton matrices and the p >= 2 K stay double too;
+single precision for them is unmeasured.
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
@@ -247,15 +273,37 @@ class ResMinSolution:
     ops: LinearOperators
 
 
+def _refined_solve(K, lu, rhs):
+    """x with K x = rhs from the single-precision factor `lu` of K, and
+    |K x - rhs|: x += lu^-1 (rhs - K x), the residual in double and scaled
+    to unit norm for the float32 solve, while its norm at least halves; the
+    iterate with the smaller residual is kept."""
+    x, r, rnorm = np.zeros_like(rhs), rhs, np.linalg.norm(rhs)
+    while rnorm > 0.0:
+        x_new = x + rnorm * lu.solve((r / rnorm).astype(np.float32))
+        r_new = rhs - K @ x_new
+        new_norm = np.linalg.norm(r_new)
+        if not new_norm < 0.5 * rnorm:
+            return (x_new, new_norm) if new_norm < rnorm else (x, rnorm)
+        x, r, rnorm = x_new, r_new, new_norm
+    return x, rnorm
+
+
 def _solve_saddle(ops, B, rhs):
     """Solve [[G, B], [B', 0]] x = rhs; returns x and |K x - rhs| / |rhs|.
 
     Only the linear K (B is `ops.B`) with a P1 trial space takes the
-    symmetric ordering (module docstring, "Orderings").
+    symmetric ordering (module docstring, "Orderings"), and it is factorized
+    in single precision and refined in double ("Precision").
     """
     K = _saddle_matrix(ops.G, B)
-    x = _factorize(K, B is ops.B and ops.U_h.p == 1).solve(rhs)
-    res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    if B is ops.B and ops.U_h.p == 1:
+        K32 = type(K)((K.data.astype(np.float32), K.indices, K.indptr), shape=K.shape)
+        x, rnorm = _refined_solve(K, _factorize(K32, True), rhs)
+    else:
+        x = _factorize(K, False).solve(rhs)
+        rnorm = np.linalg.norm(K @ x - rhs)
+    res = rnorm / max(np.linalg.norm(rhs), 1e-300)
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
             f"saddle step solve inaccurate (relative residual {res:.3e}); "

@@ -357,6 +357,20 @@ def test_cli_study_rejects_seed(tmp_path, capsys):
     assert "seed = 7" in (tmp_path / "run" / "run_info.txt").read_text()
 
 
+@pytest.mark.parametrize("argv", [["run", "case1", "--upper", "paper"],
+                                  ["run", "case1", "--theta", "0.3"],
+                                  ["study", "smooth", "--with", "--levels", "1"]])
+def test_cli_flag_prefixes_exit_2(argv, tmp_path, capsys):
+    # a prefix of a flag is not that flag: `--upper paper` used to set
+    # --upper-sign silently and exit 0
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_gamma0_exits_2(tmp_path, capsys):
     assert main(["run", "case1", "--gamma0", "2", "--out-dir", str(tmp_path / "run")]) == 2
     assert "gamma0 must lie in (0, 1)" in capsys.readouterr().err

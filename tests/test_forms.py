@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from boundfem.fespace import build_space, trial_to_test_embedding
 from boundfem.forms import (THETA, ElementContext, FaceContext,
-                            NumericalBreakdown, ProblemSpec, _beta_grad,
+                            NumericalBreakdown, ProblemSpec, _beta_grad, _block_pattern,
                             _flux_traces, assemble_bh,
                             assemble_gram, assemble_load, assemble_mass,
                             sipg_eta, vh_norm)
@@ -309,3 +309,17 @@ def test_operator_patterns_do_not_depend_on_the_jitter(p, K):
     for (indptr, indices), (indptr2, indices2) in zip(*patterns):
         assert np.array_equal(indptr, indptr2)
         assert np.array_equal(indices, indices2)
+
+
+def test_block_matrices_own_exactly_their_entries():
+    # without diffusion G drops exact zeros but keeps more than half of its
+    # block pattern, where `eliminate_zeros` would leave views of the
+    # zero-padded buffers (alive through the saddle LU)
+    pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0, f=1.0, g=0.0)
+    V = build_space(build_structured_mesh(4, 4), 1, "broken")
+    G, bh = assemble_gram(pr, V), assemble_bh(pr, V)
+    pattern = len(_block_pattern(V)[1]) * V.n_local ** 2
+    assert pattern / 2 < G.nnz < pattern
+    for M in (G, bh):
+        for a in (M.data, M.indices):
+            assert a.base is None and a.size == M.nnz

@@ -12,7 +12,7 @@ from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonSystem, SolverBreakdown,
-                             MAX_RETRIES, _factorize, _newton_step, _saddle_matrix,
+                             MAX_RETRIES, SYMMETRIC_LU, _factorize, _newton_step, _saddle_matrix,
                              _solve_saddle, build_operators, clip_inset,
                              damped_update, newton_solve, solve_linear_resmin,
                              write_iteration_log)
@@ -354,9 +354,70 @@ def test_symmetric_factorizations_use_one_column_panels(monkeypatch):
     assert len(options) == 2
     assert all(o["panel_size"] == 1 and o["relax"] == 1 for o in options)
     K_lu, G_lu = matrices
-    assert K_lu.shape == (ops.V_h.n_dofs + ops.U_h.n_dofs,) * 2
-    assert (K_lu != _saddle_matrix(ops.G, ops.B)).nnz == 0
+    K = _saddle_matrix(ops.G, ops.B)
+    assert K_lu.shape == K.shape == (ops.V_h.n_dofs + ops.U_h.n_dofs,) * 2
+    # K goes to SuperLU in single precision on its own pattern ("Precision")
+    assert K_lu.dtype == np.float32
+    assert np.array_equal(K_lu.indptr, K.indptr) and np.array_equal(K_lu.indices, K.indices)
+    assert np.array_equal(K_lu.data, K.data.astype(np.float32))
     assert G_lu.shape == ops.G.shape and (G_lu != ops.G).nnz == 0
+
+
+def test_only_the_linear_saddle_factor_is_single_precision(monkeypatch):
+    # the linear P1 K is factorized in float32 and refined in double; the
+    # Riesz G and an active Newton matrix keep float64 factors ("Precision")
+    case = get_case("case1")
+    pr = case.problem()
+    mesh = refine_uniform_red(case.make_mesh())
+    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    system = NewtonSystem(pr, ops, PenaltyConfig())
+    _, _, matrices = record_fills(monkeypatch)
+    x = ops.linear[0]
+    ops.riesz(ops.L)
+    assert _newton_step(system, x, system.residual(x))[1] > 0     # J is active
+    assert [A.dtype for A in matrices] == [np.float32, np.float64, np.float64]
+
+
+def graded_case2_mesh(bisections):
+    """case2's mesh with its four elements nearest the inlet point (0, -0.35)
+    bisected `bisections` times: h_min 2.4e-4 after 20."""
+    mesh = get_case("case2").make_mesh()
+    for _ in range(bisections):
+        c = mesh.vertices[mesh.elements].mean(axis=1)
+        mesh = bisect_marked(mesh, np.argsort(np.hypot(c[:, 0], c[:, 1] + 0.35))[:4])
+    return mesh
+
+
+@pytest.mark.parametrize("name", ["case1", "case2"])
+def test_refined_linear_solve_reaches_the_double_floor(name):
+    # measured: relative block residual 2.9e-16 (case1) and 1.8e-16 (case2)
+    # against the float64 LU's 1.7e-15 and 6.4e-16; relative gap to the
+    # float64 solution 1.9e-15 and 1.2e-15
+    mesh = (refine_uniform_red(get_case(name).make_mesh()) if name == "case1"
+            else graded_case2_mesh(20))
+    sol = solve_linear_resmin(get_case(name).problem(), build_space(mesh, 1, "continuous"),
+                              build_space(mesh, 1, "broken"))
+    assert sol.block_residual <= 1e-14
+    K = _saddle_matrix(sol.ops.G, sol.ops.B)
+    rhs = np.concatenate([sol.ops.L, np.zeros(len(sol.u))])
+    ref = spla.splu(K.tocsc(), **SYMMETRIC_LU).solve(rhs)
+    x = np.concatenate([sol.eps, sol.u])
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_linear_solve_with_a_zero_factor_breaks_down(manufactured, monkeypatch):
+    # refinement stops once the residual no longer halves, and the SOLVE_RTOL
+    # check reports what it leaves
+    import boundfem.solver as solver
+    pr, U, V = manufactured
+
+    class Zero:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    monkeypatch.setattr(solver, "_factorize", lambda K, symmetric: Zero())
+    with pytest.raises(SolverBreakdown, match="relative residual 1.000e"):
+        solve_linear_resmin(pr, U, V)
 
 
 @pytest.mark.parametrize("p,max_fill", [(2, 400_000), (3, 1_000_000)])
