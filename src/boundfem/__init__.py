@@ -18,7 +18,7 @@ from .forms import (ProblemSpec, sipg_eta, assemble_bh,
 from .penalty import (PenaltyConfig, PenaltyOperator, negative_part,
                       compute_gammas)
 from .solver import (NewtonResult, build_operators, solve_linear_resmin,
-                     newton_solve, damped_update, SolverBreakdown)
+                     newton_solve, SolverBreakdown)
 from .adapt import (AdaptRecord, error_indicators, dorfler_mark,
                     adaptive_solve_loop, prolong)
 from .report import bound_violation_report, error_norms, cross_section

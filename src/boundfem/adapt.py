@@ -116,10 +116,8 @@ def prolong(u_coeffs, old_space, new_space):
     new_mesh = new_space.mesh
     if new_mesh.parent_mesh is not old_mesh or new_mesh.parent_elements is None:
         raise ValueError("new mesh does not descend from the old space's mesh")
-    B, b0, _, _ = new_mesh.affine()
-    nodes = b0[:, None, :] + new_space.basis.nodes @ B.swapaxes(1, 2)
     parents = new_mesh.parent_elements
-    refs = old_mesh.to_reference(parents[:, None], nodes)
+    refs = old_mesh.to_reference(parents[:, None], new_mesh.to_physical(new_space.basis.nodes))
     vals, _ = old_space.basis.eval(refs)
     local = (vals @ u_coeffs[old_space.dofmap[parents]][:, :, None])[..., 0]
     out = np.empty(new_space.n_dofs)

@@ -22,7 +22,7 @@ A study writes study.csv: the levels.csv columns, then least-squares slopes.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,10 +49,8 @@ def _setup(name, with_penalty, overrides):
     if not case.tol > 0.0:      # linear runs never reach newton_solve's check
         raise ValueError(f"tol must be positive, got {case.tol!r}")
     problem = case.problem()
-    pen = None
-    if with_penalty and problem.has_bounds:
-        pen = PenaltyConfig(case.upper_sign, case.penalty_quadrature)
-    return case, problem, pen
+    pen = PenaltyConfig(case.upper_sign, case.penalty_quadrature)     # checked when unused too
+    return case, problem, pen if with_penalty and problem.has_bounds else None
 
 
 def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs,
@@ -203,12 +201,8 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
         report = bound_violation_report(uh, (problem.u_min, problem.u_max))
         if out_dir:
             with open(os.path.join(out_dir, "violation.txt"), "w") as fh:
-                fh.write(f"u_min = {report.u_min!r}\nu_max = {report.u_max!r}\n")
-                fh.write(f"undershoot = {report.undershoot!r}\n")
-                fh.write(f"overshoot = {report.overshoot!r}\n")
-                if report.undershoot_pct is not None:
-                    fh.write(f"undershoot_pct = {report.undershoot_pct!r}\n")
-                    fh.write(f"overshoot_pct = {report.overshoot_pct!r}\n")
+                fh.writelines(f"{k} = {v!r}\n" for k, v in asdict(report).items()
+                              if v is not None)
     if out_dir:
         export_vtk(result.mesh, {"u": uh, "eps": eh},
                    os.path.join(out_dir, "solution.vtk"), title=case.name)

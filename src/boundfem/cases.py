@@ -1,7 +1,7 @@
 """Built-in problem definitions: three benchmark flows and a smooth reference.
 
 * smooth  - manufactured sin*sin solution with unit diffusion; used for
-            convergence-rate checks, no bounds.
+            convergence-rate checks, no bounds unless a run sets them.
 * case1   - pure advection of a sharp tanh layer across the unit square on a
             quasi-uniform mesh (h ~ 0.126 realized as 11x11), bounds [0, 1].
 * case2   - rotating flow on (0,1)x(-1,1): an inlet profile with two tanh
@@ -31,7 +31,7 @@ LAYER_EPS = 0.01
 class CaseDefinition:
     name: str
     title: str
-    make_problem: object                     # (CaseDefinition) -> ProblemSpec
+    make_problem: object                     # (CaseDefinition) -> ProblemSpec, unbounded
     mode: str                                # "uniform" or "adaptive"
     make_mesh: object                        # () -> Mesh
     exact: object = None
@@ -49,7 +49,9 @@ class CaseDefinition:
     upper: float | None = None
 
     def problem(self):
-        return self.make_problem(self)
+        """The case's problem, with the case's bounds and gamma0 (every case)."""
+        return replace(self.make_problem(self), u_min=self.lower, u_max=self.upper,
+                       gamma0=self.gamma0)
 
     def with_overrides(self, **kw):
         kw = {k: v for k, v in kw.items() if v is not None}
@@ -98,8 +100,7 @@ def _case1_grad(x):
 
 def _case1_problem(case):
     return ProblemSpec(beta=(3.0 / _SQ10, 1.0 / _SQ10), K=0.0, sigma=0.0, f=0.0,
-                       g=_case1_exact, u_min=case.lower, u_max=case.upper,
-                       gamma0=case.gamma0)
+                       g=_case1_exact)
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +140,8 @@ def _rot_exact_grad(x):
     return dr[..., None] * np.stack([x[..., 0] / rs, x[..., 1] / rs], axis=-1)
 
 
-def _case2_problem(case, K=0.0):
-    return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0, g=_rot_g,
-                       u_min=case.lower, u_max=case.upper, gamma0=case.gamma0)
+def _rot_problem(K):
+    return ProblemSpec(beta=_rot_beta, K=K, sigma=0.0, f=0.0, g=_rot_g)
 
 
 CASES = {
@@ -174,7 +174,7 @@ CASES = {
     "case2": CaseDefinition(
         name="case2",
         title="rotating flow with an inlet bump (adaptive)",
-        make_problem=lambda case: _case2_problem(case, K=0.0),
+        make_problem=lambda case: _rot_problem(0.0),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0)),
         exact=_rot_exact,
@@ -189,7 +189,7 @@ CASES = {
     "case3": CaseDefinition(
         name="case3",
         title="advection-dominated diffusion with a boundary layer at x=0 (adaptive)",
-        make_problem=lambda case: _case2_problem(case, K=1e-3),
+        make_problem=lambda case: _rot_problem(1e-3),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 4, (0.0, 1.0, -1.0, 1.0)),
         gamma0=1e-4,

@@ -124,10 +124,8 @@ class FunctionSpace:
     def node_coords(self):
         """Physical coordinates of every global dof (nodal bases only)."""
         if self._node_coords is None:
-            B, b0, _, _ = self.mesh.affine()
-            phys = b0[:, None, :] + self.basis.nodes @ B.swapaxes(1, 2)
             coords = np.empty((self.n_dofs, 2))
-            coords[self.dofmap.ravel()] = phys.reshape(-1, 2)
+            coords[self.dofmap.ravel()] = self.mesh.to_physical(self.basis.nodes).reshape(-1, 2)
             self._node_coords = coords
         return self._node_coords
 

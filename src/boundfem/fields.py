@@ -9,41 +9,31 @@ constant fields.
 import numpy as np
 
 
-def scalar_field(c):
-    """Return a vectorized scalar field from a constant or callable."""
+def _field(c, value_shape):
+    """Vectorized field from a constant or callable, with values of shape
+    points.shape[:-1] + value_shape; a constant gives a fresh array per call."""
     if callable(c):
         def field(x):
             x = np.asarray(x, dtype=float)
             v = np.asarray(c(x), dtype=float)
-            if v.shape != x.shape[:-1]:
-                v = np.broadcast_to(v, x.shape[:-1])
-            return v
+            shape = x.shape[:-1] + value_shape
+            return v if v.shape == shape else np.broadcast_to(v, shape)
 
         return field
-    value = float(c)
+    value = np.asarray(c).astype(float).reshape(value_shape)
 
     def field(x):
         x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], value)
+        return np.broadcast_to(value, x.shape[:-1] + value_shape).copy()
 
     return field
+
+
+def scalar_field(c):
+    """Return a vectorized scalar field from a constant or callable."""
+    return _field(c, ())
 
 
 def vector_field(c):
     """Return a vectorized 2D vector field from a constant 2-vector or callable."""
-    if callable(c):
-        def field(x):
-            x = np.asarray(x, dtype=float)
-            v = np.asarray(c(x), dtype=float)
-            if v.shape != x.shape:
-                v = np.broadcast_to(v, x.shape)
-            return v
-
-        return field
-    value = np.asarray(c, dtype=float).reshape(2)
-
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(value, x.shape).copy()
-
-    return field
+    return _field(c, (2,))

@@ -29,7 +29,8 @@ physical basis-gradient table. Mass blocks are det B M^ and diffusion blocks
 det B sum_ab (Binv K Binv^T)_ab R_ab, one 4-column GEMM on the tensors R_ab =
 sum_q w_q d_a phi_i d_b phi_j of the rule (`ElementContext`). Other gradients
 contract Binv with the coefficient: v.grad phi = (Binv v).grad_ref phi for
-beta (`_beta_grad`, shared with the penalty) and K n (`_flux_traces`).
+beta (`_beta_grad`; with sigma, `_advection_reaction`, shared with the
+penalty) and K n (`_flux_traces`).
 
 Kernels, shared by `penalty`, `report`, `adapt`, `fespace` and `mesh`: sums
 over quadrature points are batched matrix products a^T (w b) (a 2-D GEMM on
@@ -111,11 +112,11 @@ THETA = -1.0    # symmetry switch of the diffusion face terms: SIPG
 ETA0 = 3.0      # scale of the SIPG face penalty
 
 
-def sipg_eta(p, d, K, h_F):
-    """SIPG face penalty ETA0 (p+1)(p+d) K / h_F."""
+def sipg_eta(p, K, h_F):
+    """SIPG face penalty ETA0 (p+1)(p+2) K / h_F (in 2-D)."""
     if np.any(np.asarray(h_F) <= 0):
         raise ValueError("face diameter must be positive")
-    return ETA0 * (p + 1) * (p + d) * K / np.asarray(h_F, dtype=float)
+    return ETA0 * (p + 1) * (p + 2) * K / np.asarray(h_F, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +139,9 @@ class ElementContext:
     def __init__(self, space, degree, rule=None):
         mesh = space.mesh
         rule = triangle_rule(degree) if rule is None else rule
-        B, b0, self.detB, self.Binv = mesh.affine()
+        _, _, self.detB, self.Binv = mesh.affine()
         self.rule = rule
-        self.qp = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
+        self.qp = mesh.to_physical(rule.points)
         self.dA = rule.weights[None, :] * self.detB[:, None]
         self.vals, self.gref = space.basis.eval(rule.points)   # (nq, nl), (nq, nl, 2)
         nl = self.vals.shape[1]
@@ -186,6 +187,14 @@ def _beta_grad(problem, ec):
     bref = problem.beta_fn(ec.qp) @ ec.Binv.swapaxes(1, 2)
     out = np.empty(bref.shape[:2] + ec.vals.shape[1:])
     np.matmul(bref.swapaxes(0, 1), ec.gref.swapaxes(1, 2), out=out.swapaxes(0, 1))
+    return out
+
+
+def _advection_reaction(problem, ec):
+    """(beta.grad + sigma) phi at ec's points, (ne, nq, nl): the advection and
+    reaction part of the strong operator, shared by b_h and the penalty."""
+    out = _beta_grad(problem, ec)
+    out += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
     return out
 
 
@@ -246,10 +255,9 @@ def _block_matrix(space, element, iface, bface, symmetrize=False):
     the mesh's interior faces, boundary-face blocks over their element's dofs.
     Element blocks fill their distinct diagonal slots, then each face group is
     added with one `np.add.at` on int32 indices: unlike a `np.bincount`
-    scatter it allocates no output array, and each entry sums its terms in
-    the order the COO triplets it replaces mostly did. `symmetrize` averages
-    the operator with its transpose, which on the block data is a transpose
-    of every block plus a swap of each face's two off-diagonal slots. Exact
+    scatter it allocates no output array. `symmetrize` averages the operator
+    with its transpose, which on the block data is a transpose of every
+    block plus a swap of each face's two off-diagonal slots. Exact
     zeros are dropped, so the CSR pattern is that of the nonzero entries,
     and `data` and `indices` are copied to nnz entries: `eliminate_zeros`
     leaves views of the zero-padded buffers when it keeps more than half of
@@ -305,7 +313,7 @@ def _boundary_traces(problem, V_h, fb):
     the weak Dirichlet test function THETA K grad v.n + (eta + [beta.n]_inflow) v."""
     mesh = V_h.mesh
     bn, inflow = _face_data(problem, fb, mesh.bface_normals)
-    eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
+    eta = sipg_eta(V_h.p, problem.k_max, mesh.bface_h)
     (eb, vb, _), = fb.sides
     test = (eta[:, None] + np.where(inflow, bn, 0.0))[:, :, None] * vb
     Kn = None
@@ -331,9 +339,7 @@ def assemble_bh(problem, V_h):
     diffusion = problem.K_mat.any()
 
     # volume: (K grad w, grad v) + (beta.grad w + sigma w, v)
-    adv = _beta_grad(problem, ec)
-    adv += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
-    element = ec.vals.T @ (ec.dA[:, :, None] * adv)
+    element = ec.vals.T @ (ec.dA[:, :, None] * _advection_reaction(problem, ec))
     if diffusion:
         element += _diffusion_blocks(ec, problem.K_mat)
 
@@ -342,7 +348,7 @@ def assemble_bh(problem, V_h):
     iface = bface = None
     if len(mesh.iface_h):
         bn, _ = _face_data(problem, fi, mesh.iface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
+        eta = sipg_eta(V_h.p, problem.k_max, mesh.iface_h)
         (_, vm, _), (_, vp, _) = fi.sides
         jump = np.concatenate([vm, -vp], axis=-1)
         P = (eta[:, None] + 0.5 * np.abs(bn))[:, :, None] * jump
@@ -370,7 +376,7 @@ def assemble_bh(problem, V_h):
 def _norm_face_weight(problem, space, ctx, normals, face_h):
     """Weights w (|beta.n|/2 + eta) of the dG norm's face terms at ctx's points."""
     bn, _ = _face_data(problem, ctx, normals)
-    eta = sipg_eta(space.p, 2, problem.k_max, face_h)
+    eta = sipg_eta(space.p, problem.k_max, face_h)
     return ctx.w * (0.5 * np.abs(bn) + eta[:, None])
 
 

@@ -78,12 +78,7 @@ class Mesh:
         self._parent = None if parent_mesh is None else weakref.ref(parent_mesh)
         self.parent_elements = parent_elements
 
-        p0 = vertices[elements[:, 0]]
-        p1 = vertices[elements[:, 1]]
-        p2 = vertices[elements[:, 2]]
-        cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-            - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-        self.element_area = 0.5 * cross
+        self.element_area = 0.5 * _double_area(vertices, elements)
         if np.any(self.element_area <= 0.0):
             raise ValueError("degenerate element (nonpositive area)")
         self.h_elem = edge_length[elem2edge].max(axis=1)
@@ -158,7 +153,7 @@ class Mesh:
             B = np.empty((self.n_elements, 2, 2))
             B[:, :, 0] = p1 - p0
             B[:, :, 1] = p2 - p0
-            detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+            detB = 2.0 * self.element_area      # exact: a power-of-two scaling
             Binv = np.empty_like(B)
             Binv[:, 0, 0] = B[:, 1, 1]
             Binv[:, 0, 1] = -B[:, 0, 1]
@@ -167,6 +162,11 @@ class Mesh:
             Binv /= detB[:, None, None]
             self._affine_cache = _freeze(B, p0, detB, Binv)
         return self._affine_cache
+
+    def to_physical(self, ref_points):
+        """Map reference points (n, 2) into every element: (ne, n, 2)."""
+        B, b0, _, _ = self.affine()
+        return b0[:, None, :] + ref_points @ B.swapaxes(1, 2)
 
     def to_reference(self, elems, points):
         """Map physical points (..., 2) inside the given elements to reference coords."""
@@ -242,13 +242,15 @@ def _freeze(*arrays):
     return arrays
 
 
-def _orient_ccw(vertices, elements):
-    p0 = vertices[elements[:, 0]]
-    p1 = vertices[elements[:, 1]]
-    p2 = vertices[elements[:, 2]]
-    cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
+def _double_area(vertices, elements):
+    """Twice the signed area of each triangle, positive when counterclockwise."""
+    p0, p1, p2 = (vertices[elements[:, k]] for k in range(3))
+    return (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
         - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    flip = cross < 0.0
+
+
+def _orient_ccw(vertices, elements):
+    flip = _double_area(vertices, elements) < 0.0
     if flip.any():
         elements = elements.copy()
         elements[flip, 1], elements[flip, 2] = elements[flip, 2], elements[flip, 1].copy()

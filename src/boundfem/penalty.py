@@ -33,9 +33,10 @@ what its residual, adjoint and Jacobian read: A applied to every basis
 function at the points (`A_basis`, (ne, nq, nl)), f and the weights dA at
 the points (ne, nq), the reference basis values (nq, nl), gamma_T and the
 problem's bounds. The points, beta and sigma are dropped after
-construction; beta.grad phi comes from `forms._beta_grad`, so no (ne, nq,
-nl, 2) physical-gradient table is built. A Newton iterate's residual, active
-count, line and Jacobian share one evaluation of its bound arguments.
+construction; (beta.grad + sigma) phi comes from `forms._advection_reaction`,
+so no (ne, nq, nl, 2) physical-gradient table is built. A Newton iterate's
+residual, active count, line and Jacobian share one evaluation of its bound
+arguments.
 
 One kernel (`_assemble`) forms P(u) and dP(u)'eps from the bound arguments
 on a given set of elements: an element whose arguments are all positive
@@ -55,7 +56,7 @@ import numpy as np
 
 from .quadrature import QuadratureRule, triangle_rule
 from .fespace import gather_matrix
-from .forms import ElementContext, _beta_grad, _block_diagonal
+from .forms import ElementContext, _advection_reaction, _block_diagonal
 
 UPPER_SIGNS = ("restoring", "paper")
 QUADRATURES = ("gauss", "nodal")
@@ -89,11 +90,8 @@ def compute_gammas(problem, mesh):
 
     Coefficient sups are sampled at quadrature points and element vertices.
     """
-    rule = triangle_rule(4)
-    B, b0, _, _ = mesh.affine()
-    pts = b0[:, None, :] + rule.points @ B.swapaxes(1, 2)
     corners = mesh.vertices[mesh.elements]
-    sample = np.concatenate([pts, corners], axis=1)
+    sample = np.concatenate([mesh.to_physical(triangle_rule(4).points), corners], axis=1)
     beta_sup = np.linalg.norm(problem.beta_fn(sample), axis=-1).max(axis=1)
     sigma_sup = np.abs(problem.sigma_fn(sample)).max(axis=1)
     h = mesh.h_elem
@@ -115,12 +113,11 @@ def _strong_tables(problem, space, ec):
     quadrature points of the ElementContext `ec`, (ne, nq, nl), and f there,
     (ne, nq), so that A(u) - f = A_basis u_T - fvals.
 
-    beta.grad phi comes from `forms._beta_grad`. For p = 1 the second-order term
-    vanishes identically (K is constant per problem) and is skipped; for
-    p >= 2 it uses elementwise basis Hessians.
+    (beta.grad + sigma) phi comes from `forms._advection_reaction`. For p = 1
+    the second-order term vanishes identically (K is constant per problem)
+    and is skipped; for p >= 2 it uses elementwise basis Hessians.
     """
-    A_basis = _beta_grad(problem, ec)
-    A_basis += problem.sigma_fn(ec.qp)[:, :, None] * ec.vals
+    A_basis = _advection_reaction(problem, ec)
     if space.p >= 2 and problem.k_max > 0.0:
         A_basis -= _div_K_grad_basis(problem, space, ec)
     return A_basis, problem.f_fn(ec.qp)

@@ -20,136 +20,58 @@ relaxed (zeta/10) on acceptance. The iteration stops once the L2 norm of the
 trial-space update falls below the tolerance. Residual norms are Euclidean
 norms of the assembled block vector.
 
-Linear solves use a direct sparse LU factorization; saddle systems are
-symmetric indefinite, and only the block-residual contract (<= 1e-10
-relative) is part of the interface. `_solve_saddle` solves the linear
-system once per `LinearOperators` (`LinearOperators.linear`), with a
-single-precision factor refined in double ("Precision"), and every Newton
-step from an active iterate in double; no saddle factor outlives its
-solve. Every residual takes its bottom block B'eps + dP(u)'eps without
-assembling dP(u), and evaluates the penalty on the elements with some bound
-argument <= 0 only (`PenaltyOperator.residual_and_adjoint`); the Jacobian
-is assembled at most once per iteration, right before the Newton matrix is
-factorized.
-`LinearOperators.riesz` factorizes G on each call and keeps no factor: the
-uniform studies solve with G once per level, and a kept factor would stay
-alive through every Newton factorization of that level. `newton_solve`
-forms its start (cold: K, then G; warm: G only) before it builds the penalty
-tables (15.5 MB at case1 L3), so neither factor coexists with them.
+Solves. Every saddle system is solved by a sparse LU; a relative residual
+above SOLVE_RTOL raises SolverBreakdown. A `LinearOperators` solves its
+linear system once (`LinearOperators.linear`), `riesz` factorizes G anew on
+each call, and no factor is kept. `newton_solve` forms its start (cold: K,
+then G; warm: G only) before it builds the penalty tables, so neither factor
+coexists with them. Residuals take dP(u)'eps without assembling dP(u), and
+the Jacobian is assembled at most once per step.
 
 Step rule. An iterate is inactive when every bound argument is strictly
 positive at every penalty quadrature point (`PenaltyOperator.active_count`
-is 0; at arg = 0 the kink indicator is 1/2, so dP(u) != 0 there). At an
-inactive iterate P(u) = 0 and dP(u) = 0 exactly, so the Newton matrix is the
-linear saddle matrix K and R(x) = [L; 0] - K x; the Newton step is then
-x_lin - x, with x_lin the linear solution. Every inactive iterate, in cold
-and warm solves alike, takes that step without assembling dP(u) or
-factorizing; all solves on one `LinearOperators` share its one linear
-solve. The step is still checked blockwise (G d_eps + B d_u and B' d_eps
-against R) to SOLVE_RTOL; if it misses, the iteration falls back to a solve
-with K. Every level of the case1 study starts inactive, so its Newton solves
-factorize only the linear K and G. At L3 (one process, 2-core VM) RSS reads
-125.4 MB right after the saddle LU (145.1 MB with a double factor) and
-111.5 MB right after the Riesz LU; the Newton phase after them reaches
-~143 MB in its damping trials (the first, at t = 1, adds 12 MB over the
-line tables) and sets the level's high-water ("Workspace").
-
-Precision. The linear P1 saddle matrix K is factorized in single precision,
-a float32 copy of its values on K's own index arrays, and its solution is
-refined in double (`_refined_solve`): x += LU^-1 (rhs - K x), the residual
-formed in float64 and scaled to unit norm for the float32 solve, while the
-residual norm at least halves; the better of the last two iterates is
-kept. Each step multiplies the error by about kappa(K) u_32 (u_32 = 2^-24):
-the relative residual falls 3.6e-4, 6.3e-9, 7.6e-13, 9.7e-14, 9.5e-14 on
-smooth L4 (five solves; the double LU leaves 6.8e-13) and 2.3e-6, 3.5e-11,
-7.8e-16, 5.7e-16 on case1 L3 (double: 4.7e-15). Once kappa(K) u_32 >~ 1
-the steps stop halving the residual, and the SOLVE_RTOL check raises
-SolverBreakdown; there is no double fallback. LAPACK dsgesv's stop
-(|r|_inf <= sqrt(n) eps |K|_inf |x|_inf) quit one step early on the last
-K of the case2 run to 20k dofs (24,161 rows): residual 7.3e-12, error
-1.1e-11. The fill stays (case1 L3: 5,081,350 against 5,081,374), and the
-LU's RSS peak over its input falls +37.5 -> +24.2 MB on smooth L4 and
-+56.6 -> +36.9 MB on case1 L3 (standalone LUs in fresh processes);
-smooth-uniform's benchmark peak RSS, medians of 10: 118.3 -> 105.1 MB.
-LU and solves, medians of 7: smooth L4
-324 -> 276 ms, case1 L3 421 -> 400 ms, and 27.4 -> 27.9 ms on the 11,964
-rows of the case2 run to 10k dofs, where float32 gains little and the
-extra solves cost. G stays double: its float32 factor at case1 L3 holds
-2,276 subnormal entries (K's factors hold none) and takes 214 ms against
-160 ms (medians of 9). Newton matrices and the p >= 2 K stay double too;
-single precision for them is unmeasured.
+is 0; at arg = 0 the kink indicator is 1/2, so dP(u) != 0 there). There
+P(u) = dP(u) = 0, and the Newton step is x_lin - x, x_lin the linear
+solution, with no assembly of dP(u) and no LU. The step is still checked
+blockwise against R to SOLVE_RTOL; if it misses, the step solves with K.
 
 Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
-so that R(x + t dx) = r0 - t K dx - [P; dP'eps] there. Every bound argument
-is affine in u, hence arg + t darg on the segment, and an element whose
-arguments are all positive at t = 0 and t = 1 is inactive for every t in
-between; the tables keep only the other elements. A trial
-(`NewtonSystem.residual_norm(line, t)`) costs one axpy per bound on those
-elements and the penalty assembly on the elements active at t, through the
-same kernel as the iterate residual; it agrees with the residual at
-x + t dx to round-off, and x + t dx is formed only once a trial is
-accepted.
+so that R(x + t dx) = r0 - t K dx - [P; dP'eps]. A trial
+(`NewtonSystem.residual_norm(line, t)`) agrees with the residual at x + t dx
+to round-off, and x + t dx is formed only once a trial is accepted.
 
-Orderings (`_factorize`), fixed and picked from the matrix by `_solve_saddle`
-(one-off runs, 2-core VM, scipy 1.17; tier-1 tests bound the case1 fills):
+Precision. The linear P1 K is factorized in single precision (its values
+cast to float32 on K's own index arrays) and its solution refined in double
+(`_refined_solve`): x += LU^-1 (rhs - K x) while the residual norm at least
+halves, keeping the better of the last two iterates (LAPACK dsgesv's stop
+quit one step early on a case2 K, error 1.1e-11). Each step multiplies the
+error by about kappa(K) 2^-24, so once kappa(K) 2^-24 >~ 1 the residual
+stops halving and the SOLVE_RTOL check raises; there is no double fallback.
+G stays double: its float32 factor holds subnormal entries and is slower
+(case1 L3: 214 against 160 ms); for J and the p >= 2 K it is unmeasured.
 
-* The linear K with a P1 trial space, and G at every degree, are factorized
-  symmetrically (`SYMMETRIC_LU`) in their own dof order: SuperLU with
-  minimum degree on A'+A and threshold pivoting that prefers the diagonal.
-  On case1 L3 (54,385 rows) this takes 0.39 s instead of COLAMD's 1.61 s,
-  with 5.1 M fill instead of 13.7 M; G 0.16 s and 2.5 M instead of 0.40 s
-  and 5.0 M. A reverse Cuthill-McKee pre-order gave more fill (K 5.11 M,
-  G 2.88 M) and a permuted copy of the matrix. A zero threshold lost all
-  accuracy at p = 2.
-* Newton matrices with J = B + dP(u), dP != 0, take COLAMD (plain `splu`);
-  on case1, J at the level's linear solution, symmetric -> COLAMD:
-
-    level  rows    L+U fill                time
-    L0        870  220,861 -> 61,479       0.016 -> 0.006 s
-    L1      3,433  1,722,000 -> 417,481    0.230 -> 0.034 s
-    L2     13,641  24.8 M -> 2.71 M        11.4 -> 0.22 s
-* So does the linear K with p >= 2. Without diffusion the symmetric path
-  breaks down: on case1's 11x11 mesh L+U fill is 1.29 M at p = 2 and 1.47 M
-  at p = 3 against COLAMD's 229,049 and 613,395, and on case1 L1 at p = 2
-  27.4 s and 27.9 M against 0.13 s and 1.65 M. With diffusion it would be
-  faster (smooth L3, p = 2: 0.15 s and 2.6 M against 0.61 s and 6.3 M).
+Orderings (`_factorize`), picked from the matrix by `_solve_saddle`:
+* the P1 linear K and G (any p) take the symmetric path in their own dof order
+  (`SYMMETRIC_LU`): case1 L3 K 0.39 s and 5.1 M fill, COLAMD 1.61 s, 13.7 M;
+* J = B + dP(u) with dP != 0, and the p >= 2 K, take COLAMD (plain `splu`):
+  symmetric, J at case1 L2 filled 24.8 M in 11.4 s, COLAMD 2.71 M in 0.22 s.
 
 Workspace. SuperLU's panel work arrays grow with rows x panel size, so the
-symmetric path takes one-column panels (`SYMMETRIC_LU`: panel_size = relax
-= 1; scipy's default panel is 20). The factor is the same; on case1 L3 K
-(fill 5,081,374) the RSS peak over a standalone LU with relax = 1 grows
-with the panel:
+symmetric path takes panel_size = relax = 1 (case1 L3 K: +56.1 MB of RSS
+over its input, +71.9 MB at scipy's default panel 20). Cautions: in the dof
+order relax = 1 is essential (scipy's default relax took 38 s and +651 MB on
+case1 L3 K), and panel_size = 32 corrupted the heap (a crash at interpreter
+exit) in every standalone run, so do not sweep panel sizes above 20
+in-process. COLAMD keeps scipy's defaults.
 
-    panel size    1      4      8      12     20     32
-    peak (MB)    +56.1  +58.6  +62.0  +65.3  +71.9  +81.9
+Heap release. Before each LU `_factorize` hands the C heap's free pages back
+to the OS (glibc's malloc_trim(0), `_release_heap`; a no-op without it):
+freed temporaries below glibc's mmap threshold stay resident under live
+arrays, and the factor would stack on them (31.7 MB released before the
+case1 L3 K LU). Reused pages fault in again: ~6 % wall time on the case2 run.
 
-Median LU time, panel 20 -> 1: case1 L3 K 0.52 -> 0.49 s, G 0.24 ->
-0.18 s (G +43.5 -> +30.1 MB). In the dof order relax = 1 is essential:
-scipy's default relax took 38 s and +651 MB on case1 L3 K (relax = 4,
-panel 1: 0.79 s, +78 MB). COLAMD keeps scipy's defaults: one-column panels
-slowed it on smooth L3 at p = 2 (0.438 -> 0.475 s). Caution: panel_size =
-32 corrupted the heap (a crash at interpreter exit) in every standalone
-run, with relax = 1 too; do not sweep panel sizes above 20 in-process.
-
-Before each LU (K, G and J alike) `_factorize` hands the C heap's free pages
-back to the OS: glibc's malloc_trim(0), resolved once through ctypes
-(`_release_heap`; a no-op where the C library has no such symbol). Once an
-array has been freed, glibc's dynamic mmap threshold keeps arrays below
-32 MB in the heap, and the heap is not trimmed while live arrays sit above
-the holes left by freed assembly temporaries and V_h tables; those pages
-stay resident, and SuperLU takes fresh ones for its factor. Before the
-case1 L3 K LU, RSS reads 118.3 MB: 21.5 MB of live numpy data (tracemalloc)
-over a 61 MB import baseline, the rest freed heap. The trim lowers it to
-86.6 MB; RSS after the K LU falls 167.9 -> 145.6 MB, after the G LU
-142.8 -> 114.9 MB. Benchmark peak RSS, medians of 10 fresh runs:
-case1-penalized 172.0 -> 147.7 MB, smooth-uniform 130.3 -> 118.2 MB,
-case2-adaptive-linear 84.2 -> 80.6 MB. No arithmetic changes. A trim takes
-0.05-3 ms (8 on the case1 study, 32 on the case2 run), but the heap faults
-the released pages in again when it reuses them (case2 run: 10.3 k ->
-21.3 k minor faults): its wall time rose ~6 % in traced runs, and min-of-3
-in-process repeats slowed 0.507 -> 0.565 s (case2) and 0.374 -> 0.392 s
-(smooth).
+CHANGES.md holds the measurements, in its entries on these four choices.
 """
 
 import ctypes
@@ -253,7 +175,7 @@ def _factorize(K, symmetric):
     """Sparse LU of the symmetric matrix K: the symmetric ordering, or COLAMD.
 
     The C heap's free pages go back to the OS first, so the factor does not
-    stack on freed temporaries (module docstring, "Workspace").
+    stack on freed temporaries (module docstring, "Heap release").
     """
     _release_heap()
     try:

@@ -106,7 +106,7 @@ def assemble_bh(problem, V_h, nonzero=False):
 
     if len(mesh.iface_h):
         bn, _ = face_data(problem, fi, mesh.iface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.iface_h)
+        eta = sipg_eta(V_h.p, problem.k_max, mesh.iface_h)
         (em, vm, _), (ep, vp, _) = fi.sides
         Kn = [np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, face_grads(fi, side)),
                         mesh.iface_normals) for side in fi.sides]
@@ -128,7 +128,7 @@ def assemble_bh(problem, V_h, nonzero=False):
 
     if len(mesh.bface_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
+        eta = sipg_eta(V_h.p, problem.k_max, mesh.bface_h)
         (eb, vb, _), = fb.sides
         gb = face_grads(fb, fb.sides[0])
         Kn = np.einsum("fqld,fd->fql", np.einsum("dk,fqlk->fqld", K, gb), mesh.bface_normals)
@@ -161,7 +161,7 @@ def assemble_load(problem, V_h):
     np.add.at(L, V_h.dofmap.ravel(), local.ravel())
     if len(mesh.bface_h):
         bn, inflow = face_data(problem, fb, mesh.bface_normals)
-        eta = sipg_eta(V_h.p, 2, problem.k_max, mesh.bface_h)
+        eta = sipg_eta(V_h.p, problem.k_max, mesh.bface_h)
         g = problem.g_fn(fb.qp)
         (eb, vb, _), = fb.sides
         gb = face_grads(fb, fb.sides[0])

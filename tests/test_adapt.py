@@ -75,7 +75,7 @@ def reference_indicators(problem, V, eps):
     for ctx, normals, h, share in ((fi, mesh.iface_normals, mesh.iface_h, 0.5),
                                    (fb, mesh.bface_normals, mesh.bface_h, 1.0)):
         bn = np.einsum("fqd,fd->fq", problem.beta_fn(ctx.qp), normals)
-        eta = sipg_eta(V.p, 2, problem.k_max, h)
+        eta = sipg_eta(V.p, problem.k_max, h)
         sides = [np.einsum("fl,fql->fq", eps[V.dofmap[e]], v) for e, v, _ in ctx.sides]
         jump = sides[0] - sides[1] if len(sides) == 2 else sides[0]
         t = np.einsum("fq,fq->f", ctx.w * (0.5 * np.abs(bn) + eta[:, None]), jump ** 2)

@@ -376,6 +376,32 @@ def test_cli_bad_gamma0_exits_2(tmp_path, capsys):
     assert "gamma0 must lie in (0, 1)" in capsys.readouterr().err
 
 
+def test_smooth_run_applies_its_bound_settings(tmp_path):
+    # smooth used to record bounds and gamma0 in run_info.txt but solve unbounded
+    result = run_case("smooth", out_dir=str(tmp_path / "ok"), lower=0.0, upper=0.5, gamma0=1e-3)
+    assert result.violation is not None and result.records[0].newton_log
+    assert (tmp_path / "ok" / "violation.txt").exists()
+    out = tmp_path / "bad"
+    with pytest.raises(ValueError, match="gamma0 must lie in"):
+        run_case("smooth", out_dir=str(out), lower=0.0, upper=0.5, gamma0=7)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["penalty.quadrature = bogus",
+                                     "penalty.upper_sign = sideways"],
+                         ids=["quadrature", "upper_sign"])
+@pytest.mark.parametrize("argv", [["run", "case1", "--no-penalty"], ["run", "smooth"]],
+                         ids=["case1-no-penalty", "smooth"])
+def test_cli_unused_penalty_settings_exit_2(argv, setting, tmp_path, capsys):
+    # an unpenalized run used to record a bogus method setting and exit 0
+    cfg = tmp_path / "pen.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense.key = 3\n")

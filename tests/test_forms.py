@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from boundfem.fespace import build_space, trial_to_test_embedding
+from boundfem.fields import scalar_field, vector_field
 from boundfem.forms import (THETA, ElementContext, FaceContext,
                             NumericalBreakdown, ProblemSpec, _beta_grad, _block_pattern,
                             _flux_traces, assemble_bh,
@@ -20,11 +21,32 @@ def ones_broken(V):
 
 
 def test_sipg_eta_values():
-    assert sipg_eta(1, 2, 1.0, 0.1) == pytest.approx(180.0)
-    assert sipg_eta(1, 2, 0.0, 0.37) == 0.0
-    assert sipg_eta(2, 2, 1e-3, 0.5) == pytest.approx(0.072)
+    assert sipg_eta(1, 1.0, 0.1) == pytest.approx(180.0)
+    assert sipg_eta(1, 0.0, 0.37) == 0.0
+    assert sipg_eta(2, 1e-3, 0.5) == pytest.approx(0.072)
     with pytest.raises(ValueError):
-        sipg_eta(1, 2, 1.0, 0.0)
+        sipg_eta(1, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("make,coef,expected", [
+    (scalar_field, lambda x: 2.5, np.full((3, 4), 2.5)),        # a callable's value is broadcast
+    (vector_field, lambda x: np.array([1.0, -2.0]), np.tile([1.0, -2.0], (3, 4, 1))),
+    (scalar_field, 2.5, np.full((3, 4), 2.5)),
+    (vector_field, (1.0, -2.0), np.tile([1.0, -2.0], (3, 4, 1))),
+    (vector_field, (1.0, 2.0, 3.0), ValueError),
+])
+def test_field_normalization(make, coef, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            make(coef)
+        return
+    pts = np.random.default_rng(0).random((3, 4, 2))
+    field = make(coef)
+    values = field(pts)
+    np.testing.assert_array_equal(values, expected)
+    if not callable(coef):      # a constant returns a fresh, writable array
+        values[...] = 0.0
+        np.testing.assert_array_equal(field(pts), expected)
 
 
 def test_bh_constant_advection_inflow_only():
@@ -44,7 +66,7 @@ def test_bh_constant_diffusion_boundary_penalty_only():
     pr = ProblemSpec(beta=(0.0, 0.0), K=1.0, sigma=0.0, f=0.0, g=0.0)
     B = assemble_bh(pr, V)
     ones = ones_broken(V)
-    eta = sipg_eta(1, 2, 1.0, 1.0)
+    eta = sipg_eta(1, 1.0, 1.0)
     assert ones @ (B @ ones) == pytest.approx(4.0 * eta, rel=1e-13)
 
 
@@ -171,7 +193,7 @@ def test_continuous_arguments_reduce_to_volume_plus_boundary():
         Kgu_n = np.einsum("qlk,l->qk", gphys, cu[dofs]) @ (K @ n)
         Kgv_n = np.einsum("qlk,l->qk", gphys, cv[dofs]) @ (K @ n)
         bn = np.array([1.0, 0.5]) @ n
-        eta = sipg_eta(1, 2, pr.k_max, h)
+        eta = sipg_eta(1, pr.k_max, h)
         w = erule.weights * h
         ref += np.sum(w * (THETA * uq * Kgv_n - Kgu_n * vq + eta * uq * vq))
         if bn < 0:
