@@ -106,7 +106,7 @@ class AdaptResult:
     stop_reason: str
 
 
-def prolong(u_coeffs, old_space, new_space):
+def prolong(coeffs, old_space, new_space):
     """Nodal interpolation of a continuous function onto a refined mesh.
 
     Uses refinement provenance (parent elements), so it is exact for
@@ -119,7 +119,7 @@ def prolong(u_coeffs, old_space, new_space):
     parents = new_mesh.parent_elements
     refs = old_mesh.to_reference(parents[:, None], new_mesh.to_physical(new_space.basis.nodes))
     vals, _ = old_space.basis.eval(refs)
-    local = (vals @ u_coeffs[old_space.dofmap[parents]][:, :, None])[..., 0]
+    local = (vals @ coeffs[old_space.dofmap[parents]][:, :, None])[..., 0]
     out = np.empty(new_space.n_dofs)
     out[new_space.dofmap.ravel()] = local.ravel()
     return out

@@ -49,7 +49,7 @@ def _setup(name, with_penalty, overrides):
     if not case.tol > 0.0:      # linear runs never reach newton_solve's check
         raise ValueError(f"tol must be positive, got {case.tol!r}")
     problem = case.problem()
-    pen = PenaltyConfig(case.upper_sign, case.penalty_quadrature)     # checked when unused too
+    pen = PenaltyConfig(case.penalty_quadrature)     # checked when unused too
     return case, problem, pen if with_penalty and problem.has_bounds else None
 
 
@@ -146,7 +146,7 @@ def _write_run_info(path, case, problem, extra):
         fh.write(f"boundfem {__version__}\n")
         fh.write(f"case = {case.name} ({case.title})\n")
         for key in ("mode", "p", "gamma0", "tol", "levels", "max_dofs",
-                    "theta_mark", "penalty_quadrature", "upper_sign"):
+                    "theta_mark", "penalty_quadrature"):
             fh.write(f"{key} = {getattr(case, key)}\n")
         fh.write(f"bounds = {(case.lower, case.upper)}\n")
         fh.write(f"K = {problem.K_mat.tolist()}\n")
@@ -168,11 +168,13 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     """Execute a case's designated pipeline and write its artifacts.
 
     Overrides accept the CaseDefinition field names (gamma0, lower, upper,
-    tol, p, levels, theta_mark, upper_sign, ...); a bound left unset keeps
-    the case's value. Uniform cases solve one level, on the initial mesh;
-    any other `levels` raises ValueError before a solve (`convergence_study`
-    runs more). `seed` is recorded for reproducibility; the solver itself
-    is deterministic. The artifacts are written only after the solve.
+    tol, p, levels, theta_mark, penalty_quadrature, ...); a bound left unset
+    keeps the case's value. The run is penalized when `with_penalty` is set
+    and the problem has a bound, and run_info.txt records whether it was.
+    Uniform cases solve one level, on the initial mesh; any other `levels`
+    raises ValueError before a solve (`convergence_study` runs more). `seed`
+    is recorded for reproducibility; the solver itself is deterministic. The
+    artifacts are written only after the solve.
     """
     case, problem, pen = _setup(name, with_penalty, overrides)
     if case.mode == "uniform":
@@ -186,7 +188,7 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
     if out_dir:     # a setting the solve rejects leaves no directory behind
         os.makedirs(out_dir, exist_ok=True)
         _write_run_info(os.path.join(out_dir, "run_info.txt"), case, problem,
-                        {"with_penalty": with_penalty, "seed": seed,
+                        {"with_penalty": pen is not None, "seed": seed,
                          "stop_reason": result.stop_reason})
         write_records_csv(os.path.join(out_dir, "levels.csv"), records)
         if pen is not None:
@@ -210,7 +212,7 @@ def run_case(name, out_dir=None, with_penalty=True, seed=None, **overrides):
             p0, p1 = case.cross_section
             s, pts, vals = cross_section(uh, p0, p1)
             write_cross_section_csv(os.path.join(out_dir, "cross_section.csv"),
-                                    s, pts, ("u", vals))
+                                    s, pts, vals)
     return RunResult(case, uh, eh, report, records, out_dir)
 
 

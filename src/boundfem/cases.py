@@ -43,7 +43,6 @@ class CaseDefinition:
     max_dofs: int | None = None
     theta_mark: float = 0.5
     penalty_quadrature: str = "gauss"
-    upper_sign: str = "restoring"
     cross_section: tuple | None = None
     lower: float | None = None
     upper: float | None = None

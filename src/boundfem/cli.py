@@ -17,7 +17,6 @@ from .app import convergence_study, run_case
 
 CONFIG_KEYS = {
     "penalty.gamma0": ("gamma0", float),
-    "penalty.upper_sign": ("upper_sign", str),
     "penalty.quadrature": ("penalty_quadrature", str),
     "bounds.lower": ("lower", float),
     "bounds.upper": ("upper", float),
@@ -51,7 +50,7 @@ def read_config(path):
 
 
 def make_parser():
-    # allow_abbrev=False: a flag prefix (`--upper` for `--upper-sign`) is an error
+    # allow_abbrev=False: a flag prefix (`--theta` for `--theta-mark`) is an error
     ap = argparse.ArgumentParser(prog="boundfem", allow_abbrev=False,
                                  description="bound-preserving adaptive FEM solver")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -66,8 +65,6 @@ def make_parser():
     common.add_argument("--tol", type=float, help="Newton stopping tolerance")
     common.add_argument("--levels", type=int, help="refinement levels")
     common.add_argument("--theta-mark", type=float, help="bulk-marking fraction")
-    common.add_argument("--upper-sign", choices=("restoring", "paper"),
-                        help="sign convention of the upper-bound term")
     common.add_argument("--out-dir", help="artifact output directory")
 
     run = sub.add_parser("run", parents=[common], allow_abbrev=False,

@@ -300,11 +300,16 @@ def _face_data(problem, ctx, normals):
     return bn, bn < -tol
 
 
+def _reference_K(ec, K):
+    """Binv K Binv^T per element of ec, (ne, 2, 2): K acting on reference gradients."""
+    return ec.Binv @ K @ ec.Binv.swapaxes(1, 2)
+
+
 def _diffusion_blocks(ec, K):
     """Element blocks (K grad phi_j, grad phi_i) = det B sum_ab (Binv K Binv^T)_ab R_ab,
     one GEMM with the reference tensors R (`ElementContext.stiffness`)."""
     nl = ec.vals.shape[1]
-    coef = ec.detB[:, None] * (ec.Binv @ K @ ec.Binv.swapaxes(1, 2)).reshape(-1, 4)
+    coef = ec.detB[:, None] * _reference_K(ec, K).reshape(-1, 4)
     return (coef @ ec.stiffness).reshape(-1, nl, nl)
 
 

@@ -13,7 +13,7 @@ preserved whatever quadrature evaluates them. gamma is element-local,
 
 and must be recomputed whenever the mesh changes. The bounds u_min, u_max
 and the scale gamma0 are the ProblemSpec's; a PenaltyConfig holds only the
-method choices below, the quadrature variant and the upper-bound sign.
+quadrature variant below.
 
 Two quadrature variants back the elementwise pairing:
 
@@ -24,9 +24,11 @@ Two quadrature variants back the elementwise pairing:
   discrete solution can violate it and gives the Newton iteration a crisp,
   finite active set. Standard practice for obstacle-type terms.
 
-Sign convention for the upper bound: the default "restoring" mode subtracts
-the xi_max term so that overshoot produces a force pushing the solution back
-below u_max; "paper" keeps the plain additive variant.
+Signs: the lower term enters with +1 and the upper term with -1. Each
+then pushes a violating solution back inside [u_min, u_max]: an overshoot
+of u_max gives a residual that moves the equation toward smaller u. Each
+bound's argument has slope +-1 in u, the same sign as its term, so one
+sign per bound serves the residual and its derivative.
 
 Tables. A PenaltyOperator evaluates on one quadrature table and keeps only
 what its residual, adjoint and Jacobian read: A applied to every basis
@@ -56,9 +58,8 @@ import numpy as np
 
 from .quadrature import QuadratureRule, triangle_rule
 from .fespace import gather_matrix
-from .forms import ElementContext, _advection_reaction, _block_diagonal
+from .forms import ElementContext, _advection_reaction, _block_diagonal, _reference_K
 
-UPPER_SIGNS = ("restoring", "paper")
 QUADRATURES = ("gauss", "nodal")
 
 
@@ -71,15 +72,12 @@ def negative_part(x):
 
 @dataclass
 class PenaltyConfig:
-    """Method choices of the penalty: upper-bound sign convention and
-    quadrature variant. The bounds and gamma0 belong to the ProblemSpec."""
+    """Method choice of the penalty: its quadrature variant. The bounds and
+    gamma0 belong to the ProblemSpec."""
 
-    upper_sign: str = "restoring"
     quadrature: str = "gauss"
 
     def __post_init__(self):
-        if self.upper_sign not in UPPER_SIGNS:
-            raise ValueError(f"upper_sign must be one of {UPPER_SIGNS}")
         if self.quadrature not in QUADRATURES:
             raise ValueError(f"quadrature must be one of {QUADRATURES}")
 
@@ -126,9 +124,8 @@ def _strong_tables(problem, space, ec):
 def _div_K_grad_basis(problem, space, ec):
     """div(K grad phi) of every basis function at ec's points; (ne, nq, nl)."""
     href = space.basis.eval_hessians(ec.rule.points)  # (nq, nl, 3)
-    Binv = ec.Binv
     # K : (Binv^T Href Binv) = Href : M with M = Binv K Binv^T per element
-    M = Binv @ problem.K_mat @ Binv.swapaxes(1, 2)
+    M = _reference_K(ec, problem.K_mat)
     m = np.stack([M[:, 0, 0], M[:, 0, 1] + M[:, 1, 0], M[:, 1, 1]], axis=1)
     return (m @ href.reshape(-1, 3).T).reshape(len(m), *href.shape[:-1])
 
@@ -148,7 +145,6 @@ class PenaltyOperator:
             raise ValueError("trial and test spaces must share a mesh")
         self.U_h = U_h
         self.V_h = V_h
-        self.config = config
         self.lower, self.upper = problem.u_min, problem.u_max
         self.gammas = compute_gammas(problem, U_h.mesh)
         if config.quadrature == "nodal":
@@ -163,19 +159,19 @@ class PenaltyOperator:
         self.inv_gamma = 1.0 / self.gammas
         self._last = None               # (u, terms) of the last `_terms` call
 
-    def _values(self, u_coeffs):
+    def _values(self, u):
         """u and A u at the quadrature points, (ne, nq) each."""
-        c = np.asarray(u_coeffs, dtype=float)[self.U_h.dofmap]
+        c = np.asarray(u, dtype=float)[self.U_h.dofmap]
         return c @ self.test_vals.T, (self.A_basis @ c[:, :, None])[..., 0]
 
-    def _terms(self, u_coeffs):
-        """Per-bound tuples (sign, arg, u_coef) at the quadrature points.
+    def _terms(self, u):
+        """Per-bound pairs (sign, arg) at the quadrature points.
 
         The residual contributes sign * gamma^-1 * [arg]_- against v, and
-        d(arg)[z] = u_coef * z - gamma * A z. The last u's terms are kept for
+        d(arg)[z] = sign * z - gamma * A z. The last u's terms are kept for
         the next call at the same u; callers only read them.
         """
-        u = np.asarray(u_coeffs, dtype=float)
+        u = np.asarray(u, dtype=float)
         if self._last is not None and np.array_equal(self._last[0], u):
             return self._last[1]
         uvals, Au = self._values(u)
@@ -183,37 +179,36 @@ class PenaltyOperator:
         g = self.gammas[:, None]
         terms = []
         if self.lower is not None:
-            terms.append((+1.0, (uvals - self.lower) - g * s, +1.0))
+            terms.append((+1.0, (uvals - self.lower) - g * s))
         if self.upper is not None:
-            sign = -1.0 if self.config.upper_sign == "restoring" else +1.0
-            terms.append((sign, (self.upper - uvals) - g * s, -1.0))
+            terms.append((-1.0, (self.upper - uvals) - g * s))
         self._last = (u.copy(), terms)
         return terms
 
-    def active_count(self, u_coeffs):
+    def active_count(self, u):
         """Number of (element, quadrature point, bound) triples with arg <= 0.
 
         Zero means that P(u) and dP(u) both vanish: [arg]_- is 0 and so is
         its kink indicator, which is 1/2 at arg = 0 itself.
         """
-        return sum(int(np.count_nonzero(~(arg > 0.0))) for _, arg, _ in self._terms(u_coeffs))
+        return sum(int(np.count_nonzero(~(arg > 0.0))) for _, arg in self._terms(u))
 
-    def residual(self, u_coeffs):
+    def residual(self, u):
         """Assembled penalty residual over V_h dofs."""
-        return self.residual_and_adjoint(u_coeffs, np.zeros(self.V_h.n_dofs))[0]
+        return self.residual_and_adjoint(u, np.zeros(self.V_h.n_dofs))[0]
 
     def _weights(self, terms, dA_g):
-        """Sums over bounds of w = sign dA gamma^-1 ind and of u_coef * w,
+        """Sums over bounds of w = sign dA gamma^-1 ind and of sign * w,
         with dA_g = dA gamma^-1 on the terms' elements.
 
         ind = (1 - sgn(arg))/2 is the kink subgradient, 1/2 at the kink.
         """
         w_sum = np.zeros_like(dA_g)
         w_coef = np.zeros_like(dA_g)
-        for sign, arg, u_coef in terms:
+        for sign, arg in terms:
             w = sign * dA_g * 0.5 * (1.0 - np.sign(arg))
             w_sum += w
-            w_coef += u_coef * w
+            w_coef += sign * w
         return w_sum, w_coef
 
     def _assemble(self, elems, terms, eps_q):
@@ -226,7 +221,7 @@ class PenaltyOperator:
         with `_weights`' sums, the transpose of `jacobian`'s blocks.
         """
         dA_g = self.dA[elems] * self.inv_gamma[elems, None]
-        xi = sum(sign * negative_part(arg) for sign, arg, _ in terms)
+        xi = sum(sign * negative_part(arg) for sign, arg in terms)
         local = (dA_g * xi) @ self.test_vals
         P = np.bincount(self.V_h.dofmap[elems].ravel(), local.ravel(),
                         minlength=self.V_h.n_dofs)
@@ -242,54 +237,52 @@ class PenaltyOperator:
         """The V_h function v at the quadrature points of `elems`."""
         return v[self.V_h.dofmap[elems]] @ self.test_vals.T
 
-    def residual_and_adjoint(self, u_coeffs, eps):
+    def residual_and_adjoint(self, u, eps):
         """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling
         dP(u), evaluated on the active elements only."""
-        terms = self._terms(u_coeffs)
-        elems = _active_elements(arg for _, arg, _ in terms)
-        return self._assemble(elems, [(sign, arg[elems], u_coef) for sign, arg, u_coef in terms],
+        terms = self._terms(u)
+        elems = _active_elements(arg for _, arg in terms)
+        return self._assemble(elems, [(sign, arg[elems]) for sign, arg in terms],
                               self._at_points(eps, elems))
 
     def line(self, u, du, eps, d_eps):
         """Tables of P and dP(.)' eps along (u + t du, eps + t d_eps), t in [0, 1].
 
         Every bound argument is affine in u, so on the segment it is
-        arg + t darg with darg = u_coef du - gamma A du. An element whose
+        arg + t darg with darg = sign du - gamma A du. An element whose
         arguments are all positive at t = 0 and at t = 1 is inactive on the
         whole segment; the tables keep only the other elements: their
-        indices `elems`, per bound (sign, arg, darg, u_coef), and eps and
+        indices `elems`, per bound (sign, arg, darg), and eps and
         d_eps at their points.
         """
         terms = self._terms(u)
         duvals, dAu = self._values(du)
         g = self.gammas[:, None]
-        slopes = [u_coef * duvals - g * dAu for _, _, u_coef in terms]
-        elems = _active_elements([arg for _, arg, _ in terms]
-                                 + [arg + darg for (_, arg, _), darg in zip(terms, slopes)])
+        slopes = [sign * duvals - g * dAu for sign, _ in terms]
+        elems = _active_elements([arg for _, arg in terms]
+                                 + [arg + darg for (_, arg), darg in zip(terms, slopes)])
         return (elems,
-                [(sign, arg[elems], darg[elems], u_coef)
-                 for (sign, arg, u_coef), darg in zip(terms, slopes)],
+                [(sign, arg[elems], darg[elems]) for (sign, arg), darg in zip(terms, slopes)],
                 self._at_points(eps, elems), self._at_points(d_eps, elems))
 
     def residual_and_adjoint_on_line(self, line, t):
         """`residual_and_adjoint` at the point t in (0, 1] of a `line`,
         evaluated on the elements active at t."""
         elems, bounds, eps_q, deps_q = line
-        args = [arg + t * darg for _, arg, darg, _ in bounds]
+        args = [arg + t * darg for _, arg, darg in bounds]
         act = _active_elements(args)
         return self._assemble(elems[act],
-                              [(sign, arg[act], u_coef)
-                               for (sign, _, _, u_coef), arg in zip(bounds, args)],
+                              [(sign, arg[act]) for (sign, _, _), arg in zip(bounds, args)],
                               eps_q[act] + t * deps_q[act])
 
-    def jacobian(self, u_coeffs):
+    def jacobian(self, u):
         """Assembled Gateaux derivative as a sparse V_h x U_h matrix: the
         block-diagonal V_h x V_h matrix of its element blocks times E.
 
         The kink subgradient uses sgn(0) = 0, i.e. indicator 1/2 exactly at
         the kink.
         """
-        w_sum, w_coef = self._weights(self._terms(u_coeffs), self.dA * self.inv_gamma[:, None])
+        w_sum, w_coef = self._weights(self._terms(u), self.dA * self.inv_gamma[:, None])
         phi = self.test_vals
         blocks = phi.T @ (w_coef[:, :, None] * phi)
         blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.A_basis))

@@ -59,7 +59,7 @@ def bound_violation_report(u, bounds):
     return ViolationReport(lo, hi, under, over, upct, opct)
 
 
-def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
+def error_norms(problem, U_h, coeffs, exact, exact_grad=None):
     """L2 and dG-norm errors of a continuous discrete solution vs an exact one.
 
     The dG norm needs the exact gradient; without it only the L2 error is
@@ -72,7 +72,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     degree = 2 * U_h.p + 4
     exact = scalar_field(exact)
     ec = ElementContext(U_h, degree)
-    c = u_coeffs[U_h.dofmap]
+    c = coeffs[U_h.dofmap]
     diff = c @ ec.vals.T - exact(ec.qp)
     l2 = np.vdot(ec.dA, diff ** 2)
     err_l2 = float(np.sqrt(l2))
@@ -89,7 +89,7 @@ def error_norms(problem, U_h, u_coeffs, exact, exact_grad=None):
     # boundary faces: the dG norm's face term of u_h - u* = u_h - g
     fb = FaceContext(U_h, "boundary", degree)
     (eb, vb, _), = fb.sides
-    bdiff = (vb @ u_coeffs[U_h.dofmap[eb]][:, :, None])[..., 0] - exact(fb.qp)
+    bdiff = (vb @ coeffs[U_h.dofmap[eb]][:, :, None])[..., 0] - exact(fb.qp)
     w = _norm_face_weight(problem, U_h, fb, mesh.bface_normals, mesh.bface_h)
     err2 += np.vdot(w, bdiff ** 2)
     return err_l2, float(np.sqrt(max(err2, 0.0)))
@@ -110,10 +110,9 @@ def cross_section(u, p_start, p_end, n=1001):
     return s, pts, u(pts)
 
 
-def write_cross_section_csv(path, s, pts, *named_values):
-    """CSV with columns s, x, y and one column per (name, values) pair."""
-    write_csv(path, ["s", "x", "y"] + [name for name, _ in named_values],
-              zip(s, pts[:, 0], pts[:, 1], *(v for _, v in named_values)))
+def write_cross_section_csv(path, s, pts, vals):
+    """CSV with columns s, x, y, u: `cross_section`'s samples."""
+    write_csv(path, ["s", "x", "y", "u"], zip(s, pts[:, 0], pts[:, 1], vals))
 
 
 def write_csv(path, header, rows):

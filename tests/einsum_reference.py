@@ -181,9 +181,9 @@ def assemble_mass(space):
     return acc.tocsr()
 
 
-def penalty_context(op):
+def penalty_context(op, quadrature):
     """The quadrature table PenaltyOperator evaluates on (it keeps none of it)."""
-    if op.config.quadrature == "nodal":
+    if quadrature == "nodal":
         return ElementContext(op.U_h, 1, rule=nodal_rule())
     return ElementContext(op.U_h, 2 * op.U_h.p + 6)
 
@@ -208,9 +208,9 @@ def strong_residual(problem, space, ec, u_coeffs):
     return np.einsum("el,eql->eq", c, strong_basis(problem, space, ec)) - problem.f_fn(ec.qp)
 
 
-def penalty_terms(problem, op, u_coeffs):
-    """PenaltyOperator._terms: (sign, arg, u_coef) per active bound."""
-    ec = penalty_context(op)
+def penalty_terms(problem, op, quadrature, u_coeffs):
+    """PenaltyOperator._terms plus each argument's slope in u: (sign, arg, u_coef) per bound."""
+    ec = penalty_context(op, quadrature)
     uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], ec.vals)
     s = strong_residual(problem, op.U_h, ec, u_coeffs)
     g = op.gammas[:, None]
@@ -218,24 +218,23 @@ def penalty_terms(problem, op, u_coeffs):
     if problem.u_min is not None:
         terms.append((+1.0, (uvals - problem.u_min) - g * s, +1.0))
     if problem.u_max is not None:
-        sign = -1.0 if op.config.upper_sign == "restoring" else +1.0
-        terms.append((sign, (problem.u_max - uvals) - g * s, -1.0))
+        terms.append((-1.0, (problem.u_max - uvals) - g * s, -1.0))
     return terms
 
 
-def penalty_residual(problem, op, u_coeffs):
+def penalty_residual(problem, op, quadrature, u_coeffs):
     out = np.zeros(op.V_h.n_dofs)
-    for sign, arg, _ in penalty_terms(problem, op, u_coeffs):
+    for sign, arg, _ in penalty_terms(problem, op, quadrature, u_coeffs):
         xi = 0.5 * (arg - np.abs(arg))
         w = sign * op.dA * op.inv_gamma[:, None] * xi
         np.add.at(out, op.V_h.dofmap.ravel(), np.einsum("eq,qi->ei", w, op.test_vals).ravel())
     return out
 
 
-def penalty_jacobian(problem, op, u_coeffs):
+def penalty_jacobian(problem, op, quadrature, u_coeffs):
     acc = _Accumulator((op.V_h.n_dofs, op.U_h.n_dofs))
-    A_basis = strong_basis(problem, op.U_h, penalty_context(op))
-    for sign, arg, u_coef in penalty_terms(problem, op, u_coeffs):
+    A_basis = strong_basis(problem, op.U_h, penalty_context(op, quadrature))
+    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs):
         ind = 0.5 * (1.0 - np.sign(arg))
         dz = u_coef * np.broadcast_to(op.test_vals[None, :, :], A_basis.shape).copy()
         dz -= op.gammas[:, None, None] * A_basis
@@ -245,12 +244,12 @@ def penalty_jacobian(problem, op, u_coeffs):
     return acc.tocsr()
 
 
-def penalty_adjoint(problem, op, u_coeffs, eps):
+def penalty_adjoint(problem, op, quadrature, u_coeffs, eps):
     """dP(u)' eps over U_h dofs, per bound and without assembling dP(u)."""
-    A_basis = strong_basis(problem, op.U_h, penalty_context(op))
+    A_basis = strong_basis(problem, op.U_h, penalty_context(op, quadrature))
     out = np.zeros(op.U_h.n_dofs)
     eps_q = np.einsum("el,ql->eq", eps[op.V_h.dofmap], op.test_vals)
-    for sign, arg, u_coef in penalty_terms(problem, op, u_coeffs):
+    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs):
         a = sign * op.dA * op.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg)) * eps_q
         local = u_coef * np.einsum("eq,qj->ej", a, op.test_vals)
         local -= op.gammas[:, None] * np.einsum("eq,eqj->ej", a, A_basis)

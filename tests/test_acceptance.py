@@ -231,7 +231,7 @@ def test_criterion_7_penalty_jacobian_fd():
     checked = 0
     while checked < 20:
         u0 = rng.uniform(-0.5, 1.5, U.n_dofs)
-        if min(np.abs(arg).min() for _, arg, _ in op._terms(u0)) < 1e-4:
+        if min(np.abs(arg).min() for _, arg in op._terms(u0)) < 1e-4:
             continue
         d = rng.standard_normal(U.n_dofs)
         step = 1e-7 * max(1.0, np.abs(u0).max())

@@ -361,8 +361,8 @@ def test_cli_study_rejects_seed(tmp_path, capsys):
                                   ["run", "case1", "--theta", "0.3"],
                                   ["study", "smooth", "--with", "--levels", "1"]])
 def test_cli_flag_prefixes_exit_2(argv, tmp_path, capsys):
-    # a prefix of a flag is not that flag: `--upper paper` used to set
-    # --upper-sign silently and exit 0
+    # a prefix of a flag is not that flag (`--theta`, `--with`); `--upper`
+    # once set the removed --upper-sign silently and exited 0
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(out)])
@@ -387,9 +387,7 @@ def test_smooth_run_applies_its_bound_settings(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["penalty.quadrature = bogus",
-                                     "penalty.upper_sign = sideways"],
-                         ids=["quadrature", "upper_sign"])
+@pytest.mark.parametrize("setting", ["penalty.quadrature = bogus"], ids=["quadrature"])
 @pytest.mark.parametrize("argv", [["run", "case1", "--no-penalty"], ["run", "smooth"]],
                          ids=["case1-no-penalty", "smooth"])
 def test_cli_unused_penalty_settings_exit_2(argv, setting, tmp_path, capsys):
@@ -400,6 +398,33 @@ def test_cli_unused_penalty_settings_exit_2(argv, setting, tmp_path, capsys):
     assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert "must be one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_removed_upper_sign_exits_2(tmp_path, capsys):
+    # the penalty has one sign convention; the flag and the key that chose
+    # another are gone
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "case1", "--upper-sign", "paper", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --upper-sign paper" in capsys.readouterr().err
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text("penalty.upper_sign = paper\n")
+    assert main(["run", "case1", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "unknown config key 'penalty.upper_sign'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,penalized", [(["smooth"], False), (["case1"], True),
+                                            (["case1", "--no-penalty"], False)],
+                         ids=["smooth", "case1", "case1-no-penalty"])
+def test_run_info_records_whether_a_penalty_ran(argv, penalized, tmp_path):
+    # smooth has no bounds, so it solves linearly; it used to record
+    # with_penalty = True all the same
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out-dir", str(out)]) == 0
+    assert f"with_penalty = {penalized}" in (out / "run_info.txt").read_text().splitlines()
+    assert (out / "iterations.csv").exists() == penalized
 
 
 def test_cli_bad_config_key_exits_2(tmp_path, capsys):

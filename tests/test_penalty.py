@@ -143,7 +143,7 @@ def test_penalty_jacobian_matches_central_differences(quadrature):
     checked = 0
     while checked < 20:
         u0 = rng.uniform(-0.5, 1.5, U.n_dofs)
-        margin = min(np.abs(arg).min() for _, arg, _ in op._terms(u0))
+        margin = min(np.abs(arg).min() for _, arg in op._terms(u0))
         if margin < 1e-4:
             continue
         d = rng.standard_normal(U.n_dofs)
@@ -192,20 +192,21 @@ def fix_gammas(monkeypatch, value):
                         lambda problem, mesh: np.full(mesh.n_elements, value))
 
 
-def test_upper_sign_conventions(square_spaces, monkeypatch):
-    # an overshoot produces a downward force with the restoring convention
-    # and an upward one with the verbatim variant
+def test_penalty_restores_both_bounds(square_spaces, monkeypatch):
+    # an overshoot of u_max moves the equation toward smaller u, an
+    # undershoot of u_min toward larger u, by the same amount here
     U, V = square_spaces
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
-                     u_max=1.0, gamma0=0.5)
+                     u_min=0.0, u_max=1.0, gamma0=0.5)
     fix_gammas(monkeypatch, 1.0)
-    over = U.interpolate(1.5)  # above the upper bound 1
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
     ones = np.ones(V.n_dofs)
-    restoring = PenaltyOperator(pr, U, V, PenaltyConfig()).residual(over)
-    paper = PenaltyOperator(pr, U, V, PenaltyConfig(upper_sign="paper")).residual(over)
-    assert ones @ restoring > 0.0        # moves the equation toward smaller u
-    assert ones @ paper < 0.0
-    np.testing.assert_allclose(restoring, -paper, rtol=1e-14)
+    over = op.residual(U.interpolate(1.5))       # 0.5 above u_max
+    under = op.residual(U.interpolate(-0.5))     # 0.5 below u_min
+    assert ones @ over > 0.0
+    assert ones @ under < 0.0
+    np.testing.assert_allclose(over, -under, rtol=1e-14)
+    assert not op.residual(U.interpolate(0.5)).any()
 
 
 def test_operator_reads_bounds_and_gamma0_from_problem(square_spaces):
@@ -215,7 +216,7 @@ def test_operator_reads_bounds_and_gamma0_from_problem(square_spaces):
                      u_max=0.8, gamma0=1e-2)
     op = PenaltyOperator(pr, U, V, PenaltyConfig())
     terms = op._terms(U.interpolate(0.5))
-    assert [(sign, u_coef) for sign, _, u_coef in terms] == [(-1.0, -1.0)]   # upper only
+    assert [sign for sign, _ in terms] == [-1.0]                       # upper only
     np.testing.assert_allclose(terms[0][1], 0.8 - 0.5, rtol=1e-12)     # A u - f = 0
     np.testing.assert_array_equal(op.gammas, compute_gammas(pr, mesh))
     unbounded = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0, gamma0=1e-2)
@@ -232,8 +233,6 @@ def test_penalty_config_validation():
     with pytest.raises(ValueError, match="gamma0"):
         ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
                     u_min=0.0, gamma0=1.5)
-    with pytest.raises(ValueError):
-        PenaltyConfig(upper_sign="up")
     with pytest.raises(ValueError):
         PenaltyConfig(quadrature="lobatto")
 

@@ -224,7 +224,7 @@ def test_newton_history_independent_of_trial_evaluation(name, monkeypatch):
     pr = case.problem()
     mesh = case.make_mesh()
     U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
-    cfg = PenaltyConfig(case.upper_sign, case.penalty_quadrature)
+    cfg = PenaltyConfig(case.penalty_quadrature)
     assert cfg.quadrature == {"case1": "gauss", "case3": "nodal"}[name]
     runs = []
     for full in (False, True):
@@ -558,7 +558,7 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
         newton_solve(prb, U, V, PenaltyConfig(), initial=np.zeros(U.n_dofs))
 
 
-def penalized_system(p, quadrature, bounds, upper_sign, seed):
+def penalized_system(p, quadrature, bounds, seed):
     """A NewtonSystem on a jittered mesh, and a random iterate maker whose
     iterates straddle the bounds."""
     pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
@@ -566,7 +566,7 @@ def penalized_system(p, quadrature, bounds, upper_sign, seed):
     mesh = jittered(build_structured_mesh(4, 4), 2)
     U = build_space(mesh, p, "continuous")
     V = build_space(mesh, p, "broken")
-    cfg = PenaltyConfig(upper_sign=upper_sign, quadrature=quadrature)
+    cfg = PenaltyConfig(quadrature=quadrature)
     system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
     rng = np.random.default_rng(seed)
     return system, lambda: np.concatenate([rng.standard_normal(V.n_dofs),
@@ -575,9 +575,8 @@ def penalized_system(p, quadrature, bounds, upper_sign, seed):
 
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
 @pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
-def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
-    system, iterate = penalized_system(p, quadrature, bounds, upper_sign, 4)
+def test_matrix_free_residual_norm(p, quadrature, bounds):
+    system, iterate = penalized_system(p, quadrature, bounds, 4)
     x = iterate()
     r, Bu = assembled_residual(system, x)
     assert abs(Bu - system.ops.B).max() > 0.0    # the penalty is active
@@ -588,10 +587,9 @@ def test_matrix_free_residual_norm(p, quadrature, bounds, upper_sign):
 
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
 @pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-@pytest.mark.parametrize("upper_sign", ["restoring", "paper"])
-def test_line_residual_norm_matches_full_residual(p, quadrature, bounds, upper_sign):
+def test_line_residual_norm_matches_full_residual(p, quadrature, bounds):
     # a step between two random iterates, along which the active set changes
-    system, iterate = penalized_system(p, quadrature, bounds, upper_sign, 5)
+    system, iterate = penalized_system(p, quadrature, bounds, 5)
     x = iterate()
     line = system.line(x, iterate() - x)
     actives = [system.pen.active_count(system.split(x + t * line.dx)[1])
