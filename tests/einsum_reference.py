@@ -208,8 +208,12 @@ def strong_residual(problem, space, ec, u_coeffs):
     return np.einsum("el,eql->eq", c, strong_basis(problem, space, ec)) - problem.f_fn(ec.qp)
 
 
-def penalty_terms(problem, op, quadrature, u_coeffs):
-    """PenaltyOperator._terms plus each argument's slope in u: (sign, arg, u_coef) per bound."""
+def penalty_terms(problem, op, quadrature, u_coeffs, upper_sign=-1.0):
+    """PenaltyOperator._terms plus each argument's slope in u: (sign, arg, u_coef) per bound.
+
+    The operator's upper term enters with -1; `upper_sign=+1` gives it as the
+    paper prints it.
+    """
     ec = penalty_context(op, quadrature)
     uvals = np.einsum("el,ql->eq", u_coeffs[op.U_h.dofmap], ec.vals)
     s = strong_residual(problem, op.U_h, ec, u_coeffs)
@@ -218,23 +222,23 @@ def penalty_terms(problem, op, quadrature, u_coeffs):
     if problem.u_min is not None:
         terms.append((+1.0, (uvals - problem.u_min) - g * s, +1.0))
     if problem.u_max is not None:
-        terms.append((-1.0, (problem.u_max - uvals) - g * s, -1.0))
+        terms.append((upper_sign, (problem.u_max - uvals) - g * s, -1.0))
     return terms
 
 
-def penalty_residual(problem, op, quadrature, u_coeffs):
+def penalty_residual(problem, op, quadrature, u_coeffs, upper_sign=-1.0):
     out = np.zeros(op.V_h.n_dofs)
-    for sign, arg, _ in penalty_terms(problem, op, quadrature, u_coeffs):
+    for sign, arg, _ in penalty_terms(problem, op, quadrature, u_coeffs, upper_sign):
         xi = 0.5 * (arg - np.abs(arg))
         w = sign * op.dA * op.inv_gamma[:, None] * xi
         np.add.at(out, op.V_h.dofmap.ravel(), np.einsum("eq,qi->ei", w, op.test_vals).ravel())
     return out
 
 
-def penalty_jacobian(problem, op, quadrature, u_coeffs):
+def penalty_jacobian(problem, op, quadrature, u_coeffs, upper_sign=-1.0):
     acc = _Accumulator((op.V_h.n_dofs, op.U_h.n_dofs))
     A_basis = strong_basis(problem, op.U_h, penalty_context(op, quadrature))
-    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs):
+    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs, upper_sign):
         ind = 0.5 * (1.0 - np.sign(arg))
         dz = u_coef * np.broadcast_to(op.test_vals[None, :, :], A_basis.shape).copy()
         dz -= op.gammas[:, None, None] * A_basis
@@ -244,12 +248,12 @@ def penalty_jacobian(problem, op, quadrature, u_coeffs):
     return acc.tocsr()
 
 
-def penalty_adjoint(problem, op, quadrature, u_coeffs, eps):
+def penalty_adjoint(problem, op, quadrature, u_coeffs, eps, upper_sign=-1.0):
     """dP(u)' eps over U_h dofs, per bound and without assembling dP(u)."""
     A_basis = strong_basis(problem, op.U_h, penalty_context(op, quadrature))
     out = np.zeros(op.U_h.n_dofs)
     eps_q = np.einsum("el,ql->eq", eps[op.V_h.dofmap], op.test_vals)
-    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs):
+    for sign, arg, u_coef in penalty_terms(problem, op, quadrature, u_coeffs, upper_sign):
         a = sign * op.dA * op.inv_gamma[:, None] * 0.5 * (1.0 - np.sign(arg)) * eps_q
         local = u_coef * np.einsum("eq,qj->ej", a, op.test_vals)
         local -= op.gammas[:, None] * np.einsum("eq,eqj->ej", a, A_basis)

@@ -7,6 +7,7 @@ comparison allows round-off only: rtol 1e-13, with an absolute floor of
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,10 +176,20 @@ def test_strong_operator_matches_einsum(mesh_name, p, tmp_path):
     assert_close(residual, ref.strong_residual(pr, U, ec, c))
 
 
+def printed_with_upper_negated(fn, pr, *args):
+    """fn's value for the penalty as the paper prints it, both terms +1, with
+    the upper term negated: the one place the operator departs from the print."""
+    parts = [sign * fn(replace(pr, u_min=u_min, u_max=u_max), *args, upper_sign=+1.0)
+             for u_min, u_max, sign in ((pr.u_min, None, +1.0), (None, pr.u_max, -1.0))
+             if (u_min, u_max) != (None, None)]
+    return sum(parts[1:], parts[0])
+
+
 @pytest.mark.parametrize("mesh_name", MESHES)
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
 @pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, tmp_path):
+@pytest.mark.parametrize("form", ["restoring", "paper"])
+def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, form, tmp_path):
     mesh = make_mesh(mesh_name, tmp_path)
     pr = problem(TENSOR_K, u_min=bounds[0], u_max=bounds[1], gamma0=1e-2)
     U = build_space(mesh, p, "continuous")
@@ -187,13 +198,20 @@ def test_penalty_matches_einsum(mesh_name, p, quadrature, bounds, tmp_path):
     rng = np.random.default_rng(3)
     u = rng.uniform(-0.2, 1.2, U.n_dofs)
     eps = rng.standard_normal(V.n_dofs)
+
+    def expected(fn, *args):
+        if form == "restoring":
+            return fn(pr, op, quadrature, *args)
+        return printed_with_upper_negated(fn, pr, op, quadrature, *args)
+
     J = op.jacobian(u)
     assert abs(J).max() > 0.0                    # the penalty is active
-    assert_close(J, ref.penalty_jacobian(pr, op, quadrature, u))
-    assert_close(op.residual(u), ref.penalty_residual(pr, op, quadrature, u))
+    assert_close(J, expected(ref.penalty_jacobian, u))
+    P_ref = expected(ref.penalty_residual, u)
+    assert_close(op.residual(u), P_ref)
     P, adjoint = op.residual_and_adjoint(u, eps)
-    assert_close(P, ref.penalty_residual(pr, op, quadrature, u))
-    assert_close(adjoint, ref.penalty_adjoint(pr, op, quadrature, u, eps))
+    assert_close(P, P_ref)
+    assert_close(adjoint, expected(ref.penalty_adjoint, u, eps))
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

@@ -192,7 +192,7 @@ def fix_gammas(monkeypatch, value):
                         lambda problem, mesh: np.full(mesh.n_elements, value))
 
 
-def test_penalty_restores_both_bounds(square_spaces, monkeypatch):
+def test_upper_sign_conventions(square_spaces, monkeypatch):
     # an overshoot of u_max moves the equation toward smaller u, an
     # undershoot of u_min toward larger u, by the same amount here
     U, V = square_spaces

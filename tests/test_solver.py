@@ -558,9 +558,10 @@ def test_inaccurate_newton_step_raises(manufactured, monkeypatch):
         newton_solve(prb, U, V, PenaltyConfig(), initial=np.zeros(U.n_dofs))
 
 
-def penalized_system(p, quadrature, bounds, seed):
+def penalized_system(p, quadrature, bounds, signs, seed):
     """A NewtonSystem on a jittered mesh, and a random iterate maker whose
-    iterates straddle the bounds."""
+    iterates straddle the bounds. `signs` are the lower and upper terms'
+    signs, which the penalty is checked to use."""
     pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
                      u_min=bounds[0], u_max=bounds[1], gamma0=1e-3)
     mesh = jittered(build_structured_mesh(4, 4), 2)
@@ -568,15 +569,22 @@ def penalized_system(p, quadrature, bounds, seed):
     V = build_space(mesh, p, "broken")
     cfg = PenaltyConfig(quadrature=quadrature)
     system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
+    assert ([sign for sign, _ in system.pen._terms(np.zeros(U.n_dofs))]
+            == [sign for sign, bound in zip(signs, bounds) if bound is not None])
     rng = np.random.default_rng(seed)
     return system, lambda: np.concatenate([rng.standard_normal(V.n_dofs),
                                            rng.uniform(-0.2, 1.2, U.n_dofs)])
 
 
+# the penalty's one sign convention: the lower term enters with +1, the upper with -1
+RESTORING = pytest.mark.parametrize("signs", [(+1.0, -1.0)], ids=["restoring"])
+
+
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
 @pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-def test_matrix_free_residual_norm(p, quadrature, bounds):
-    system, iterate = penalized_system(p, quadrature, bounds, 4)
+@RESTORING
+def test_matrix_free_residual_norm(p, quadrature, bounds, signs):
+    system, iterate = penalized_system(p, quadrature, bounds, signs, 4)
     x = iterate()
     r, Bu = assembled_residual(system, x)
     assert abs(Bu - system.ops.B).max() > 0.0    # the penalty is active
@@ -587,9 +595,10 @@ def test_matrix_free_residual_norm(p, quadrature, bounds):
 
 @pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
 @pytest.mark.parametrize("bounds", [(0.2, None), (None, 0.8), (0.2, 0.8)])
-def test_line_residual_norm_matches_full_residual(p, quadrature, bounds):
+@RESTORING
+def test_line_residual_norm_matches_full_residual(p, quadrature, bounds, signs):
     # a step between two random iterates, along which the active set changes
-    system, iterate = penalized_system(p, quadrature, bounds, 5)
+    system, iterate = penalized_system(p, quadrature, bounds, signs, 5)
     x = iterate()
     line = system.line(x, iterate() - x)
     actives = [system.pen.active_count(system.split(x + t * line.dx)[1])
