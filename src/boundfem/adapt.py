@@ -85,6 +85,13 @@ class AdaptRecord:
     overshoot: float
     newton_iterations: int
     newton_converged: bool
+    # the kept solve's `NewtonResult` status, None on a linear level
+    newton_reason: str | None
+    newton_rel_residual: float | None
+    newton_min_t: float | None
+    newton_retries: int | None
+    newton_active: int | None
+    newton_start: str | None
     h_min: float
     efficiency: float | None    # estimator / err_vh; None if err_vh is None or 0
     newton_log: list = field(default_factory=list)   # of the solve whose u is recorded

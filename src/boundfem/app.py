@@ -10,7 +10,11 @@ directory:
     run_info.txt         all effective settings (for reproducibility) and
                          the loop's stop_reason
     solution.vtk         final solution u and residual representative eps
-    levels.csv           per-level records
+    levels.csv           per-level records; a penalized level adds how its
+                         kept Newton solve ended: the stop reason, the
+                         final |R|/|L|, the smallest step t, the rejected
+                         damping trials, the final active-set size and the
+                         start (cold or warm)
     iterations.csv       Newton log of a penalized run, one row per accepted
                          step of each level's kept solve, with its level,
                          damping retries and the active-set size of the
@@ -102,9 +106,11 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
         if exact is not None:
             err_l2, err_vh = error_norms(problem, U_h, sol.u, exact, exact_grad)
         estimator = vh_norm(sol.eps, ops.G)
+        status = [None] * 6 if pen_config is None else [
+            sol.reason, sol.rel_residual, sol.min_t, sol.retries, sol.active, sol.start]
         records.append(AdaptRecord(
             level, mesh.n_elements, U_h.n_dofs, V_h.n_dofs, mesh.h, estimator,
-            err_l2, err_vh, lo, hi, under, over, iterations, converged,
+            err_l2, err_vh, lo, hi, under, over, iterations, converged, *status,
             h_min=float(mesh.h_elem.min()),
             efficiency=estimator / err_vh if err_vh else None,
             newton_log=[] if pen_config is None else sol.log))

@@ -275,6 +275,10 @@ class PenaltyOperator:
                               [(sign, arg[act]) for (sign, _, _), arg in zip(bounds, args)],
                               eps_q[act] + t * deps_q[act])
 
+    def active_count_on_line(self, line, t):
+        """`active_count` at the point t in (0, 1] of a `line`, from its tables."""
+        return sum(int(np.count_nonzero(~(arg + t * darg > 0.0))) for _, arg, darg in line[1])
+
     def jacobian(self, u):
         """Assembled Gateaux derivative as a sparse V_h x U_h matrix: the
         block-diagonal V_h x V_h matrix of its element blocks times E.

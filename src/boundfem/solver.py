@@ -20,7 +20,11 @@ relaxed (zeta/10) on acceptance. The iteration stops once the L2 norm of the
 trial-space update falls below the tolerance. Residual norms are Euclidean
 norms of the assembled block vector.
 
-Solves. Every saddle system is solved by a sparse LU; a relative residual
+Solves. Every saddle system is solved by a sparse LU of its matrix
+[[G, B], [B', 0]] (B the linear B or J = B + dP(u)). That matrix exists once:
+`_saddle_matrix` writes it from G's and B's arrays in the precision of its
+factor, and it is dropped after the LU. Every product with it is formed
+blockwise from G and B in double (`_saddle_apply`), and a relative residual
 above SOLVE_RTOL raises SolverBreakdown. A `LinearOperators` solves its
 linear system once (`LinearOperators.linear`), `riesz` factorizes G anew on
 each call, and no factor is kept. `newton_solve` forms its start (cold: K,
@@ -41,15 +45,18 @@ so that R(x + t dx) = r0 - t K dx - [P; dP'eps]. A trial
 (`NewtonSystem.residual_norm(line, t)`) agrees with the residual at x + t dx
 to round-off, and x + t dx is formed only once a trial is accepted.
 
-Precision. The linear P1 K is factorized in single precision (its values
-cast to float32 on K's own index arrays) and its solution refined in double
-(`_refined_solve`): x += LU^-1 (rhs - K x) while the residual norm at least
-halves, keeping the better of the last two iterates (LAPACK dsgesv's stop
-quit one step early on a case2 K, error 1.1e-11). Each step multiplies the
-error by about kappa(K) 2^-24, so once kappa(K) 2^-24 >~ 1 the residual
-stops halving and the SOLVE_RTOL check raises; there is no double fallback.
-G stays double: its float32 factor holds subnormal entries and is slower
-(case1 L3: 214 against 160 ms); for J and the p >= 2 K it is unmeasured.
+Precision. The linear P1 K is built in float32 only, bitwise the cast of
+its double values, and its solution refined in double (`_refined_solve`):
+x += LU^-1 (rhs - K x), with rhs - K x formed blockwise from the double G
+and B, while the residual norm at least halves, keeping the better of the
+last two iterates (LAPACK dsgesv's stop quit one step early on a case2 K,
+error 1.1e-11). Refinement needs the residual in double, not a double copy
+of K (Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018). Each step
+multiplies the error by about kappa(K) 2^-24, so once kappa(K) 2^-24 >~ 1
+the residual stops halving and the SOLVE_RTOL check raises; there is no
+double fallback. G stays double, although its float32 LU was faster at
+case1 L3 (39-42 against 51-55 ms, medians of 9, same fill, 2,276 subnormal
+entries); J and the p >= 2 K stay double, float32 unmeasured there.
 
 Orderings (`_factorize`), picked from the matrix by `_solve_saddle`:
 * the P1 linear K and G (any p) take the symmetric path in their own dof order
@@ -160,8 +167,32 @@ def build_operators(problem, U_h, V_h):
     return LinearOperators(U_h, V_h, G, B, L)
 
 
-def _saddle_matrix(G, B):
-    return sp.bmat([[G, B], [B.T, None]], format="csc")
+def _saddle_matrix(G, B, dtype):
+    """K = [[G, B], [B', 0]] as a CSC matrix with sorted indices and values
+    in `dtype`, written from G's and B's CSR arrays: G is symmetric
+    (`assemble_gram`), so column j < nv of K is row j of [G, B], and column
+    nv + k is column k of B."""
+    nv, nu = B.shape
+    Bc = B.tocsc()
+    top = G.nnz + B.nnz
+    indptr = np.concatenate([G.indptr + B.indptr, top + Bc.indptr[1:]])
+    indices = np.empty(top + Bc.nnz, dtype=G.indices.dtype)
+    data = np.empty(len(indices), dtype=dtype)
+    # row j of G, then row j of B, fill K's column j
+    for A, before, shift in ((G, B.indptr[:-1], 0), (B, G.indptr[1:], nv)):
+        dest = np.arange(A.nnz) + np.repeat(before, np.diff(A.indptr))
+        indices[dest] = A.indices + shift
+        data[dest] = A.data
+    indices[top:], data[top:] = Bc.indices, Bc.data
+    K = sp.csc_matrix((data, indices, indptr), shape=(nv + nu, nv + nu))
+    K.sort_indices()        # B's rows need not be sorted
+    return K
+
+
+def _saddle_apply(G, B, x):
+    """K x formed blockwise, [G e + B u; B' e] for x = [e; u]."""
+    e, u = x[:G.shape[0]], x[G.shape[0]:]
+    return np.concatenate([G @ e + B @ u, B.T @ e])
 
 
 try:    # glibc's malloc_trim(0), resolved once; a no-op where the C library has none
@@ -195,15 +226,16 @@ class ResMinSolution:
     ops: LinearOperators
 
 
-def _refined_solve(K, lu, rhs):
-    """x with K x = rhs from the single-precision factor `lu` of K, and
-    |K x - rhs|: x += lu^-1 (rhs - K x), the residual in double and scaled
-    to unit norm for the float32 solve, while its norm at least halves; the
-    iterate with the smaller residual is kept."""
+def _refined_solve(G, B, lu, rhs):
+    """x with K x = rhs from the single-precision factor `lu` of
+    K = [[G, B], [B', 0]], and |K x - rhs|: x += lu^-1 (rhs - K x), the
+    residual formed blockwise in double and scaled to unit norm for the
+    float32 solve, while its norm at least halves; the iterate with the
+    smaller residual is kept."""
     x, r, rnorm = np.zeros_like(rhs), rhs, np.linalg.norm(rhs)
     while rnorm > 0.0:
         x_new = x + rnorm * lu.solve((r / rnorm).astype(np.float32))
-        r_new = rhs - K @ x_new
+        r_new = rhs - _saddle_apply(G, B, x_new)
         new_norm = np.linalg.norm(r_new)
         if not new_norm < 0.5 * rnorm:
             return (x_new, new_norm) if new_norm < rnorm else (x, rnorm)
@@ -218,13 +250,12 @@ def _solve_saddle(ops, B, rhs):
     symmetric ordering (module docstring, "Orderings"), and it is factorized
     in single precision and refined in double ("Precision").
     """
-    K = _saddle_matrix(ops.G, B)
     if B is ops.B and ops.U_h.p == 1:
-        K32 = type(K)((K.data.astype(np.float32), K.indices, K.indptr), shape=K.shape)
-        x, rnorm = _refined_solve(K, _factorize(K32, True), rhs)
+        lu = _factorize(_saddle_matrix(ops.G, B, np.float32), True)
+        x, rnorm = _refined_solve(ops.G, B, lu, rhs)
     else:
-        x = _factorize(K, False).solve(rhs)
-        rnorm = np.linalg.norm(K @ x - rhs)
+        x = _factorize(_saddle_matrix(ops.G, B, np.float64), False).solve(rhs)
+        rnorm = np.linalg.norm(_saddle_apply(ops.G, B, x) - rhs)
     res = rnorm / max(np.linalg.norm(rhs), 1e-300)
     if not res <= SOLVE_RTOL:
         raise SolverBreakdown(
@@ -258,16 +289,27 @@ class IterationRecord:
 
 @dataclass
 class NewtonResult:
+    """A Newton solve's last iterate and how the solve ended."""
+
     u: np.ndarray
     eps: np.ndarray
     converged: bool
     reason: str
     log: list
     ops: LinearOperators
+    rel_residual: float     # |R|/|L| at the last iterate
+    retries: int            # rejected damping trials, a capped step's included
+    active: int             # `PenaltyOperator.active_count` at the last iterate
+    start: str              # "cold" (clipped linear solution) or "warm" (given)
 
     @property
     def iterations(self):
         return len(self.log)
+
+    @property
+    def min_t(self):
+        """The smallest accepted step, None if no step was taken."""
+        return min((rec.t for rec in self.log), default=None)
 
 
 class _RetryCapExceeded(RuntimeError):
@@ -374,11 +416,15 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     Inactive iterates step to the linear solution without a factorization
     (module docstring). The iteration stops once the increment's L2 norm
     falls below `tol` > 0. Returns a NewtonResult; nonconvergence is
-    reported, not raised, with the last iterate retained.
+    reported, not raised, with the last iterate retained. Its status reads
+    what the loop computed: the active count at an accepted iterate comes
+    from its step's line tables, and the last |R| is the accepted trial's or
+    the last residual's, so the last iterate costs no penalty evaluation.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ops = ops or build_operators(problem, U_h, V_h)
+    start = "cold" if initial is None else "warm"
     if initial is None:
         # start inside the feasible box: starting outside puts Newton in a
         # poor basin on coarse meshes
@@ -387,11 +433,14 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
     x = np.concatenate([ops.riesz(ops.L - ops.B @ u), u])
     system = NewtonSystem(problem, ops, pen_config)     # after the start's LUs
 
-    floor = RESIDUAL_FLOOR * max(1.0, np.linalg.norm(ops.L))
+    L_norm = np.linalg.norm(ops.L)
+    floor = RESIDUAL_FLOOR * max(1.0, L_norm)
     log = []
     zeta = 0.0
+    rejected = 0
     r = system.residual(x)
     rnorm = np.linalg.norm(r)
+    active = system.pen.active_count(u)     # reads the residual's bound arguments
     converged, reason = False, "iteration limit reached"
     for k in range(MAX_ITER):
         if rnorm <= floor:
@@ -399,23 +448,27 @@ def newton_solve(problem, U_h, V_h, pen_config, tol=1e-5, initial=None, ops=None
             break
         line, active = _newton_step(system, x, r)
         try:
-            x_new, _, t, zeta, retries = damped_update(
+            x_new, rnew, t, zeta, retries = damped_update(
                 x, line.dx, rnorm, zeta, functools.partial(system.residual_norm, line))
         except _RetryCapExceeded:
             reason = "damping retry cap exceeded"
+            rejected += MAX_RETRIES + 1
             break
+        active_new = system.pen.active_count_on_line(line.pen, t)
         del line        # its tables would outlive the next step's factorization
         du = system.split(x_new)[1] - system.split(x)[1]
         inc = float(np.sqrt(max(du @ (ops.M_u @ du), 0.0)))
         log.append(IterationRecord(k, rnorm, t, zeta, inc, retries, active))
-        x = x_new
+        rejected += retries
+        x, rnorm, active = x_new, rnew, active_new
         if inc < tol:
             converged, reason = True, "increment below tolerance"
             break
         r = system.residual(x)
         rnorm = np.linalg.norm(r)
     eps, u = system.split(x)
-    return NewtonResult(u, eps, converged, reason, log, ops)
+    return NewtonResult(u, eps, converged, reason, log, ops,
+                        rnorm / max(L_norm, 1e-300), rejected, active, start)
 
 
 def write_iteration_log(path, log, levels):

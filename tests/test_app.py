@@ -540,6 +540,19 @@ def test_study_rows_are_the_level_records(tmp_path):
     assert got == [(True, int(want["newton_iterations"])) for want in ref] == [(True, 1)] * 2
 
 
+def test_linear_levels_leave_the_newton_status_empty(tmp_path):
+    # the kept solve's status sits between newton_converged and h_min; a
+    # linear level has no Newton solve, so its cells are empty
+    run_case("smooth", out_dir=str(tmp_path))
+    with open(tmp_path / "levels.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    status = ["newton_reason", "newton_rel_residual", "newton_min_t", "newton_retries",
+              "newton_active", "newton_start"]
+    cols = list(rows[0])
+    assert cols[cols.index("newton_converged") + 1:cols.index("h_min")] == status
+    assert [rows[0][c] for c in status] == [""] * 6
+
+
 def test_penalized_study_holds_one_level_at_each_factorization(monkeypatch):
     # each uniform level's spaces, operators and solution are released
     # before the next level is built, so no level's G, B and M_u outlive it
@@ -584,7 +597,8 @@ def test_case2_penalized_run_matches_reference(case2_penalized_run):
         ref = list(csv.DictReader(fh))
     assert len(levels) == len(ref)
     exact = ("level", "n_elements", "dofs_u", "dofs_v", "newton_iterations",
-             "newton_converged")
+             "newton_converged", "newton_reason", "newton_retries", "newton_active",
+             "newton_start")
     for row, want in zip(levels, ref):
         assert row.keys() == want.keys()
         for key in want:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from boundfem.cases import get_case
@@ -12,8 +13,8 @@ from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
 from boundfem.penalty import PenaltyConfig
 from boundfem.solver import (NewtonSystem, SolverBreakdown,
-                             MAX_RETRIES, SYMMETRIC_LU, _factorize, _newton_step, _saddle_matrix,
-                             _solve_saddle, build_operators, clip_inset,
+                             MAX_RETRIES, SYMMETRIC_LU, _factorize, _newton_step, _saddle_apply,
+                             _saddle_matrix, _solve_saddle, build_operators, clip_inset,
                              damped_update, newton_solve, solve_linear_resmin,
                              write_iteration_log)
 from test_mesh import jittered
@@ -145,7 +146,7 @@ def test_newton_residual_zero_at_solution_and_jacobian_symmetric(manufactured):
     Bu = ops.B + system.pen.jacobian(res.u)
     scale = max(1.0, np.linalg.norm(ops.L))
     assert np.linalg.norm(r) <= 1e-9 * scale
-    J = _saddle_matrix(ops.G, Bu)
+    J = _saddle_matrix(ops.G, Bu, np.float64)
     assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
 
 
@@ -254,7 +255,7 @@ def test_assemble_newton_system_inactive_penalty_matches_linear(manufactured):
     u = rng.uniform(0.0, 1.0, U.n_dofs)
     system = NewtonSystem(prb, ops, PenaltyConfig())
     r = system.residual(np.concatenate([eps, u]))
-    J = _saddle_matrix(ops.G, ops.B + system.pen.jacobian(u))
+    J = _saddle_matrix(ops.G, ops.B + system.pen.jacobian(u), np.float64)
     expected_top = ops.L - ops.G @ eps - ops.B @ u
     expected_bottom = -(ops.B.T @ eps)
     np.testing.assert_allclose(r, np.concatenate([expected_top, expected_bottom]),
@@ -354,7 +355,7 @@ def test_symmetric_factorizations_use_one_column_panels(monkeypatch):
     assert len(options) == 2
     assert all(o["panel_size"] == 1 and o["relax"] == 1 for o in options)
     K_lu, G_lu = matrices
-    K = _saddle_matrix(ops.G, ops.B)
+    K = sp.bmat([[ops.G, ops.B], [ops.B.T, None]], format="csc")
     assert K_lu.shape == K.shape == (ops.V_h.n_dofs + ops.U_h.n_dofs,) * 2
     # K goes to SuperLU in single precision on its own pattern ("Precision")
     assert K_lu.dtype == np.float32
@@ -388,6 +389,68 @@ def graded_case2_mesh(bisections):
     return mesh
 
 
+def saddle_blocks(name):
+    """(G, B) of a saddle matrix: the linear K on case1 refined once or on
+    case2 bisected 20 times at the inlet, J = B + dP(u) active at case1's
+    linear solution, or the p = 2 K on case1 refined once."""
+    case = get_case("case2" if name == "case2" else "case1")
+    mesh = graded_case2_mesh(20) if name == "case2" else refine_uniform_red(case.make_mesh())
+    p = 2 if name == "p2" else 1
+    ops = build_operators(case.problem(), build_space(mesh, p, "continuous"),
+                          build_space(mesh, p, "broken"))
+    if name != "J":
+        return ops.G, ops.B
+    u = ops.linear[0][ops.V_h.n_dofs:]
+    dP = NewtonSystem(case.problem(), ops, PenaltyConfig()).pen.jacobian(u)
+    assert abs(dP).max() > 0.0
+    return ops.G, ops.B + dP
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["case1", "case2", "J", "p2"])
+def test_saddle_matrix_is_bmat_in_the_factor_dtype(name, dtype):
+    # written from G's and B's arrays, K is bitwise the assembled block matrix
+    G, B = saddle_blocks(name)
+    K = _saddle_matrix(G, B, dtype)
+    ref = sp.bmat([[G, B], [B.T, None]], format="csc").astype(dtype)
+    assert K.format == "csc" and K.dtype == dtype and K.shape == ref.shape
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    assert np.array_equal(K.data.view(np.uint8), ref.data.view(np.uint8))
+
+
+@pytest.mark.parametrize("name", ["case1", "J"])
+def test_blockwise_saddle_product_matches_the_assembled_one(name):
+    G, B = saddle_blocks(name)
+    x = np.random.default_rng(3).standard_normal(sum(B.shape))
+    Kx = _saddle_matrix(G, B, np.float64) @ x
+    np.testing.assert_allclose(_saddle_apply(G, B, x), Kx, rtol=0.0,
+                               atol=1e-13 * np.linalg.norm(Kx))
+
+
+def test_linear_p1_solve_builds_no_double_saddle_matrix(monkeypatch):
+    # the linear P1 K exists once, in float32: the builder and splu see no
+    # float64 saddle matrix; an active Newton matrix is built in float64
+    import boundfem.solver as solver
+    case = get_case("case1")
+    pr = case.problem()
+    mesh = refine_uniform_red(case.make_mesh())
+    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    built = []
+    saddle_matrix = solver._saddle_matrix
+
+    def recorded(G, B, dtype):
+        built.append(np.dtype(dtype))
+        return saddle_matrix(G, B, dtype)
+
+    monkeypatch.setattr(solver, "_saddle_matrix", recorded)
+    _, _, matrices = record_fills(monkeypatch)
+    x = ops.linear[0]
+    assert built == [np.float32] and [A.dtype for A in matrices] == [np.float32]
+    system = NewtonSystem(pr, ops, PenaltyConfig())
+    assert _newton_step(system, x, system.residual(x))[1] > 0     # J is active
+    assert built == [np.float32, np.float64]
+
+
 @pytest.mark.parametrize("name", ["case1", "case2"])
 def test_refined_linear_solve_reaches_the_double_floor(name):
     # measured: relative block residual 2.9e-16 (case1) and 1.8e-16 (case2)
@@ -398,7 +461,7 @@ def test_refined_linear_solve_reaches_the_double_floor(name):
     sol = solve_linear_resmin(get_case(name).problem(), build_space(mesh, 1, "continuous"),
                               build_space(mesh, 1, "broken"))
     assert sol.block_residual <= 1e-14
-    K = _saddle_matrix(sol.ops.G, sol.ops.B)
+    K = _saddle_matrix(sol.ops.G, sol.ops.B, np.float64)
     rhs = np.concatenate([sol.ops.L, np.zeros(len(sol.u))])
     ref = spla.splu(K.tocsc(), **SYMMETRIC_LU).solve(rhs)
     x = np.concatenate([sol.eps, sol.u])
@@ -506,7 +569,7 @@ def test_p1_symmetric_factorization_matches_spsolve(tmp_path):
         U = build_space(mesh, 1, "continuous")
         V = build_space(mesh, 1, "broken")
         sol = solve_linear_resmin(pr, U, V)
-        K = _saddle_matrix(sol.ops.G, sol.ops.B)
+        K = _saddle_matrix(sol.ops.G, sol.ops.B, np.float64)
         rhs = np.concatenate([sol.ops.L, np.zeros(U.n_dofs)])
         assert relative_gap(K, rhs, np.concatenate([sol.eps, sol.u])) <= 1e-12, name
         r = sol.ops.L - sol.ops.B @ sol.u
@@ -524,7 +587,7 @@ def test_p1_newton_jacobian_factorization_matches_spsolve(manufactured):
     x = np.concatenate([0.01 * rng.standard_normal(V.n_dofs), rng.uniform(0, 1, U.n_dofs)])
     r, Bu = assembled_residual(system, x)
     assert abs(Bu - ops.B).max() > 0.0          # the penalty is active
-    J = _saddle_matrix(ops.G, Bu)
+    J = _saddle_matrix(ops.G, Bu, np.float64)
     dx = _factorize(J, True).solve(r)
     assert relative_gap(J, r, dx) <= 1e-12
 
@@ -666,6 +729,60 @@ def test_newton_evaluates_the_bound_arguments_once_per_iterate(monkeypatch):
     # iterate, which passes the increment test, is not evaluated
     assert len(seen) == 2 * res.iterations
     assert len({u.tobytes() for u in seen}) == len(seen)
+
+
+def assert_status_of_last_iterate(pr, res, cfg):
+    # |R|/|L| and the active count agree with a fresh evaluation at the last
+    # iterate; the retries and the smallest step agree with the log
+    fresh = NewtonSystem(pr, res.ops, cfg)
+    R = fresh.residual(np.concatenate([res.eps, res.u]))
+    assert res.rel_residual == pytest.approx(
+        np.linalg.norm(R) / np.linalg.norm(res.ops.L), rel=1e-9, abs=0.0)
+    assert res.active == fresh.pen.active_count(res.u)
+    assert res.min_t == min(rec.t for rec in res.log)
+
+
+@pytest.mark.parametrize("max_iter", [None, 1])
+def test_newton_status_reads_the_loop_without_evaluating_the_last_iterate(max_iter, monkeypatch):
+    # stopped by the increment test, the last iterate is never evaluated;
+    # stopped by the iteration limit, the residual evaluated it once and its
+    # active count reads that evaluation
+    import boundfem.solver as solver
+    from boundfem.penalty import PenaltyOperator
+    case = get_case("case3")
+    mesh = case.make_mesh()
+    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    cfg = PenaltyConfig()
+    if max_iter:
+        monkeypatch.setattr(solver, "MAX_ITER", max_iter)
+    seen = []
+    values = PenaltyOperator._values
+    monkeypatch.setattr(PenaltyOperator, "_values",
+                        lambda self, u: seen.append(1) or values(self, u))
+    res = newton_solve(case.problem(), U, V, cfg, tol=case.tol)
+    assert res.reason == ("iteration limit reached" if max_iter else "increment below tolerance")
+    assert len(seen) == 2 * res.iterations + bool(max_iter)
+    monkeypatch.undo()
+    assert_status_of_last_iterate(case.problem(), res, cfg)
+    assert res.retries == sum(rec.retries for rec in res.log) >= 1
+    assert res.start == "cold"
+    warm = newton_solve(case.problem(), U, V, cfg, tol=case.tol, initial=res.u, ops=res.ops)
+    assert warm.start == "warm"
+
+
+def test_newton_status_of_a_capped_first_step(monkeypatch):
+    # the capped step's rejected trials count, no step was taken, and the
+    # status is the start's
+    case, pr, U, V = case1_level0()
+    monkeypatch.setattr(NewtonSystem, "residual_norm", lambda self, line, t: np.inf)
+    res = newton_solve(pr, U, V, PenaltyConfig(), tol=case.tol)
+    monkeypatch.undo()
+    assert res.reason == "damping retry cap exceeded" and res.iterations == 0
+    assert res.retries == MAX_RETRIES + 1 and res.min_t is None
+    fresh = NewtonSystem(pr, res.ops, PenaltyConfig())
+    R = fresh.residual(np.concatenate([res.eps, res.u]))
+    assert res.rel_residual == np.linalg.norm(R) / np.linalg.norm(res.ops.L)
+    assert res.active == fresh.pen.active_count(res.u)
 
 
 def case1_default_start():
