@@ -445,4 +445,7 @@ def read_mesh(path):
         raise ValueError(f"mesh file {path}: expected {1 + nv + ne} data lines, got {len(lines)}")
     vertices = np.array([parse(*ln, float, 2) for ln in lines[1:1 + nv]])
     elements = np.array([parse(*ln, int, 3) for ln in lines[1 + nv:]], dtype=np.int64)
-    return Mesh(vertices, elements)
+    try:
+        return Mesh(vertices, elements)
+    except ValueError as exc:
+        raise ValueError(f"mesh file {path}: {exc}") from None

@@ -22,15 +22,15 @@ norms of the assembled block vector.
 
 Solves. Every saddle system is solved by a sparse LU of its matrix
 [[G, B], [B', 0]] (B the linear B or J = B + dP(u)). That matrix exists once:
-`_saddle_matrix` writes it from G's and B's arrays in the precision of its
-factor, and it is dropped after the LU. Every product with it is formed
-blockwise from G and B in double (`_saddle_apply`), and a relative residual
-above SOLVE_RTOL raises SolverBreakdown. A `LinearOperators` solves its
-linear system once (`LinearOperators.linear`), `riesz` factorizes G anew on
-each call, and no factor is kept. `newton_solve` forms its start (cold: K,
-then G; warm: G only) before it builds the penalty tables, so neither factor
-coexists with them. Residuals take dP(u)'eps without assembling dP(u), and
-the Jacobian is assembled at most once per step.
+it is built by `sp.bmat` in the precision of its factor (`_saddle_matrix`) and
+dropped after the LU. Every product with it is formed blockwise from G and B
+in double (`_saddle_apply`), and a relative residual above SOLVE_RTOL raises
+SolverBreakdown. A `LinearOperators` solves its linear system once
+(`LinearOperators.linear`), `riesz` factorizes G anew on each call, and no
+factor is kept. `newton_solve` forms its start (cold: K, then G; warm: G only)
+before it builds the penalty tables, so neither factor coexists with them.
+Residuals take dP(u)'eps without assembling dP(u), and the Jacobian is
+assembled at most once per step.
 
 Step rule. An iterate is inactive when every bound argument is strictly
 positive at every penalty quadrature point (`PenaltyOperator.active_count`
@@ -168,29 +168,12 @@ def build_operators(problem, U_h, V_h):
 
 
 def _saddle_matrix(G, B, dtype):
-    """K = [[G, B], [B', 0]] as a CSC matrix with sorted indices and values
-    in `dtype`, written from G's and B's CSR arrays: G is symmetric
-    (`assemble_gram`), so column j < nv of K is row j of [G, B], and column
-    nv + k is column k of B."""
-    nv, nu = B.shape
-    Bc = B.tocsc()
-    top = G.nnz + B.nnz
-    indptr = np.concatenate([G.indptr + B.indptr, top + Bc.indptr[1:]])
-    indices = np.empty(top + Bc.nnz, dtype=G.indices.dtype)
-    data = np.empty(len(indices), dtype=dtype)
-    # row j of G, then row j of B, fill K's column j
-    for A, before, shift in ((G, B.indptr[:-1], 0), (B, G.indptr[1:], nv)):
-        dest = np.arange(A.nnz) + np.repeat(before, np.diff(A.indptr))
-        indices[dest] = A.indices + shift
-        data[dest] = A.data
-    indices[top:], data[top:] = Bc.indices, Bc.data
-    K = sp.csc_matrix((data, indices, indptr), shape=(nv + nu, nv + nu))
-    K.sort_indices()        # B's rows need not be sorted
-    return K
+    """K = [[G, B], [B', 0]] as a CSC matrix with values in `dtype`."""
+    return sp.bmat([[G, B], [B.T, None]], format="csc", dtype=dtype)
 
 
 def _saddle_apply(G, B, x):
-    """K x formed blockwise, [G e + B u; B' e] for x = [e; u]."""
+    """K x formed blockwise, [G e + B u; B' e] for x = [e; u], one column or several."""
     e, u = x[:G.shape[0]], x[G.shape[0]:]
     return np.concatenate([G @ e + B @ u, B.T @ e])
 
@@ -363,20 +346,18 @@ class NewtonSystem:
         return x[:self.nv], x[self.nv:]
 
     def residual(self, x):
-        """Block residual [L - G eps - B u - P(u); -(B'eps + dP(u)'eps)]."""
+        """Block residual [L - P(u); -dP(u)'eps] - K x."""
         eps, u = self.split(x)
         P, dPt_eps = self.pen.residual_and_adjoint(u, eps)
-        top = self.ops.L - self.ops.G @ eps - self.ops.B @ u - P
-        return np.concatenate([top, -(self.ops.B.T @ eps + dPt_eps)])
+        Kx = _saddle_apply(self.ops.G, self.ops.B, x)
+        return np.concatenate([self.ops.L - P, -dPt_eps]) - Kx
 
     def line(self, x, dx):
-        """The `Line` of the step (x, dx); G, B and B' take one 2-column product each."""
+        """The `Line` of the step (x, dx); K x and K dx are one 2-column product."""
         (eps, u), (d_eps, du) = self.split(x), self.split(dx)
-        E, U = np.column_stack([eps, d_eps]), np.column_stack([u, du])
-        GE, BU, BtE = self.ops.G @ E, self.ops.B @ U, self.ops.B.T @ E
-        r0 = np.concatenate([self.ops.L - GE[:, 0] - BU[:, 0], -BtE[:, 0]])
-        Kdx = np.concatenate([GE[:, 1] + BU[:, 1], BtE[:, 1]])
-        return Line(x, dx, r0, Kdx, self.pen.line(u, du, eps, d_eps))
+        KX = _saddle_apply(self.ops.G, self.ops.B, np.column_stack([x, dx]))
+        r0 = np.concatenate([self.ops.L, np.zeros(len(du))]) - KX[:, 0]
+        return Line(x, dx, r0, KX[:, 1].copy(), self.pen.line(u, du, eps, d_eps))
 
     def residual_norm(self, line, t):
         """|R(x + t dx)| for t in (0, 1] on the `Line` (x, dx), the measure of

@@ -221,6 +221,10 @@ GOOD_MESH = "# two triangles\n4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
     (GOOD_MESH.replace("0 2 3\n", "0 2\n"), 8),          # element with two vertices
     (GOOD_MESH.replace("0 1 2\n", "0 1 x\n"), 7),        # non-numeric index
     (GOOD_MESH.replace("0 2 3\n", ""), None),            # one element short
+    (GOOD_MESH.replace("0 2 3\n", "0 2 5\n"), None),     # vertex index out of range
+    (GOOD_MESH.replace("1 1\n", "2 0\n"), None),         # degenerate element
+    (GOOD_MESH.replace("4 2\n", "4 3\n") + "0 2 1\n", None),  # edge of three elements
+    ("2 0\n0 0\n1 0\n", None),                           # no elements
 ])
 def test_read_mesh_malformed_file_names_file_and_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"

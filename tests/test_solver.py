@@ -409,7 +409,7 @@ def saddle_blocks(name):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", ["case1", "case2", "J", "p2"])
 def test_saddle_matrix_is_bmat_in_the_factor_dtype(name, dtype):
-    # written from G's and B's arrays, K is bitwise the assembled block matrix
+    # built in the factor's dtype, K is bitwise the cast of the double block matrix
     G, B = saddle_blocks(name)
     K = _saddle_matrix(G, B, dtype)
     ref = sp.bmat([[G, B], [B.T, None]], format="csc").astype(dtype)
@@ -418,13 +418,17 @@ def test_saddle_matrix_is_bmat_in_the_factor_dtype(name, dtype):
     assert np.array_equal(K.data.view(np.uint8), ref.data.view(np.uint8))
 
 
-@pytest.mark.parametrize("name", ["case1", "J"])
+@pytest.mark.parametrize("name", ["case1", "case2", "J", "p2"])
 def test_blockwise_saddle_product_matches_the_assembled_one(name):
+    # a vector x, and the 2-column [x, dx] that `NewtonSystem.line` takes
     G, B = saddle_blocks(name)
-    x = np.random.default_rng(3).standard_normal(sum(B.shape))
-    Kx = _saddle_matrix(G, B, np.float64) @ x
-    np.testing.assert_allclose(_saddle_apply(G, B, x), Kx, rtol=0.0,
-                               atol=1e-13 * np.linalg.norm(Kx))
+    K = _saddle_matrix(G, B, np.float64)
+    rng = np.random.default_rng(3)
+    for shape in (sum(B.shape), (sum(B.shape), 2)):
+        x = rng.standard_normal(shape)
+        Kx = K @ x
+        np.testing.assert_allclose(_saddle_apply(G, B, x), Kx, rtol=0.0,
+                                   atol=1e-13 * np.linalg.norm(Kx))
 
 
 def test_linear_p1_solve_builds_no_double_saddle_matrix(monkeypatch):
@@ -539,6 +543,15 @@ def test_heap_release_is_glibc_malloc_trim():
     assert solver._release_heap.func.__name__ == "malloc_trim"
     assert solver._release_heap.args[0].value == 0
     assert solver._release_heap() in (0, 1)
+
+
+def test_p2_smooth_study_converges_at_higher_order():
+    # the p = 2 saddle systems take COLAMD, a path no benchmark workload runs;
+    # measured slopes against sqrt(dofs): -2.594 (L2) and -2.142 (Vh)
+    from boundfem.app import convergence_study
+    study = convergence_study("smooth", p=2, levels=4)
+    assert len(study.rows) == 4
+    assert study.slope_l2 <= -2.5 and study.slope_vh <= -2.0
 
 
 def test_p2_penalized_newton_runs_and_reports():
