@@ -5,8 +5,11 @@ The residual representative eps_h doubles as the error estimate: its dG norm
 is localized to elements through the Gram matrix's own local blocks (the
 element block, half of each adjacent interior-face block, the owned
 boundary-face blocks), so the indicator squares sum to |eps_h|^2 by
-construction. Marking is bulk-chasing (Dorfler): the smallest
-indicator-sorted prefix carrying theta_mark^2 of the total squared estimate.
+construction. The indicators read the blocks that the level's
+`assemble_gram` formed for the same problem and take them off the space
+(`forms.take_gram_blocks`), so an adaptive level forms them once. Marking
+is bulk-chasing (Dorfler): the smallest indicator-sorted prefix carrying
+theta_mark^2 of the total squared estimate.
 
 Across adaptive levels the trial solution is prolonged by nodal
 interpolation (via refinement parent elements) to warm start Newton; with
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .forms import gram_blocks
+from .forms import take_gram_blocks
 from .report import extrema, violations, write_csv
 from .solver import clip_inset, newton_solve
 
@@ -40,7 +43,7 @@ def error_indicators(problem, V_h, eps_coeffs):
     """Localize |eps_h|^2_{V_h} to elements; see the module docstring."""
     eps_coeffs = np.asarray(eps_coeffs, dtype=float)
     ind2 = np.zeros(V_h.mesh.n_elements)
-    for elems, blocks in gram_blocks(problem, V_h):
+    for elems, blocks in take_gram_blocks(problem, V_h):
         c = eps_coeffs[V_h.dofmap[elems].reshape(blocks.shape[:2])]
         q = (c[:, None, :] @ blocks @ c[:, :, None])[:, 0, 0]
         for col in elems.T:

@@ -67,11 +67,14 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
     runs Newton with increment tolerance `tol`, cold on the first level and
     on red levels, warm from the previous level on adaptive ones
     (`adapt.warm_solve`). `max_dofs` caps the V_h dofs (the level that
-    reaches it still solves); a Newton failure ends the loop after its
-    level's record. Every level builds its spaces and operators afresh and
-    releases the previous level's first, so no earlier level's operators,
-    tables or solution outlive it into the next level's LUs; only adaptive
-    Newton keeps the previous (U_h, u), for the warm start.
+    reaches it still solves). A level whose Newton solve does not converge
+    is recorded with its status; an adaptive run stops there, since marking
+    would read that level's estimator, while a uniform study goes on to the
+    next level, whose cold start reads nothing of it. Every level builds
+    its spaces and operators afresh and releases the previous level's
+    first, so no earlier level's operators, tables or solution outlive it
+    into the next level's LUs; only adaptive Newton keeps the previous
+    (U_h, u), for the warm start.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
@@ -86,8 +89,8 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
         U_h = build_space(mesh, p, "continuous")
         V_h = build_space(mesh, p, "broken")
         ops = build_operators(problem, U_h, V_h)
-        if not adaptive:
-            V_h.contexts.clear()    # unread from here on; 10 MB at case1 L3, freed before the LU peak
+        if not adaptive:    # tables and Gram blocks, unread from here on; freed before the LU peak
+            V_h.contexts.clear()
         if pen_config is None:
             sol, iterations = solve_linear_resmin(problem, U_h, V_h, ops=ops), 0
         elif prev is None:
@@ -115,7 +118,7 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
             efficiency=estimator / err_vh if err_vh else None,
             newton_log=[] if pen_config is None else sol.log))
 
-        if not converged:
+        if adaptive and not converged:
             stop_reason = f"newton failed at level {level}"
             break
         if max_dofs is not None and V_h.n_dofs >= max_dofs:

@@ -13,15 +13,23 @@ Edge dofs of a continuous space are oriented from the endpoint with the
 smaller global vertex index, so neighboring elements agree on shared dofs.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
+
+from .mesh import _freeze
 
 BROKEN = "broken"
 CONTINUOUS = "continuous"
 
 
 class ReferenceBasis:
-    """Lagrange basis of degree p on the reference triangle (monomial form)."""
+    """Lagrange basis of degree p on the reference triangle (monomial form).
+
+    Spaces share one basis per degree (`reference_basis`), and with it the
+    tables at each quadrature rule (`tabulate`).
+    """
 
     def __init__(self, p):
         if p < 1:
@@ -32,6 +40,19 @@ class ReferenceBasis:
         self.nodes = _lagrange_nodes(p)
         self.n_local = len(self.nodes)
         self.coeffs = np.linalg.inv(_monomial_derivative(self.nodes, self.exponents, 0, 0))
+        self._tables = {}
+
+    def tabulate(self, rule):
+        """`eval` at a triangle rule's points, or `edge_traces` at an edge
+        rule's, computed on the first call for the rule and read-only. Rules
+        are built once and shared, so the tables are kept per rule object;
+        evaluation at any other points goes through `eval`.
+        """
+        tables = self._tables.get(rule)
+        if tables is None:
+            fn = self.eval if rule.kind == "triangle" else self.edge_traces
+            tables = self._tables[rule] = _freeze(*fn(rule.points))
+        return tables
 
     def eval(self, points):
         """Values and reference gradients of all shape functions at `points`.
@@ -66,6 +87,12 @@ class ReferenceBasis:
             D = _monomial_derivative(points, self.exponents, da, db)
             out.append(D @ self.coeffs)
         return np.stack(out, axis=-1)
+
+
+@functools.cache
+def reference_basis(p):
+    """The one `ReferenceBasis` of degree p, shared by every space of that degree."""
+    return ReferenceBasis(p)
 
 
 def _lagrange_nodes(p):
@@ -108,7 +135,7 @@ class FunctionSpace:
         self.mesh = mesh
         self.p = int(p)
         self.continuity = continuity
-        self.basis = ReferenceBasis(p)
+        self.basis = reference_basis(self.p)
         self.n_local = self.basis.n_local
         if continuity == BROKEN:
             self.dofmap = np.arange(mesh.n_elements * self.n_local,
@@ -118,7 +145,8 @@ class FunctionSpace:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
         self._node_coords = None
-        # quadrature/geometry tables, kept by forms._contexts/_block_pattern
+        # quadrature/geometry tables, kept by forms._contexts/_block_pattern,
+        # and the Gram blocks assemble_gram leaves for the level's indicators
         self.contexts = {}
 
     def node_coords(self):

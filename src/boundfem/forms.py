@@ -32,6 +32,19 @@ contract Binv with the coefficient: v.grad phi = (Binv v).grad_ref phi for
 beta (`_beta_grad`; with sigma, `_advection_reaction`, shared with the
 penalty) and K n (`_flux_traces`).
 
+Tables and their lifetimes. Spaces of one degree share one
+`ReferenceBasis`, which tabulates its values and reference gradients, or its
+reference-edge traces, once per quadrature rule and keeps them read-only for
+the process (`ReferenceBasis.tabulate`); the element and face contexts and
+`report.extrema` read those tables, while evaluation at other points
+(prolongation, point values, VTK centroids) is not cached. Tables that
+depend on the mesh (`_contexts`, `_block_pattern`) are built once per
+broken space and kept in its `contexts`, so they die with the level's
+space. `assemble_gram` leaves its local blocks there too, for its problem,
+and the level's error indicators take them (`take_gram_blocks`), so an
+adaptive level forms its Gram blocks once; a uniform level clears
+`contexts`, blocks included, after its operators and before its LU.
+
 Kernels, shared by `penalty`, `report`, `adapt`, `fespace` and `mesh`: sums
 over quadrature points are batched matrix products a^T (w b) (a 2-D GEMM on
 a reshaped view where one factor is shared by all elements); per-element
@@ -132,7 +145,8 @@ class ElementContext:
     """Per-element quadrature table of a space (read-only, shared by every
     caller on the space; see `_contexts`): points `qp` and weights `dA`
     (ne, nq), basis values `vals` (nq, nl) and reference gradients `gref`
-    (nq, nl, 2), the mesh's `detB` and `Binv`, and the reference `mass`
+    (nq, nl, 2) of the rule (`ReferenceBasis.tabulate`, shared by every space
+    of the degree), the mesh's `detB` and `Binv`, and the reference `mass`
     (nl, nl) and `stiffness` (4, nl nl), R_ab at row 2a + b.
     """
 
@@ -143,13 +157,13 @@ class ElementContext:
         self.rule = rule
         self.qp = mesh.to_physical(rule.points)
         self.dA = rule.weights[None, :] * self.detB[:, None]
-        self.vals, self.gref = space.basis.eval(rule.points)   # (nq, nl), (nq, nl, 2)
+        self.vals, self.gref = space.basis.tabulate(rule)   # (nq, nl), (nq, nl, 2)
         nl = self.vals.shape[1]
         g = self.gref.transpose(2, 1, 0).reshape(2 * nl, -1)   # rows (a, i)
         self.mass = self.vals.T @ (rule.weights[:, None] * self.vals)
         R = ((g * rule.weights) @ g.T).reshape(2, nl, 2, nl)
         self.stiffness = R.swapaxes(1, 2).reshape(4, nl * nl)
-        _freeze(self.qp, self.dA, self.vals, self.gref, self.mass, self.stiffness)
+        _freeze(self.qp, self.dA, self.mass, self.stiffness)
 
 
 class FaceContext:
@@ -158,8 +172,9 @@ class FaceContext:
 
     `sides` holds (elements, values (nf, nq, nl), edge codes (nf,)) for
     [minus, plus], or for the boundary element. The code (local edge k, or
-    k + 3 reversed) picks a side's rows of the reference-edge tables: values
-    (see the module notes) and the gradients `gref` (6, nq, nl, 2).
+    k + 3 reversed) picks a side's rows of the reference-edge tables
+    (`ReferenceBasis.tabulate`): values (see the module notes) and the
+    gradients `gref` (6, nq, nl, 2).
     """
 
     def __init__(self, space, faces, degree):
@@ -174,11 +189,11 @@ class FaceContext:
         p0, p1 = mesh.vertices[vertices.T]
         self.qp = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
         self.w = rule.weights[None, :] * h[:, None]
-        vals, self.gref = space.basis.edge_traces(rule.points)
+        vals, self.gref = space.basis.tabulate(rule)
         _, _, _, self.Binv = mesh.affine()
         codes = [(elems, edges + 3 * reverse) for reverse, (elems, edges) in enumerate(sides)]
         self.sides = [(elems, *_freeze(vals[code], code)) for elems, code in codes]
-        _freeze(self.qp, self.w, self.gref)
+        _freeze(self.qp, self.w)
 
 
 def _beta_grad(problem, ec):
@@ -419,10 +434,19 @@ def assemble_gram(problem, V_h):
     """Assemble the Gram matrix of the dG inner product (polarized norm).
 
     The average with the transpose strips the floating-point asymmetry of
-    the local blocks.
+    the local blocks. The blocks stay in V_h.contexts, for `problem`, until
+    the level's error indicators take them (`take_gram_blocks`).
     """
-    return _block_matrix(V_h, *(blocks for _, blocks in gram_blocks(problem, V_h)),
-                         symmetrize=True)
+    groups = gram_blocks(problem, V_h)
+    V_h.contexts["gram"] = (problem, groups)
+    return _block_matrix(V_h, *(blocks for _, blocks in groups), symmetrize=True)
+
+
+def take_gram_blocks(problem, V_h):
+    """The `gram_blocks` that `assemble_gram` left on V_h if it formed them for
+    this `problem` (by identity), else fresh ones; none stay on V_h after."""
+    owner, groups = V_h.contexts.pop("gram", (None, None))
+    return groups if owner is problem else gram_blocks(problem, V_h)
 
 
 def assemble_load(problem, V_h):

@@ -52,6 +52,7 @@ can be active on the segment; a damping trial
 assembles on the elements active at t.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,10 @@ def compute_gammas(problem, mesh):
     return problem.gamma0 / denom
 
 
+@functools.cache
 def nodal_rule():
-    """Vertex (mass-lumped) rule on the reference triangle, exact for degree 1."""
+    """Vertex (mass-lumped) rule on the reference triangle, exact for degree 1;
+    built once, like the Gauss rules."""
     return QuadratureRule("triangle", 1,
                           np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                           np.full(3, 1.0 / 6.0))

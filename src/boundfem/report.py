@@ -33,7 +33,7 @@ class ViolationReport:
 
 def extrema(space, coeffs):
     """Min/max of a discrete field over element quadrature points and Lagrange nodes."""
-    vals, _ = space.basis.eval(triangle_rule(2 * space.p + 2).points)
+    vals, _ = space.basis.tabulate(triangle_rule(2 * space.p + 2))
     vals = coeffs[space.dofmap] @ vals.T
     return float(min(vals.min(), coeffs.min())), float(max(vals.max(), coeffs.max()))
 

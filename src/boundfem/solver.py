@@ -161,9 +161,9 @@ class LinearOperators:
 
 
 def build_operators(problem, U_h, V_h):
-    G = assemble_gram(problem, V_h)
     L = assemble_load(problem, V_h)
     B = (assemble_bh(problem, V_h) @ trial_to_test_embedding(U_h, V_h)).tocsr()
+    G = assemble_gram(problem, V_h)     # last: its blocks stay on V_h for the indicators
     return LinearOperators(U_h, V_h, G, B, L)
 
 

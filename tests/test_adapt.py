@@ -287,6 +287,45 @@ def test_one_adaptive_level_builds_each_context_once(monkeypatch):
     assert sum(kind == "ElementContext" for kind, *_ in built) == 2
 
 
+def count_gram_passes(monkeypatch):
+    """Record the face context of every `forms._norm_face_weight` call: each
+    `gram_blocks` pass makes one on the interior and one on the boundary faces."""
+    import boundfem.forms as forms
+    calls, kernel = [], forms._norm_face_weight
+    monkeypatch.setattr(forms, "_norm_face_weight",
+                        lambda problem, space, ctx, *args: calls.append(ctx) or
+                        kernel(problem, space, ctx, *args))
+    return calls
+
+
+def test_one_adaptive_level_forms_its_gram_blocks_once(monkeypatch):
+    # G and the indicators read one pass of the level's blocks
+    pr, _, _ = smooth_problem()
+    passes = count_gram_passes(monkeypatch)
+    adaptive_solve_loop(pr, None, build_structured_mesh(3, 3), max_levels=1)
+    assert len(passes) == 2 and passes[0] is not passes[1]
+
+
+def test_indicators_of_another_problem_form_their_own_blocks(monkeypatch):
+    # the kept blocks belong to the problem that formed them, by identity
+    pr, _, _ = smooth_problem()
+    other = ProblemSpec(beta=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+                        K=[[2e-2, 5e-3], [5e-3, 1e-2]], sigma=0.5, f=0.0, g=0.0)
+    mesh = build_structured_mesh(3, 3)
+    U = build_space(mesh, 1, "continuous")
+    V = build_space(mesh, 1, "broken")
+    sol = solve_linear_resmin(pr, U, V)
+    passes = count_gram_passes(monkeypatch)
+    ind = error_indicators(pr, V, sol.eps)
+    assert passes == []
+    got = error_indicators(other, V, sol.eps)
+    assert len(passes) == 2
+    fresh = error_indicators(other, build_space(mesh, 1, "broken"), sol.eps)
+    assert np.array_equal(got.values, fresh.values)
+    assert not np.array_equal(got.values, ind.values)
+    assert np.array_equal(error_indicators(pr, V, sol.eps).values, ind.values)
+
+
 def test_penalized_case1_study_builds_four_element_contexts_per_level(monkeypatch):
     from boundfem.app import convergence_study
     built = count_context_builds(monkeypatch)

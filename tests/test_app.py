@@ -615,3 +615,46 @@ def test_case2_penalized_iterations_count_the_kept_solve(case2_penalized_run):
     levels, iterations = case2_penalized_run
     per_level = [sum(r["level"] == row["level"] for r in iterations) for row in levels]
     assert [int(row["newton_iterations"]) for row in levels] == per_level
+
+
+def test_uniform_study_records_a_failed_newton_level_and_goes_on(monkeypatch, tmp_path):
+    # every damping trial fails, so no Newton solve converges: a uniform
+    # study still writes every level with its status, while an adaptive run,
+    # whose marking reads the failed level, stops there
+    from boundfem.solver import NewtonSystem
+    monkeypatch.setattr(NewtonSystem, "residual_norm", lambda self, line, t: np.inf)
+    study = convergence_study("case1", with_penalty=True, levels=2, out_dir=str(tmp_path))
+    with open(tmp_path / "study.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["level"].isdigit()]
+    assert [r["level"] for r in rows] == ["0", "1"]
+    assert [(r["newton_converged"], r["newton_reason"]) for r in rows] == \
+        [("0", "damping retry cap exceeded")] * 2
+    assert [r.newton_converged for r in study.rows] == [False, False]
+    result = run_case("case3", levels=3, out_dir=str(tmp_path / "case3"))
+    assert len(result.records) == 1 and not result.records[0].newton_converged
+    info = (tmp_path / "case3" / "run_info.txt").read_text().splitlines()
+    assert info[-1] == "stop_reason = newton failed at level 0"
+
+
+def test_uniform_levels_drop_tables_and_gram_blocks_before_the_lu(monkeypatch):
+    # assemble_gram leaves its blocks on V_h for the indicators; a uniform
+    # level, which forms none, clears them with its tables before its LU
+    import weakref
+    import boundfem.app as app
+    import boundfem.solver as solver
+    spaces, seen = [], []
+    build_space_, factorize = app.build_space, solver._factorize
+
+    def built(mesh, p, kind):
+        space = build_space_(mesh, p, kind)
+        spaces.append(weakref.ref(space))
+        return space
+
+    def counted(K, symmetric):
+        seen.append([sorted(ref().contexts) for ref in spaces if ref() is not None])
+        return factorize(K, symmetric)
+
+    monkeypatch.setattr(app, "build_space", built)
+    monkeypatch.setattr(solver, "_factorize", counted)
+    convergence_study("smooth", levels=2)
+    assert seen == [[[], []]] * 2

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from boundfem.fespace import (BROKEN, CONTINUOUS, DiscreteFunction,
+from boundfem.fespace import (BROKEN, CONTINUOUS, DiscreteFunction, ReferenceBasis,
                               build_space, trial_to_test_embedding)
+from boundfem.forms import FaceContext, _contexts
 from boundfem.mesh import build_structured_mesh
+from boundfem.quadrature import edge_rule, triangle_rule
 
 
 def random_reference_points(rng, n):
@@ -18,6 +20,27 @@ def test_dof_counts():
     assert build_space(two, 1, CONTINUOUS).n_dofs == 4
     eight = build_structured_mesh(2, 2)
     assert build_space(eight, 2, BROKEN).n_dofs == 48  # 8 * dim(P2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_spaces_of_one_degree_share_frozen_reference_tables(p):
+    # one tabulation per degree and rule, read by every space's contexts
+    a = build_space(build_structured_mesh(2, 2), p, BROKEN)
+    b = build_space(build_structured_mesh(3, 1), p, CONTINUOUS)
+    assert a.basis is b.basis
+    tri, edge = triangle_rule(2 * p + 2), edge_rule(2 * p + 3)
+    fresh = ReferenceBasis(p)
+    for rule, want in ((tri, fresh.eval(tri.points)), (edge, fresh.edge_traces(edge.points))):
+        tables = a.basis.tabulate(rule)
+        assert all(x is y for x, y in zip(tables, b.basis.tabulate(rule)))
+        for table, values in zip(tables, want):
+            assert np.array_equal(table, values)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]
+    ec, fi, _ = _contexts(a)
+    assert ec.vals is a.basis.tabulate(tri)[0] and ec.gref is a.basis.tabulate(tri)[1]
+    assert fi.gref is a.basis.tabulate(edge)[1]
+    assert FaceContext(b, "boundary", 2 * p + 3).gref is fi.gref
 
 
 def test_invalid_degree_and_continuity():
