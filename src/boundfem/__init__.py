@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .mesh import (Mesh, build_structured_mesh, refine_uniform_red,
                    bisect_marked, read_mesh, write_mesh)
-from .fespace import (FunctionSpace, DiscreteFunction, build_space,
-                      trial_to_test_embedding, BROKEN, CONTINUOUS)
+from .fespace import (FunctionSpace, DiscreteFunction, trial_to_test_embedding,
+                      BROKEN, CONTINUOUS)
 from .quadrature import triangle_rule, edge_rule
 from .forms import (ProblemSpec, sipg_eta, assemble_bh,
                     assemble_gram, assemble_load, vh_norm, NumericalBreakdown)

@@ -34,7 +34,7 @@ from . import __version__
 from .adapt import (AdaptRecord, AdaptResult, adaptive_solve_loop, dorfler_mark,
                     error_indicators, record_table, warm_solve, write_records_csv)
 from .cases import get_case
-from .fespace import DiscreteFunction, build_space
+from .fespace import DiscreteFunction, FunctionSpace
 from .forms import vh_norm
 from .mesh import bisect_marked, refine_uniform_red
 from .penalty import PenaltyConfig
@@ -86,8 +86,8 @@ def level_loop(problem, pen_config, mesh, mode, theta_mark, max_levels, max_dofs
     prev = None  # (U_h, u) of the previous level
     stop_reason = "max_levels reached"
     for level in range(max_levels):
-        U_h = build_space(mesh, p, "continuous")
-        V_h = build_space(mesh, p, "broken")
+        U_h = FunctionSpace(mesh, p, "continuous")
+        V_h = FunctionSpace(mesh, p, "broken")
         ops = build_operators(problem, U_h, V_h)
         if not adaptive:    # tables and Gram blocks, unread from here on; freed before the LU peak
             V_h.contexts.clear()

@@ -31,7 +31,7 @@ LAYER_EPS = 0.01
 class CaseDefinition:
     name: str
     title: str
-    make_problem: object                     # (CaseDefinition) -> ProblemSpec, unbounded
+    make_problem: object                     # () -> ProblemSpec, unbounded
     mode: str                                # "uniform" or "adaptive"
     make_mesh: object                        # () -> Mesh
     exact: object = None
@@ -49,7 +49,7 @@ class CaseDefinition:
 
     def problem(self):
         """The case's problem, with the case's bounds and gamma0 (every case)."""
-        return replace(self.make_problem(self), u_min=self.lower, u_max=self.upper,
+        return replace(self.make_problem(), u_min=self.lower, u_max=self.upper,
                        gamma0=self.gamma0)
 
     def with_overrides(self, **kw):
@@ -72,7 +72,7 @@ def _smooth_grad(x):
     ], axis=-1)
 
 
-def _smooth_problem(case):
+def _smooth_problem():
     def f(x):
         g = _smooth_grad(x)
         return (2.0 * np.pi ** 2 + 1.0) * _smooth_exact(x) + g[..., 0] + g[..., 1]
@@ -97,7 +97,7 @@ def _case1_grad(x):
     return np.stack([-d / 3.0, d], axis=-1)
 
 
-def _case1_problem(case):
+def _case1_problem():
     return ProblemSpec(beta=(3.0 / _SQ10, 1.0 / _SQ10), K=0.0, sigma=0.0, f=0.0,
                        g=_case1_exact)
 
@@ -173,7 +173,7 @@ CASES = {
     "case2": CaseDefinition(
         name="case2",
         title="rotating flow with an inlet bump (adaptive)",
-        make_problem=lambda case: _rot_problem(0.0),
+        make_problem=lambda: _rot_problem(0.0),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0)),
         exact=_rot_exact,
@@ -188,7 +188,7 @@ CASES = {
     "case3": CaseDefinition(
         name="case3",
         title="advection-dominated diffusion with a boundary layer at x=0 (adaptive)",
-        make_problem=lambda case: _rot_problem(1e-3),
+        make_problem=lambda: _rot_problem(1e-3),
         mode="adaptive",
         make_mesh=lambda: build_structured_mesh(4, 4, (0.0, 1.0, -1.0, 1.0)),
         gamma0=1e-4,

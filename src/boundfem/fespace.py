@@ -144,28 +144,9 @@ class FunctionSpace:
         else:
             self.dofmap, self.n_dofs = _continuous_dofmap(mesh, self.p)
         self.dofmap.setflags(write=False)
-        self._node_coords = None
         # quadrature/geometry tables, kept by forms._contexts/_block_pattern,
         # and the Gram blocks assemble_gram leaves for the level's indicators
         self.contexts = {}
-
-    def node_coords(self):
-        """Physical coordinates of every global dof (nodal bases only)."""
-        if self._node_coords is None:
-            coords = np.empty((self.n_dofs, 2))
-            coords[self.dofmap.ravel()] = self.mesh.to_physical(self.basis.nodes).reshape(-1, 2)
-            self._node_coords = coords
-        return self._node_coords
-
-    def interpolate(self, fn):
-        """Nodal interpolation of a scalar field, returning a coefficient array."""
-        from .fields import scalar_field
-        return scalar_field(fn)(self.node_coords())
-
-
-def build_space(mesh, p, continuity):
-    """Build a FunctionSpace; `continuity` is "broken" or "continuous"."""
-    return FunctionSpace(mesh, p, continuity)
 
 
 def _continuous_dofmap(mesh, p):

@@ -1,15 +1,17 @@
-"""Assembly of the upwind-SIPG dG bilinear form, its load, and the dG Gram matrix.
+"""Assembly of the upwind-SIPG dG form, its load, the dG Gram matrix and the mass.
 
 The bilinear form combines SIPG diffusion with upwinded advection-reaction;
 Dirichlet data enters weakly through the load. The discretization is fixed,
-not configurable: symmetric interior penalty (THETA = -1), face penalty
-eta(F) = ETA0 (p+1)(p+2) K / h_F with ETA0 = 3 and K the largest diffusion
-eigenvalue, and quadrature exact to degree 2p+2 on elements and 2p+3 on
-faces (`_contexts`). Face traces are tabulated once per reference edge and
-direction (`ReferenceBasis.edge_traces`) and gathered by each face side's
-local edge; no point is mapped back from physical coordinates. A shape
-function whose node lies off a face is exactly 0.0 on it, so face blocks keep
-no round-off couplings. The Gram matrix is the polarization of the dG norm
+because no caller ever chose another: symmetric interior penalty (THETA =
+-1), face penalty eta(F) = ETA0 (p+1)(p+2) K / h_F with ETA0 = 3 and K the
+largest diffusion eigenvalue, and quadrature exact to degree 2p+2 on
+elements and 2p+3 on faces (`_contexts`). Face traces come from the
+reference-edge tables (`ReferenceBasis.edge_traces`), where a shape function
+whose node lies off the face is exactly 0.0, so face blocks keep no
+round-off couplings. Inflow and outflow are classified pointwise at the face
+quadrature nodes (`_face_data`).
+
+The Gram matrix is the polarization of the dG norm
 
     |w|^2 = |w|^2_{L2} + 1/2 ||bn|^(1/2) w|^2_boundary
           + 1/2 sum_interior |b.n| [[w]]^2 + sum_T h_T |b.grad w|^2_T
@@ -17,20 +19,16 @@ no round-off couplings. The Gram matrix is the polarization of the dG norm
 
 so it is symmetric positive definite on every mesh. `gram_blocks` is the one
 definition of that norm: the Gram matrix scatters its local blocks and the
-error indicators take quadratic forms of them. Sign-dependent inflow terms
-are evaluated pointwise at face quadrature nodes (`_face_data` is the one
-inflow/outflow classification).
+error indicators take quadratic forms of them.
 
-Matrices are scipy CSR; rows follow the broken element-major dof order,
-loads are plain numpy arrays over the same dofs.
-
-Reference tensors. Maps are affine and K is constant, so no kernel forms a
-physical basis-gradient table. Mass blocks are det B M^ and diffusion blocks
-det B sum_ab (Binv K Binv^T)_ab R_ab, one 4-column GEMM on the tensors R_ab =
-sum_q w_q d_a phi_i d_b phi_j of the rule (`ElementContext`). Other gradients
-contract Binv with the coefficient: v.grad phi = (Binv v).grad_ref phi for
-beta (`_beta_grad`; with sigma, `_advection_reaction`, shared with the
-penalty) and K n (`_flux_traces`).
+Matrices are scipy CSR, with V_h rows in the broken element-major dof order;
+loads are numpy arrays over the same dofs. Maps are affine and K is constant, so
+blocks are det B times reference tensors of the rule (`ElementContext`) and
+no kernel forms physical basis gradients. V_h x V_h operators are summed as
+element-pair blocks straight into block-sparse data (`_block_pattern`,
+`_block_matrix`) and converted to CSR once; block-diagonal operators (the
+mass, the penalty Jacobian) gather their space through its one-hot dofmap
+matrix (`fespace.gather_matrix`). No kernel goes through einsum.
 
 Tables and their lifetimes. Spaces of one degree share one
 `ReferenceBasis`, which tabulates its values and reference gradients, or its
@@ -44,19 +42,6 @@ space. `assemble_gram` leaves its local blocks there too, for its problem,
 and the level's error indicators take them (`take_gram_blocks`), so an
 adaptive level forms its Gram blocks once; a uniform level clears
 `contexts`, blocks included, after its operators and before its LU.
-
-Kernels, shared by `penalty`, `report`, `adapt`, `fespace` and `mesh`: sums
-over quadrature points are batched matrix products a^T (w b) (a 2-D GEMM on
-a reshaped view where one factor is shared by all elements); per-element
-2x2 maps at the points are batched matmuls; dot products over a length-2
-axis are two-term broadcasts (`_dot2`); scatters into global vectors are
-`np.bincount`. No kernel goes through einsum. Matrices are summed as
-element-pair blocks, with no COO triplets: V_h x V_h operators are
-block-sparse over element adjacency (`_block_pattern`), and each group of
-local blocks is added straight into the block data (`_block_matrix`), which
-is converted to CSR once.
-Block-diagonal operators (the mass, the penalty Jacobian) gather a
-continuous space through its one-hot dofmap matrix (`fespace.gather_matrix`).
 """
 
 from dataclasses import dataclass
@@ -64,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import BROKEN, gather_matrix
+from .fespace import gather_matrix
 from .fields import scalar_field, vector_field
 from .mesh import _freeze, char_tolerance
 from .quadrature import edge_rule, triangle_rule
@@ -464,17 +449,13 @@ def assemble_load(problem, V_h):
 
 
 def assemble_mass(space):
-    """Element-wise L2 mass matrix of a space (broken or continuous).
-
-    The element blocks form a block-diagonal matrix over element-major local
-    dofs; a continuous space gathers it through its one-hot dofmap matrix S
-    as S' M S. Its degree-2p table is not kept on the space: nothing else
-    reads it.
+    """Element-wise L2 mass matrix S' M S of a space: M is the block-diagonal
+    matrix of the element blocks over element-major local dofs and S the
+    space's one-hot dofmap matrix, the identity for a broken space. Its
+    degree-2p table is not kept on the space: nothing else reads it.
     """
     ec = ElementContext(space, 2 * space.p)
     M = _block_diagonal(ec.detB[:, None, None] * ec.mass)
-    if space.continuity == BROKEN:
-        return M
     S = gather_matrix(space)
     return (S.T @ M @ S).tocsr()
 

@@ -1,55 +1,36 @@
 """Nonlinear consistent penalty for weak lower/upper bound enforcement.
 
-The penalized form augments the dG form with elementwise terms built from
+The penalized form augments the dG form, against v in V_h, with the
+elementwise terms  + gamma_T^-1 (xi_min(u), v)_T  -  gamma_T^-1 (xi_max(u), v)_T,
 
     xi_min(u) = [(u - u_min) - gamma (A u - f)]_-
     xi_max(u) = [(u_max - u) - gamma (A u - f)]_-
 
-where [x]_- = (x - |x|)/2 and A is the strong operator applied broken
-elementwise. Both terms vanish at the exact solution, so consistency is
-preserved whatever quadrature evaluates them. gamma is element-local,
+where [x]_- = (x - |x|)/2, A is the strong operator applied broken
+elementwise, and gamma_T = gamma0 / (|beta|_{inf,T}/h_T + |K|/h_T^2 +
+|sigma|_{inf,T}) is recomputed on every mesh. The bounds and gamma0 are the
+ProblemSpec's; a PenaltyConfig holds only the quadrature variant.
 
-    gamma_T = gamma0 / (|beta|_{inf,T}/h_T + |K|/h_T^2 + |sigma|_{inf,T}),
+Consistency: both arguments are >= 0 at the exact solution, so both terms
+vanish there, whatever quadrature evaluates them. The "gauss" variant
+(default) uses the interior rule of degree 2p + 6; "nodal" (p = 1) uses the
+vertex rule, because a P1 function attains its extrema at vertices, so the
+bound is enforced exactly where the discrete solution can violate it.
 
-and must be recomputed whenever the mesh changes. The bounds u_min, u_max
-and the scale gamma0 are the ProblemSpec's; a PenaltyConfig holds only the
-quadrature variant below.
+Signs: the lower term enters with +1 and the upper with -1, so each pushes
+a violating solution back inside [u_min, u_max]. Each bound's argument has
+slope +-1 in u, the sign of its term, so one sign per bound serves the
+residual and its derivative.
 
-Two quadrature variants back the elementwise pairing:
-
-* "gauss" (default): an interior Gauss rule. The enforcement acts through
-  element integrals.
-* "nodal" (p = 1): the vertex rule (mass-lumped pairing). Affine functions
-  attain extrema at vertices, so this enforces the bound exactly where the
-  discrete solution can violate it and gives the Newton iteration a crisp,
-  finite active set. Standard practice for obstacle-type terms.
-
-Signs: the lower term enters with +1 and the upper term with -1. Each
-then pushes a violating solution back inside [u_min, u_max]: an overshoot
-of u_max gives a residual that moves the equation toward smaller u. Each
-bound's argument has slope +-1 in u, the same sign as its term, so one
-sign per bound serves the residual and its derivative.
-
-Tables. A PenaltyOperator evaluates on one quadrature table and keeps only
-what its residual, adjoint and Jacobian read: A applied to every basis
-function at the points (`A_basis`, (ne, nq, nl)), f and the weights dA at
-the points (ne, nq), the reference basis values (nq, nl), gamma_T and the
-problem's bounds. The points, beta and sigma are dropped after
-construction; (beta.grad + sigma) phi comes from `forms._advection_reaction`,
-so no (ne, nq, nl, 2) physical-gradient table is built. A Newton iterate's
-residual, active count, line and Jacobian share one evaluation of its bound
-arguments.
-
-One kernel (`_assemble`) forms P(u) and dP(u)'eps from the bound arguments
-on a given set of elements: an element whose arguments are all positive
-adds exact zeros, so only the active ones are passed. At an iterate
-(`residual_and_adjoint`) these are the elements active at u. Along a Newton
-step u + t du every argument is affine in t, so `line` tabulates each
-bound's argument and slope, and eps and its slope at the points, once per
-step and on the elements active at t = 0 or t = 1 only, the only ones that
-can be active on the segment; a damping trial
-(`residual_and_adjoint_on_line`) then takes one axpy per bound there and
-assembles on the elements active at t.
+Evaluation. An element whose arguments are all positive adds exact zeros to
+P(u) and dP(u)' eps, so the one kernel (`_assemble`) runs on the other
+elements only: at an iterate (`residual`) those active at u. Along a Newton
+step u + t du every argument is affine in t, so an element positive at t = 0
+and at t = 1 is positive on the whole segment; `line` tabulates the
+arguments, their slopes and eps on the remaining elements once per step, and
+a damping trial (`residual_and_adjoint_on_line`) is one axpy per bound
+there. Both restrictions drop only exact zeros. An iterate's residual,
+active count, line and Jacobian share one evaluation of its bound arguments.
 """
 
 import functools
@@ -138,7 +119,10 @@ class PenaltyOperator:
 
     Trial coefficients live on U_h (continuous); test functions on V_h
     (broken). gamma_T is computed at construction, so a fresh operator must
-    be built after every refinement.
+    be built after every refinement. It keeps only the tables its residual,
+    line and Jacobian read: A applied to every basis function at the points
+    (`A_basis`, (ne, nq, nl)), f and the weights dA there, the reference
+    basis values, gamma_T and the bounds; no physical-gradient table is built.
     """
 
     def __init__(self, problem, U_h, V_h, config):
@@ -196,10 +180,6 @@ class PenaltyOperator:
         """
         return sum(int(np.count_nonzero(~(arg > 0.0))) for _, arg in self._terms(u))
 
-    def residual(self, u):
-        """Assembled penalty residual over V_h dofs."""
-        return self.residual_and_adjoint(u, np.zeros(self.V_h.n_dofs))[0]
-
     def _weights(self, terms, dA_g):
         """Sums over bounds of w = sign dA gamma^-1 ind and of sign * w,
         with dA_g = dA gamma^-1 on the terms' elements.
@@ -240,7 +220,7 @@ class PenaltyOperator:
         """The V_h function v at the quadrature points of `elems`."""
         return v[self.V_h.dofmap[elems]] @ self.test_vals.T
 
-    def residual_and_adjoint(self, u, eps):
+    def residual(self, u, eps):
         """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling
         dP(u), evaluated on the active elements only."""
         terms = self._terms(u)
@@ -269,7 +249,7 @@ class PenaltyOperator:
                 self._at_points(eps, elems), self._at_points(d_eps, elems))
 
     def residual_and_adjoint_on_line(self, line, t):
-        """`residual_and_adjoint` at the point t in (0, 1] of a `line`,
+        """`residual` at the point t in (0, 1] of a `line`,
         evaluated on the elements active at t."""
         elems, bounds, eps_q, deps_q = line
         args = [arg + t * darg for _, arg, darg in bounds]

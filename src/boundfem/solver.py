@@ -348,7 +348,7 @@ class NewtonSystem:
     def residual(self, x):
         """Block residual [L - P(u); -dP(u)'eps] - K x."""
         eps, u = self.split(x)
-        P, dPt_eps = self.pen.residual_and_adjoint(u, eps)
+        P, dPt_eps = self.pen.residual(u, eps)
         Kx = _saddle_apply(self.ops.G, self.ops.B, x)
         return np.concatenate([self.ops.L - P, -dPt_eps]) - Kx
 

@@ -7,7 +7,8 @@ same inputs as the library function it mirrors and reads the library's
 shared quadrature/geometry tables, so only the arithmetic differs. The
 library forms no physical basis gradients; the references form them here
 from the tables' reference gradients and inverse Jacobians
-(`element_grads`, `face_grads`).
+(`element_grads`, `face_grads`). Two test helpers close the module:
+`nodal_values`, the nodal interpolant, and `penalty_P`, P(u) alone.
 """
 
 import numpy as np
@@ -317,3 +318,16 @@ def eval_cells(space, coeffs, elems, ref_points):
     """Values (ne, nq) of the field `coeffs` on elements `elems` at shared reference points."""
     vals, _ = space.basis.eval(ref_points)
     return np.einsum("el,ql->eq", coeffs[space.dofmap[elems]], vals)
+
+
+def nodal_values(space, fn):
+    """Nodal interpolant of the scalar field `fn` on `space`: its values at
+    the physical Lagrange node of every dof."""
+    coords = np.empty((space.n_dofs, 2))
+    coords[space.dofmap.ravel()] = space.mesh.to_physical(space.basis.nodes).reshape(-1, 2)
+    return scalar_field(fn)(coords)
+
+
+def penalty_P(op, u):
+    """P(u) over V_h dofs: `PenaltyOperator.residual` at eps = 0."""
+    return op.residual(u, np.zeros(op.V_h.n_dofs))[0]

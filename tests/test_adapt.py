@@ -6,7 +6,7 @@ import pytest
 from boundfem.adapt import (ErrorIndicators, adaptive_solve_loop,
                             dorfler_mark, error_indicators, prolong,
                             write_records_csv)
-from boundfem.fespace import DiscreteFunction, build_space
+from boundfem.fespace import DiscreteFunction, FunctionSpace
 from boundfem.forms import ProblemSpec, _contexts, assemble_gram, sipg_eta, vh_norm
 from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh,
                            read_mesh, write_mesh)
@@ -27,7 +27,7 @@ def smooth_problem():
 def test_indicators_zero_for_zero_eps():
     pr, _, _ = smooth_problem()
     mesh = build_structured_mesh(2, 2)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     ind = error_indicators(pr, V, np.zeros(V.n_dofs))
     assert np.all(ind.values == 0.0)
     assert ind.values.shape == (mesh.n_elements,)
@@ -36,8 +36,8 @@ def test_indicators_zero_for_zero_eps():
 def test_indicator_sum_identity():
     pr, _, _ = smooth_problem()
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     sol = solve_linear_resmin(pr, U, V)
     ind = error_indicators(pr, V, sol.eps)
     total = vh_norm(sol.eps, sol.ops.G)
@@ -48,18 +48,18 @@ def localization_inputs(name, tmp_path):
     """(problem, V_h) for the edge inputs of the localization identity."""
     pr, _, _ = smooth_problem()
     if name == "p2":
-        return pr, build_space(build_structured_mesh(3, 3), 2, "broken")
+        return pr, FunctionSpace(build_structured_mesh(3, 3), 2, "broken")
     if name == "tensor_K":
         rot = ProblemSpec(beta=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
                           K=[[2e-2, 5e-3], [5e-3, 1e-2]], sigma=0.5, f=0.0, g=0.0)
-        return rot, build_space(build_structured_mesh(3, 3), 1, "broken")
+        return rot, FunctionSpace(build_structured_mesh(3, 3), 1, "broken")
     if name == "read_mesh":
         mesh = bisect_marked(build_structured_mesh(3, 3), [0, 4, 7])
         write_mesh(mesh, tmp_path / "mesh.txt")
-        return pr, build_space(read_mesh(tmp_path / "mesh.txt"), 1, "broken")
+        return pr, FunctionSpace(read_mesh(tmp_path / "mesh.txt"), 1, "broken")
     one = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     assert len(one.iface_h) == 0
-    return pr, build_space(one, 1, "broken")
+    return pr, FunctionSpace(one, 1, "broken")
 
 
 def reference_indicators(problem, V, eps):
@@ -99,7 +99,7 @@ def test_indicator_sum_identity_edge_inputs(name, tmp_path):
 def test_indicator_locality():
     pr, _, _ = smooth_problem()
     mesh = build_structured_mesh(3, 3)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     eps = np.zeros(V.n_dofs)
     eps[V.dofmap[7]] = 1.0
     ind = error_indicators(pr, V, eps)
@@ -190,8 +190,8 @@ def test_smooth_adaptive_run_properties(tmp_path):
 def test_marked_elements_are_refined():
     pr, _, _ = smooth_problem()
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     sol = solve_linear_resmin(pr, U, V)
     ind = error_indicators(pr, V, sol.eps)
     marks = dorfler_mark(ind, 0.5)
@@ -202,11 +202,11 @@ def test_marked_elements_are_refined():
 
 def test_prolong_is_exact_for_coarse_functions():
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
+    U = FunctionSpace(mesh, 1, "continuous")
     rng = np.random.default_rng(23)
     c = rng.standard_normal(U.n_dofs)
     fine_mesh = bisect_marked(mesh, [0, 4, 7])
-    U_fine = build_space(fine_mesh, 1, "continuous")
+    U_fine = FunctionSpace(fine_mesh, 1, "continuous")
     cf = prolong(c, U, U_fine)
     f_coarse = DiscreteFunction(U, c)
     f_fine = DiscreteFunction(U_fine, cf)
@@ -216,13 +216,13 @@ def test_prolong_is_exact_for_coarse_functions():
 
 def test_prolong_rejects_a_mesh_refined_from_another_mesh():
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
+    U = FunctionSpace(mesh, 1, "continuous")
     c = np.zeros(U.n_dofs)
     twin = build_structured_mesh(3, 3)       # equal to mesh, but not mesh
     for fine_mesh in (bisect_marked(twin, [0, 4, 7]),
                       bisect_marked(build_structured_mesh(3, 3), [0])):    # parent gone
         with pytest.raises(ValueError, match="does not descend"):
-            prolong(c, U, build_space(fine_mesh, 1, "continuous"))
+            prolong(c, U, FunctionSpace(fine_mesh, 1, "continuous"))
 
 
 def test_adaptive_loop_keeps_no_ancestor_mesh_alive():
@@ -264,8 +264,8 @@ def test_operators_and_indicators_share_contexts(monkeypatch):
     from boundfem.solver import build_operators
     pr, _, _ = smooth_problem()
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     built = count_context_builds(monkeypatch)
     ops = build_operators(pr, U, V)
     sol = solve_linear_resmin(pr, U, V, ops=ops)
@@ -312,15 +312,15 @@ def test_indicators_of_another_problem_form_their_own_blocks(monkeypatch):
     other = ProblemSpec(beta=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
                         K=[[2e-2, 5e-3], [5e-3, 1e-2]], sigma=0.5, f=0.0, g=0.0)
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     sol = solve_linear_resmin(pr, U, V)
     passes = count_gram_passes(monkeypatch)
     ind = error_indicators(pr, V, sol.eps)
     assert passes == []
     got = error_indicators(other, V, sol.eps)
     assert len(passes) == 2
-    fresh = error_indicators(other, build_space(mesh, 1, "broken"), sol.eps)
+    fresh = error_indicators(other, FunctionSpace(mesh, 1, "broken"), sol.eps)
     assert np.array_equal(got.values, fresh.values)
     assert not np.array_equal(got.values, ind.values)
     assert np.array_equal(error_indicators(pr, V, sol.eps).values, ind.values)
@@ -343,8 +343,8 @@ def levels_alive_at_each_factorization(monkeypatch, name, levels, **kw):
     import boundfem.solver as solver
     from boundfem.app import run_case
     operators, trial_spaces, alive = [], [], []
-    build_operators, build_space_, factorize = (app.build_operators, app.build_space,
-                                                solver._factorize)
+    build_operators, function_space, factorize = (app.build_operators, app.FunctionSpace,
+                                                   solver._factorize)
 
     def built_operators(*args):
         ops = build_operators(*args)
@@ -352,7 +352,7 @@ def levels_alive_at_each_factorization(monkeypatch, name, levels, **kw):
         return ops
 
     def built_space(mesh, p, kind):
-        space = build_space_(mesh, p, kind)
+        space = function_space(mesh, p, kind)
         if kind == "continuous":
             trial_spaces.append(weakref.ref(space))
         return space
@@ -363,7 +363,7 @@ def levels_alive_at_each_factorization(monkeypatch, name, levels, **kw):
         return factorize(K, symmetric)
 
     monkeypatch.setattr(app, "build_operators", built_operators)
-    monkeypatch.setattr(app, "build_space", built_space)
+    monkeypatch.setattr(app, "FunctionSpace", built_space)
     monkeypatch.setattr(solver, "_factorize", counted)
     result = run_case(name, levels=levels, **kw)
     assert len(result.records) == len(operators) == len(trial_spaces) == levels

@@ -7,10 +7,11 @@ import pytest
 from boundfem.app import convergence_study, run_case
 from boundfem.cases import CASES, get_case
 from boundfem.cli import main, read_config
-from boundfem.fespace import DiscreteFunction, build_space
+from boundfem.fespace import DiscreteFunction, FunctionSpace
 from boundfem.mesh import build_structured_mesh
 from boundfem.report import bound_violation_report, cross_section, write_csv
 from boundfem.vtkio import export_vtk
+from einsum_reference import nodal_values
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -74,13 +75,13 @@ def test_case2_inlet_profile_and_exact_solution():
 
 def test_violation_report_arithmetic():
     mesh = build_structured_mesh(2, 2)
-    U = build_space(mesh, 1, "continuous")
-    inside = DiscreteFunction(U, U.interpolate(0.5))
+    U = FunctionSpace(mesh, 1, "continuous")
+    inside = DiscreteFunction(U, nodal_values(U, 0.5))
     rep = bound_violation_report(inside, (0.0, 1.0))
     assert rep.undershoot == 0.0 and rep.overshoot == 0.0
     assert rep.total == 0.0
 
-    coeffs = U.interpolate(0.5)
+    coeffs = nodal_values(U, 0.5)
     coeffs[0] = -0.05
     dipped = DiscreteFunction(U, coeffs)
     rep = bound_violation_report(dipped, (0.0, 1.0))
@@ -94,8 +95,8 @@ def test_violation_report_arithmetic():
 
 def test_vtk_export_two_triangles(tmp_path):
     mesh = build_structured_mesh(1, 1)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     u = DiscreteFunction(U, np.ones(U.n_dofs))
     e = DiscreteFunction(V, np.random.default_rng(5).standard_normal(V.n_dofs))
     path = tmp_path / "two.vtk"
@@ -123,8 +124,8 @@ def test_vtk_export_two_triangles(tmp_path):
 
 def test_cross_section_sampling():
     mesh = build_structured_mesh(4, 4)
-    U = build_space(mesh, 1, "continuous")
-    u = DiscreteFunction(U, U.interpolate(lambda x: x[..., 0] + x[..., 1]))
+    U = FunctionSpace(mesh, 1, "continuous")
+    u = DiscreteFunction(U, nodal_values(U, lambda x: x[..., 0] + x[..., 1]))
     s, pts, vals = cross_section(u, (0.0, 0.0), (1.0, 1.0), n=101)
     assert len(s) == 101
     np.testing.assert_allclose(vals, pts[:, 0] + pts[:, 1], atol=1e-12)
@@ -175,8 +176,8 @@ def test_convergence_study_zero_data_errors_vanish():
 
     zero = CaseDefinition(
         name="zerocase", title="zero data",
-        make_problem=lambda c: ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
-                                           f=0.0, g=0.0),
+        make_problem=lambda: ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
+                                         f=0.0, g=0.0),
         mode="uniform",
         make_mesh=lambda: build_structured_mesh(2, 2),
         exact=lambda x: np.zeros(x.shape[:-1]),
@@ -643,10 +644,10 @@ def test_uniform_levels_drop_tables_and_gram_blocks_before_the_lu(monkeypatch):
     import boundfem.app as app
     import boundfem.solver as solver
     spaces, seen = [], []
-    build_space_, factorize = app.build_space, solver._factorize
+    function_space, factorize = app.FunctionSpace, solver._factorize
 
     def built(mesh, p, kind):
-        space = build_space_(mesh, p, kind)
+        space = function_space(mesh, p, kind)
         spaces.append(weakref.ref(space))
         return space
 
@@ -654,7 +655,7 @@ def test_uniform_levels_drop_tables_and_gram_blocks_before_the_lu(monkeypatch):
         seen.append([sorted(ref().contexts) for ref in spaces if ref() is not None])
         return factorize(K, symmetric)
 
-    monkeypatch.setattr(app, "build_space", built)
+    monkeypatch.setattr(app, "FunctionSpace", built)
     monkeypatch.setattr(solver, "_factorize", counted)
     convergence_study("smooth", levels=2)
     assert seen == [[[], []]] * 2

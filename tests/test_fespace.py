@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from boundfem.fespace import (BROKEN, CONTINUOUS, DiscreteFunction, ReferenceBasis,
-                              build_space, trial_to_test_embedding)
+from boundfem.fespace import (BROKEN, CONTINUOUS, DiscreteFunction, FunctionSpace,
+                              ReferenceBasis, trial_to_test_embedding)
 from boundfem.forms import FaceContext, _contexts
 from boundfem.mesh import build_structured_mesh
 from boundfem.quadrature import edge_rule, triangle_rule
+from einsum_reference import nodal_values
 
 
 def random_reference_points(rng, n):
@@ -16,17 +17,17 @@ def random_reference_points(rng, n):
 
 def test_dof_counts():
     two = build_structured_mesh(1, 1)
-    assert build_space(two, 1, BROKEN).n_dofs == 6
-    assert build_space(two, 1, CONTINUOUS).n_dofs == 4
+    assert FunctionSpace(two, 1, BROKEN).n_dofs == 6
+    assert FunctionSpace(two, 1, CONTINUOUS).n_dofs == 4
     eight = build_structured_mesh(2, 2)
-    assert build_space(eight, 2, BROKEN).n_dofs == 48  # 8 * dim(P2)
+    assert FunctionSpace(eight, 2, BROKEN).n_dofs == 48  # 8 * dim(P2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_spaces_of_one_degree_share_frozen_reference_tables(p):
     # one tabulation per degree and rule, read by every space's contexts
-    a = build_space(build_structured_mesh(2, 2), p, BROKEN)
-    b = build_space(build_structured_mesh(3, 1), p, CONTINUOUS)
+    a = FunctionSpace(build_structured_mesh(2, 2), p, BROKEN)
+    b = FunctionSpace(build_structured_mesh(3, 1), p, CONTINUOUS)
     assert a.basis is b.basis
     tri, edge = triangle_rule(2 * p + 2), edge_rule(2 * p + 3)
     fresh = ReferenceBasis(p)
@@ -46,14 +47,14 @@ def test_spaces_of_one_degree_share_frozen_reference_tables(p):
 def test_invalid_degree_and_continuity():
     mesh = build_structured_mesh(1, 1)
     with pytest.raises(ValueError):
-        build_space(mesh, 0, BROKEN)
+        FunctionSpace(mesh, 0, BROKEN)
     with pytest.raises(ValueError):
-        build_space(mesh, 1, "mixed")
+        FunctionSpace(mesh, 1, "mixed")
 
 
 def test_p1_basis_barycenter_and_lagrange():
     mesh = build_structured_mesh(1, 1)
-    basis = build_space(mesh, 1, BROKEN).basis
+    basis = FunctionSpace(mesh, 1, BROKEN).basis
     vals, _ = basis.eval(np.array([[1 / 3, 1 / 3]]))
     np.testing.assert_allclose(vals[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
     vals, _ = basis.eval(basis.nodes)
@@ -63,7 +64,7 @@ def test_p1_basis_barycenter_and_lagrange():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_partition_of_unity_and_gradient_sum(p):
     mesh = build_structured_mesh(2, 2)
-    basis = build_space(mesh, p, BROKEN).basis
+    basis = FunctionSpace(mesh, p, BROKEN).basis
     rng = np.random.default_rng(11)
     pts = random_reference_points(rng, 200)
     vals, grads = basis.eval(pts)
@@ -74,8 +75,8 @@ def test_partition_of_unity_and_gradient_sum(p):
 def test_continuous_space_single_valued_on_edges():
     mesh = build_structured_mesh(3, 3)
     for p in (1, 2):
-        U = build_space(mesh, p, CONTINUOUS)
-        V = build_space(mesh, p, BROKEN)
+        U = FunctionSpace(mesh, p, CONTINUOUS)
+        V = FunctionSpace(mesh, p, BROKEN)
         E = trial_to_test_embedding(U, V)
         rng = np.random.default_rng(5)
         c = rng.standard_normal(U.n_dofs)
@@ -103,8 +104,8 @@ def test_embedding_is_pointwise_identity():
     mesh = build_structured_mesh(2, 2)
     rng = np.random.default_rng(0)
     for p in (1, 2):
-        U = build_space(mesh, p, CONTINUOUS)
-        V = build_space(mesh, p, BROKEN)
+        U = FunctionSpace(mesh, p, CONTINUOUS)
+        V = FunctionSpace(mesh, p, BROKEN)
         E = trial_to_test_embedding(U, V)
         # constants embed to constants
         np.testing.assert_allclose(E @ np.ones(U.n_dofs), 1.0, atol=0.0)
@@ -123,21 +124,21 @@ def test_embedding_is_pointwise_identity():
 def test_embedding_rejects_mismatched_spaces():
     mesh = build_structured_mesh(2, 2)
     other = build_structured_mesh(2, 2)
-    U = build_space(mesh, 1, CONTINUOUS)
-    V = build_space(mesh, 1, BROKEN)
+    U = FunctionSpace(mesh, 1, CONTINUOUS)
+    V = FunctionSpace(mesh, 1, BROKEN)
     with pytest.raises(ValueError):
-        trial_to_test_embedding(build_space(other, 1, CONTINUOUS), V)
+        trial_to_test_embedding(FunctionSpace(other, 1, CONTINUOUS), V)
     with pytest.raises(ValueError):
-        trial_to_test_embedding(U, build_space(mesh, 2, BROKEN))
+        trial_to_test_embedding(U, FunctionSpace(mesh, 2, BROKEN))
     with pytest.raises(ValueError):
         trial_to_test_embedding(V, V)
 
 
-def test_interpolation_and_node_coords():
+def test_p2_function_reproduces_affine_nodal_data():
     mesh = build_structured_mesh(2, 3)
-    U = build_space(mesh, 2, CONTINUOUS)
+    U = FunctionSpace(mesh, 2, CONTINUOUS)
     f = lambda x: 2.0 * x[..., 0] - x[..., 1]
-    c = U.interpolate(f)
+    c = nodal_values(U, f)
     # degree-2 space reproduces affine functions exactly
     rng = np.random.default_rng(2)
     pts = rng.random((40, 2)) * [1.0, 1.0]
@@ -165,7 +166,7 @@ def dofmap_meshes():
 @pytest.mark.parametrize("name,mesh", list(dofmap_meshes()))
 def test_continuous_dofmap_matches_loop_reference(name, mesh, p):
     import loop_reference
-    space = build_space(mesh, p, CONTINUOUS)
+    space = FunctionSpace(mesh, p, CONTINUOUS)
     dofmap, n_dofs = loop_reference.continuous_dofmap(mesh, p)
     assert np.array_equal(space.dofmap, dofmap)
     assert space.n_dofs == n_dofs

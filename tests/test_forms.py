@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from boundfem.fespace import build_space, trial_to_test_embedding
+from boundfem.fespace import FunctionSpace, trial_to_test_embedding
 from boundfem.fields import scalar_field, vector_field
 from boundfem.forms import (THETA, ElementContext, FaceContext,
                             NumericalBreakdown, ProblemSpec, _beta_grad, _block_pattern,
@@ -13,10 +13,11 @@ from boundfem.mesh import (Mesh, bisect_marked, build_structured_mesh, read_mesh
                            write_mesh)
 from boundfem.quadrature import edge_rule, triangle_rule
 from test_mesh import jittered
+from einsum_reference import nodal_values
 
 
 def ones_broken(V):
-    E = trial_to_test_embedding(build_space(V.mesh, V.p, "continuous"), V)
+    E = trial_to_test_embedding(FunctionSpace(V.mesh, V.p, "continuous"), V)
     return E @ np.ones(E.shape[1])
 
 
@@ -52,7 +53,7 @@ def test_field_normalization(make, coef, expected):
 def test_bh_constant_advection_inflow_only():
     # b_h(1, 1) = -1: only the inflow boundary term survives
     mesh = build_structured_mesh(1, 1)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
     B = assemble_bh(pr, V)
     ones = ones_broken(V)
@@ -62,7 +63,7 @@ def test_bh_constant_advection_inflow_only():
 def test_bh_constant_diffusion_boundary_penalty_only():
     # all four unit-square sides have h_F = 1, so b_h(1,1) = 4 eta
     mesh = build_structured_mesh(1, 1)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=(0.0, 0.0), K=1.0, sigma=0.0, f=0.0, g=0.0)
     B = assemble_bh(pr, V)
     ones = ones_broken(V)
@@ -72,7 +73,7 @@ def test_bh_constant_diffusion_boundary_penalty_only():
 
 def test_bh_mass_term():
     mesh = build_structured_mesh(1, 1)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.0)
     B = assemble_bh(pr, V)
     ones = ones_broken(V)
@@ -81,7 +82,7 @@ def test_bh_mass_term():
 
 def test_gram_norm_of_one_and_homogeneity():
     mesh = build_structured_mesh(1, 1)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
     G = assemble_gram(pr, V)
     ones = ones_broken(V)
@@ -96,7 +97,7 @@ def test_gram_norm_of_one_and_homogeneity():
 
 def test_gram_dominates_mass_matrix():
     mesh = build_structured_mesh(3, 3)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=(1.0, 0.5), K=1e-2, sigma=0.0, f=0.0, g=0.0)
     G = assemble_gram(pr, V)
     M = assemble_mass(V)
@@ -108,7 +109,7 @@ def test_gram_dominates_mass_matrix():
 
 def test_gram_symmetric_positive_definite():
     mesh = build_structured_mesh(3, 3)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     pr = ProblemSpec(beta=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
                      K=1e-3, sigma=0.0, f=0.0, g=0.0)
     G = assemble_gram(pr, V)
@@ -125,7 +126,7 @@ def test_vh_norm_raises_on_indefinite_matrix():
 
 def test_load_examples():
     mesh = build_structured_mesh(1, 1)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     ones = ones_broken(V)
     zero = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0)
     assert np.abs(assemble_load(zero, V)).max() == 0.0
@@ -142,10 +143,10 @@ def test_consistency_with_linear_exact_solution():
     pr = ProblemSpec(beta=(1.0, 0.0), K=1.0, sigma=1.0,
                      f=lambda x: 1.0 + x[..., 0], g=gx)
     mesh = build_structured_mesh(3, 3)
-    V = build_space(mesh, 1, "broken")
-    U = build_space(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
     E = trial_to_test_embedding(U, V)
-    res = assemble_bh(pr, V) @ (E @ U.interpolate(gx)) - assemble_load(pr, V)
+    res = assemble_bh(pr, V) @ (E @ nodal_values(U, gx)) - assemble_load(pr, V)
     assert np.abs(res).max() <= 1e-11
 
 
@@ -154,8 +155,8 @@ def test_continuous_arguments_reduce_to_volume_plus_boundary():
     # value against an independent quadrature of the jump-free form
     pr = ProblemSpec(beta=(1.0, 0.5), K=0.7, sigma=0.3, f=0.0, g=0.0)
     mesh = build_structured_mesh(2, 2)
-    V = build_space(mesh, 1, "broken")
-    U = build_space(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
     E = trial_to_test_embedding(U, V)
     B = E.T @ assemble_bh(pr, V) @ E
     rng = np.random.default_rng(9)
@@ -206,7 +207,7 @@ def test_coercivity_smoke():
     # operator is positive on random nonzero functions
     pr = ProblemSpec(beta=(1.0, 1.0), K=1.0, sigma=1.0, f=0.0, g=0.0)
     mesh = build_structured_mesh(3, 3)
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     B = assemble_bh(pr, V)
     S = 0.5 * (B + B.T)
     rng = np.random.default_rng(123)
@@ -243,7 +244,7 @@ def test_context_gradients_equal_einsum_form(p):
     # beta.grad phi and K grad phi.n, contracted with Binv on the reference
     # gradients, equal the einsum forms on physical gradients gref . Binv
     mesh = jittered_mesh()
-    V = build_space(mesh, p, "broken")
+    V = FunctionSpace(mesh, p, "broken")
     _, _, _, Binv = mesh.affine()
     K = np.array([[2e-2, 5e-3], [5e-3, 1e-2]])
     pr = ProblemSpec(beta=lambda x: np.stack([1.0 + x[..., 1], 0.5 - x[..., 0]], axis=-1),
@@ -289,7 +290,7 @@ def test_face_traces_vanish_exactly_off_the_face(p, tmp_path):
     # a shape function whose node lies off a face has the trace 0.0 there,
     # not the round-off of evaluating it at points mapped back from the face
     for mesh in trace_meshes(tmp_path):
-        V = build_space(mesh, p, "broken")
+        V = FunctionSpace(mesh, p, "broken")
         for ends, nodes, _, (_, vals, _) in face_sides(V):
             tangent = ends[:, 1] - ends[:, 0]
             d = nodes - ends[:, None, 0]
@@ -306,7 +307,7 @@ def test_face_traces_match_mapped_back_points(p, tmp_path):
     # the tabulated traces and reference gradients equal the basis at the
     # face points mapped back through the inverse affine map, up to round-off
     for mesh in trace_meshes(tmp_path):
-        V = build_space(mesh, p, "broken")
+        V = FunctionSpace(mesh, p, "broken")
         for _, _, fc, (elems, vals, code) in face_sides(V):
             mapped, gref = V.basis.eval(mesh.to_reference(elems[:, None], fc.qp))
             np.testing.assert_allclose(vals, mapped, rtol=0, atol=1e-14)
@@ -324,7 +325,7 @@ def test_operator_patterns_do_not_depend_on_the_jitter(p, K):
     patterns = []
     for seed in (2, 5):
         mesh = jittered(build_structured_mesh(4, 4), seed)
-        V, U = build_space(mesh, p, "broken"), build_space(mesh, p, "continuous")
+        V, U = FunctionSpace(mesh, p, "broken"), FunctionSpace(mesh, p, "continuous")
         B = assemble_bh(pr, V) @ trial_to_test_embedding(U, V)
         patterns.append([(M.indptr, M.indices) for M in
                          (assemble_gram(pr, V).sorted_indices(), B.sorted_indices())])
@@ -338,7 +339,7 @@ def test_block_matrices_own_exactly_their_entries():
     # block pattern, where `eliminate_zeros` would leave views of the
     # zero-padded buffers (alive through the saddle LU)
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0, f=1.0, g=0.0)
-    V = build_space(build_structured_mesh(4, 4), 1, "broken")
+    V = FunctionSpace(build_structured_mesh(4, 4), 1, "broken")
     G, bh = assemble_gram(pr, V), assemble_bh(pr, V)
     pattern = len(_block_pattern(V)[1]) * V.n_local ** 2
     assert pattern / 2 < G.nnz < pattern

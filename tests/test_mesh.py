@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import loop_reference
-from boundfem.fespace import build_space
+from boundfem.fespace import FunctionSpace
 from boundfem.forms import FaceContext, ProblemSpec, _face_data
 from boundfem.mesh import (Mesh, _edge_normals, bisect_marked,
                            build_structured_mesh, read_mesh,
@@ -79,7 +79,7 @@ def test_structured_rejects_bad_input():
 
 def classify_boundary(mesh, beta):
     """(beta.n, inflow mask) at the boundary face quadrature points, as the forms use them."""
-    V = build_space(mesh, 1, "broken")
+    V = FunctionSpace(mesh, 1, "broken")
     ctx = FaceContext(V, "boundary", 3)
     problem = ProblemSpec(beta=beta, K=0.0, sigma=0.0, f=0.0, g=0.0)
     return _face_data(problem, ctx, mesh.bface_normals)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from boundfem.cases import get_case
-from boundfem.fespace import build_space
+from boundfem.fespace import FunctionSpace
 from boundfem.forms import ProblemSpec, vh_norm
 from boundfem.mesh import (bisect_marked, build_structured_mesh, read_mesh,
                            refine_uniform_red, write_mesh)
@@ -18,6 +18,7 @@ from boundfem.solver import (NewtonSystem, SolverBreakdown,
                              damped_update, newton_solve, solve_linear_resmin,
                              write_iteration_log)
 from test_mesh import jittered
+from einsum_reference import nodal_values, penalty_P
 
 
 def assembled_residual(system, x):
@@ -25,7 +26,7 @@ def assembled_residual(system, x):
     eps, u = system.split(x)
     ops = system.ops
     Bu = ops.B + system.pen.jacobian(u)
-    top = ops.L - ops.G @ eps - ops.B @ u - system.pen.residual(u)
+    top = ops.L - ops.G @ eps - ops.B @ u - penalty_P(system.pen, u)
     return np.concatenate([top, -(Bu.T @ eps)]), Bu
 
 
@@ -35,15 +36,15 @@ def manufactured():
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0,
                      f=lambda x: 1.0 + x[..., 0], g=lambda x: x[..., 0])
     mesh = build_structured_mesh(4, 4)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     return pr, U, V
 
 
 def test_linear_resmin_reproduces_linear_exact(manufactured):
     pr, U, V = manufactured
     sol = solve_linear_resmin(pr, U, V)
-    ustar = U.interpolate(lambda x: x[..., 0])
+    ustar = nodal_values(U, lambda x: x[..., 0])
     assert np.abs(sol.u - ustar).max() <= 1e-12
     assert vh_norm(sol.eps, sol.ops.G) <= 1e-10
     assert sol.block_residual <= 1e-10
@@ -52,8 +53,8 @@ def test_linear_resmin_reproduces_linear_exact(manufactured):
 def test_linear_resmin_zero_data():
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.0)
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     sol = solve_linear_resmin(pr, U, V)
     assert np.abs(sol.u).max() == 0.0
     assert np.abs(sol.eps).max() == 0.0
@@ -62,8 +63,8 @@ def test_linear_resmin_zero_data():
 def test_galerkin_orthogonality_and_riesz_identity():
     pr = ProblemSpec(beta=(1.0, 0.5), K=1e-2, sigma=0.1, f=1.0, g=0.0)
     mesh = build_structured_mesh(4, 4)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     sol = solve_linear_resmin(pr, U, V)
     scale = np.linalg.norm(sol.ops.L)
     assert np.abs(sol.ops.B.T @ sol.eps).max() <= 1e-10 * scale
@@ -77,8 +78,8 @@ def test_singular_system_reports_breakdown():
     # zeroing one trial column leaves a dof unconstrained: singular saddle
     pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=1.0, f=1.0, g=0.0)
     mesh = build_structured_mesh(2, 2)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
     B = ops.B.tolil()
     B[:, 0] = 0.0
@@ -124,7 +125,7 @@ def test_newton_trivial_bounds_single_full_step(manufactured):
     assert res.converged
     assert res.iterations == 1
     assert res.log[0].t == 1.0
-    ustar = U.interpolate(lambda x: x[..., 0])
+    ustar = nodal_values(U, lambda x: x[..., 0])
     assert np.abs(res.u - ustar).max() <= 1e-9
 
     # from the default linear-solve start it is already converged
@@ -156,8 +157,8 @@ def test_newton_monotone_accepted_residuals_and_log(tmp_path):
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-5)
     mesh = build_structured_mesh(6, 6)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
     assert res.converged
     rs = [rec.residual_norm for rec in res.log]
@@ -179,8 +180,8 @@ def test_newton_deterministic():
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-5)
     mesh = build_structured_mesh(5, 5)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     logs = []
     for _ in range(2):
         res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
@@ -196,8 +197,8 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     pr = ProblemSpec(beta=(3 / np.sqrt(10), 1 / np.sqrt(10)), K=0.0, sigma=0.0,
                      f=0.0, g=exact, u_min=0.0, u_max=1.0, gamma0=1e-5)
     mesh = build_structured_mesh(5, 5)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-14)
     assert not res.converged
     assert res.reason == "iteration limit reached"
@@ -224,7 +225,7 @@ def test_newton_history_independent_of_trial_evaluation(name, monkeypatch):
     case = get_case(name)
     pr = case.problem()
     mesh = case.make_mesh()
-    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
     cfg = PenaltyConfig(case.penalty_quadrature)
     assert cfg.quadrature == {"case1": "gauss", "case3": "nodal"}[name]
     runs = []
@@ -301,8 +302,8 @@ def test_newton_on_flat_clipped_regions_converges():
                      K=0.0, sigma=0.0, f=0.0, g=g,
                      u_min=0.0, u_max=1.0, gamma0=1e-5)
     mesh = build_structured_mesh(4, 8, (0.0, 1.0, -1.0, 1.0))
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     res = newton_solve(pr, U, V, PenaltyConfig(), tol=1e-5)
     assert res.converged
 
@@ -314,7 +315,7 @@ def test_newton_on_flat_clipped_regions_converges():
 def smooth_spaces(p, nx=4):
     case = get_case("smooth")
     mesh = build_structured_mesh(nx, nx)
-    return case.problem(), build_space(mesh, p, "continuous"), build_space(mesh, p, "broken")
+    return case.problem(), FunctionSpace(mesh, p, "continuous"), FunctionSpace(mesh, p, "broken")
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -347,8 +348,8 @@ def test_symmetric_factorizations_use_one_column_panels(monkeypatch):
     # arrays; in that order a larger relax is slow (module docstring, "Workspace")
     case = get_case("case1")
     mesh = case.make_mesh()
-    ops = build_operators(case.problem(), build_space(mesh, 1, "continuous"),
-                          build_space(mesh, 1, "broken"))
+    ops = build_operators(case.problem(), FunctionSpace(mesh, 1, "continuous"),
+                          FunctionSpace(mesh, 1, "broken"))
     _, options, matrices = record_fills(monkeypatch)
     ops.linear
     ops.riesz(ops.L)
@@ -370,7 +371,8 @@ def test_only_the_linear_saddle_factor_is_single_precision(monkeypatch):
     case = get_case("case1")
     pr = case.problem()
     mesh = refine_uniform_red(case.make_mesh())
-    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    ops = build_operators(pr, FunctionSpace(mesh, 1, "continuous"),
+                          FunctionSpace(mesh, 1, "broken"))
     system = NewtonSystem(pr, ops, PenaltyConfig())
     _, _, matrices = record_fills(monkeypatch)
     x = ops.linear[0]
@@ -396,8 +398,8 @@ def saddle_blocks(name):
     case = get_case("case2" if name == "case2" else "case1")
     mesh = graded_case2_mesh(20) if name == "case2" else refine_uniform_red(case.make_mesh())
     p = 2 if name == "p2" else 1
-    ops = build_operators(case.problem(), build_space(mesh, p, "continuous"),
-                          build_space(mesh, p, "broken"))
+    ops = build_operators(case.problem(), FunctionSpace(mesh, p, "continuous"),
+                          FunctionSpace(mesh, p, "broken"))
     if name != "J":
         return ops.G, ops.B
     u = ops.linear[0][ops.V_h.n_dofs:]
@@ -438,7 +440,8 @@ def test_linear_p1_solve_builds_no_double_saddle_matrix(monkeypatch):
     case = get_case("case1")
     pr = case.problem()
     mesh = refine_uniform_red(case.make_mesh())
-    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    ops = build_operators(pr, FunctionSpace(mesh, 1, "continuous"),
+                          FunctionSpace(mesh, 1, "broken"))
     built = []
     saddle_matrix = solver._saddle_matrix
 
@@ -462,8 +465,8 @@ def test_refined_linear_solve_reaches_the_double_floor(name):
     # float64 solution 1.9e-15 and 1.2e-15
     mesh = (refine_uniform_red(get_case(name).make_mesh()) if name == "case1"
             else graded_case2_mesh(20))
-    sol = solve_linear_resmin(get_case(name).problem(), build_space(mesh, 1, "continuous"),
-                              build_space(mesh, 1, "broken"))
+    sol = solve_linear_resmin(get_case(name).problem(), FunctionSpace(mesh, 1, "continuous"),
+                              FunctionSpace(mesh, 1, "broken"))
     assert sol.block_residual <= 1e-14
     K = _saddle_matrix(sol.ops.G, sol.ops.B, np.float64)
     rhs = np.concatenate([sol.ops.L, np.zeros(len(sol.u))])
@@ -495,8 +498,8 @@ def test_higher_degree_saddle_keeps_colamd_without_diffusion(p, max_fill, monkey
     fills, _, _ = record_fills(monkeypatch)
     case = get_case("case1")
     mesh = case.make_mesh()
-    sol = solve_linear_resmin(case.problem(), build_space(mesh, p, "continuous"),
-                              build_space(mesh, p, "broken"))
+    sol = solve_linear_resmin(case.problem(), FunctionSpace(mesh, p, "continuous"),
+                              FunctionSpace(mesh, p, "broken"))
     assert sol.block_residual <= 1e-10
     assert len(fills) == 1 and fills[0] <= max_fill
 
@@ -508,7 +511,8 @@ def test_active_newton_matrix_takes_colamd(monkeypatch):
     case = get_case("case1")
     pr = case.problem()
     mesh = refine_uniform_red(case.make_mesh())
-    ops = build_operators(pr, build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken"))
+    ops = build_operators(pr, FunctionSpace(mesh, 1, "continuous"),
+                          FunctionSpace(mesh, 1, "broken"))
     system = NewtonSystem(pr, ops, PenaltyConfig())
     x = ops.linear[0]
     fills, options, _ = record_fills(monkeypatch)
@@ -579,8 +583,8 @@ def relative_gap(K, b, x):
 def test_p1_symmetric_factorization_matches_spsolve(tmp_path):
     pr = get_case("smooth").problem()
     for name, mesh in p1_linear_inputs(tmp_path):
-        U = build_space(mesh, 1, "continuous")
-        V = build_space(mesh, 1, "broken")
+        U = FunctionSpace(mesh, 1, "continuous")
+        V = FunctionSpace(mesh, 1, "broken")
         sol = solve_linear_resmin(pr, U, V)
         K = _saddle_matrix(sol.ops.G, sol.ops.B, np.float64)
         rhs = np.concatenate([sol.ops.L, np.zeros(U.n_dofs)])
@@ -641,8 +645,8 @@ def penalized_system(p, quadrature, bounds, signs, seed):
     pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
                      u_min=bounds[0], u_max=bounds[1], gamma0=1e-3)
     mesh = jittered(build_structured_mesh(4, 4), 2)
-    U = build_space(mesh, p, "continuous")
-    V = build_space(mesh, p, "broken")
+    U = FunctionSpace(mesh, p, "continuous")
+    V = FunctionSpace(mesh, p, "broken")
     cfg = PenaltyConfig(quadrature=quadrature)
     system = NewtonSystem(pr, build_operators(pr, U, V), cfg)
     assert ([sign for sign, _ in system.pen._terms(np.zeros(U.n_dofs))]
@@ -706,7 +710,8 @@ def count_calls(monkeypatch, calls):
 def case1_level0():
     case = get_case("case1")
     mesh = case.make_mesh()
-    return case, case.problem(), build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    return (case, case.problem(), FunctionSpace(mesh, 1, "continuous"),
+            FunctionSpace(mesh, 1, "broken"))
 
 
 def test_trial_points_assemble_no_jacobian(monkeypatch):
@@ -731,7 +736,7 @@ def test_newton_evaluates_the_bound_arguments_once_per_iterate(monkeypatch):
     from boundfem.penalty import PenaltyOperator
     case = get_case("case3")
     mesh = case.make_mesh()
-    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
     seen = []
     values = PenaltyOperator._values
     monkeypatch.setattr(PenaltyOperator, "_values",
@@ -742,6 +747,26 @@ def test_newton_evaluates_the_bound_arguments_once_per_iterate(monkeypatch):
     # iterate, which passes the increment test, is not evaluated
     assert len(seen) == 2 * res.iterations
     assert len({u.tobytes() for u in seen}) == len(seen)
+
+
+def test_newton_evaluates_its_iterates_through_the_penalty_residual(monkeypatch):
+    # P(u) and dP(u)'eps of every iterate come from PenaltyOperator.residual,
+    # the one iterate entry point, with u on U_h and eps on V_h
+    from boundfem.penalty import PenaltyOperator
+    case = get_case("case1")
+    mesh = case.make_mesh()
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
+    shapes = []
+    residual = PenaltyOperator.residual
+
+    def counted(self, u, eps):
+        shapes.append((len(u), len(eps)))
+        return residual(self, u, eps)
+
+    monkeypatch.setattr(PenaltyOperator, "residual", counted)
+    res =newton_solve(case.problem(), U, V, PenaltyConfig(), tol=case.tol)
+    assert res.iterations >= 1 and len(shapes) >= 1
+    assert set(shapes) == {(U.n_dofs, V.n_dofs)}
 
 
 def assert_status_of_last_iterate(pr, res, cfg):
@@ -764,7 +789,7 @@ def test_newton_status_reads_the_loop_without_evaluating_the_last_iterate(max_it
     from boundfem.penalty import PenaltyOperator
     case = get_case("case3")
     mesh = case.make_mesh()
-    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
     cfg = PenaltyConfig()
     if max_iter:
         monkeypatch.setattr(solver, "MAX_ITER", max_iter)
@@ -831,13 +856,13 @@ def inactive_inputs(tmp_path):
     prb = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
                       u_min=-5.0, u_max=5.0, gamma0=1e-4)
     for name, mesh in p1_linear_inputs(tmp_path):
-        yield perturbed(name, prb, build_space(mesh, 1, "continuous"),
-                        build_space(mesh, 1, "broken"))
+        yield perturbed(name, prb, FunctionSpace(mesh, 1, "continuous"),
+                        FunctionSpace(mesh, 1, "broken"))
     one_sided = ProblemSpec(beta=sm.beta, K=sm.K, sigma=sm.sigma, f=sm.f, g=sm.g,
                             u_min=-5.0, gamma0=1e-4)
     mesh = jittered(build_structured_mesh(4, 4), 2)
-    yield perturbed("p2_lower_only", one_sided, build_space(mesh, 2, "continuous"),
-                    build_space(mesh, 2, "broken"))
+    yield perturbed("p2_lower_only", one_sided, FunctionSpace(mesh, 2, "continuous"),
+                    FunctionSpace(mesh, 2, "broken"))
 
 
 def test_inactive_step_equals_factorized_step(tmp_path, monkeypatch):
@@ -876,8 +901,8 @@ def test_kink_and_active_iterates_factorize(monkeypatch):
     pr = ProblemSpec(beta=(0.0, 0.0), K=0.0, sigma=1.0, f=0.0, g=0.5,
                      u_min=0.0, u_max=10.0, gamma0=1e-3)
     mesh = build_structured_mesh(3, 3)
-    U = build_space(mesh, 1, "continuous")
-    V = build_space(mesh, 1, "broken")
+    U = FunctionSpace(mesh, 1, "continuous")
+    V = FunctionSpace(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
     system = NewtonSystem(pr, ops, PenaltyConfig(quadrature="nodal"))
     corner = np.flatnonzero(np.bincount(U.dofmap.ravel()) == 1)[0]
@@ -963,10 +988,10 @@ def test_warm_start_steps_equal_factorized_steps(monkeypatch):
     pr = case.problem()
     cfg = PenaltyConfig()
     mesh0 = case.make_mesh()
-    U0 = build_space(mesh0, 1, "continuous")
-    res0 = newton_solve(pr, U0, build_space(mesh0, 1, "broken"), cfg, tol=case.tol)
+    U0 = FunctionSpace(mesh0, 1, "continuous")
+    res0 = newton_solve(pr, U0, FunctionSpace(mesh0, 1, "broken"), cfg, tol=case.tol)
     mesh = refine_uniform_red(mesh0)
-    U, V = build_space(mesh, 1, "continuous"), build_space(mesh, 1, "broken")
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
     ops = build_operators(pr, U, V)
     u0 = clip_inset(prolong(res0.u, U0, U), pr.u_min, pr.u_max)
     newton_step = solver._newton_step
