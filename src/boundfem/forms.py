@@ -44,6 +44,7 @@ adaptive level forms its Gram blocks once; a uniform level clears
 `contexts`, blocks included, after its operators and before its LU.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,14 @@ class ElementContext:
         R = ((g * rule.weights) @ g.T).reshape(2, nl, 2, nl)
         self.stiffness = R.swapaxes(1, 2).reshape(4, nl * nl)
         _freeze(self.qp, self.dA, self.mass, self.stiffness)
+
+    def restrict(self, elems):
+        """This table on the elements `elems` (a slice) only, its
+        per-element arrays views of this one's."""
+        block = copy.copy(self)
+        block.qp, block.dA = self.qp[elems], self.dA[elems]
+        block.detB, block.Binv = self.detB[elems], self.Binv[elems]
+        return block
 
 
 class FaceContext:

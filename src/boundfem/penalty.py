@@ -31,6 +31,18 @@ arguments, their slopes and eps on the remaining elements once per step, and
 a damping trial (`residual_and_adjoint_on_line`) is one axpy per bound
 there. Both restrictions drop only exact zeros. An iterate's residual,
 active count, line and Jacobian share one evaluation of its bound arguments.
+
+Blocks. Every per-point pass, the table build included, runs over blocks of
+BLOCK consecutive elements (of the mesh, or of the elements a call keeps),
+so its temporaries span one block, not the mesh. Unblocked, a damping trial
+at case1 L3 gathered A-basis rows (n, 25, 3) for all its n ~ 9,000 active
+elements, and the trials set the run's peak RSS. Only what is kept spans the
+mesh: the tables, the bound arguments, the line tables, and per-element
+local vectors, which one `np.bincount` per result scatters in element order.
+Blocking changes neither which elements are kept (the restrictions above
+still drop only exact zeros) nor any bit of a result: BLOCK is a power of
+two, so a BLAS product over a block tiles each row as the product over all
+rows would (a block of 5 rows changed last bits).
 """
 
 import functools
@@ -43,6 +55,7 @@ from .fespace import gather_matrix
 from .forms import ElementContext, _advection_reaction, _block_diagonal, _reference_K
 
 QUADRATURES = ("gauss", "nodal")
+BLOCK = 2048        # elements per block of the per-point passes, a power of two ("Blocks")
 
 
 def negative_part(x):
@@ -123,6 +136,8 @@ class PenaltyOperator:
     line and Jacobian read: A applied to every basis function at the points
     (`A_basis`, (ne, nq, nl)), f and the weights dA there, the reference
     basis values, gamma_T and the bounds; no physical-gradient table is built.
+    Its residual, line, trials and Jacobian evaluate those tables block by
+    block (module docstring, "Blocks").
     """
 
     def __init__(self, problem, U_h, V_h, config):
@@ -140,19 +155,25 @@ class PenaltyOperator:
             ec = ElementContext(U_h, 1, rule=nodal_rule())
         else:
             ec = ElementContext(U_h, 2 * U_h.p + 6)   # not kept: nothing else reads it
-        self.A_basis, self.fvals = _strong_tables(problem, U_h, ec)
         self.test_vals = ec.vals          # same reference basis for U_h and V_h
         self.dA = ec.dA
+        self.A_basis = np.empty(ec.dA.shape + ec.vals.shape[1:])
+        self.fvals = np.empty_like(ec.dA)
+        for b in _blocks(len(ec.dA)):
+            self.A_basis[b], self.fvals[b] = _strong_tables(problem, U_h, ec.restrict(b))
         self.inv_gamma = 1.0 / self.gammas
         self._last = None               # (u, terms) of the last `_terms` call
 
     def _values(self, u):
-        """u and A u at the quadrature points, (ne, nq) each."""
-        c = np.asarray(u, dtype=float)[self.U_h.dofmap]
-        return c @ self.test_vals.T, (self.A_basis @ c[:, :, None])[..., 0]
+        """u and A u at the quadrature points, one (b, uvals, Au) per element
+        block `b` (a slice), (len(b), nq) each, computed as it is read."""
+        u = np.asarray(u, dtype=float)
+        for b in _blocks(len(self.fvals)):
+            c = u[self.U_h.dofmap[b]]
+            yield b, c @ self.test_vals.T, (self.A_basis[b] @ c[:, :, None])[..., 0]
 
     def _terms(self, u):
-        """Per-bound pairs (sign, arg) at the quadrature points.
+        """Per-bound pairs (sign, arg) at the quadrature points, (ne, nq) each.
 
         The residual contributes sign * gamma^-1 * [arg]_- against v, and
         d(arg)[z] = sign * z - gamma * A z. The last u's terms are kept for
@@ -161,14 +182,12 @@ class PenaltyOperator:
         u = np.asarray(u, dtype=float)
         if self._last is not None and np.array_equal(self._last[0], u):
             return self._last[1]
-        uvals, Au = self._values(u)
-        s = Au - self.fvals                                          # A u - f
-        g = self.gammas[:, None]
-        terms = []
-        if self.lower is not None:
-            terms.append((+1.0, (uvals - self.lower) - g * s))
-        if self.upper is not None:
-            terms.append((-1.0, (self.upper - uvals) - g * s))
+        terms = [(sign, np.empty_like(self.fvals)) for sign, bound
+                 in ((+1.0, self.lower), (-1.0, self.upper)) if bound is not None]
+        for b, uvals, Au in self._values(u):
+            gs = self.gammas[b, None] * (Au - self.fvals[b])        # gamma (A u - f)
+            for sign, arg in terms:
+                arg[b] = ((uvals - self.lower) if sign > 0 else (self.upper - uvals)) - gs
         self._last = (u.copy(), terms)
         return terms
 
@@ -194,39 +213,50 @@ class PenaltyOperator:
             w_coef += sign * w
         return w_sum, w_coef
 
-    def _assemble(self, elems, terms, eps_q):
-        """P(u) over V_h dofs and dP(u)' eps over U_h dofs from the bound
-        arguments `terms` and eps at the points `eps_q`, both given on the
-        elements `elems` only; every other element must be inactive, and
-        adds exact zeros to both.
+    def _assemble(self, elems, inputs):
+        """P(u) over V_h dofs and dP(u)' eps over U_h dofs on the elements
+        `elems`, in increasing order; every other element must be inactive,
+        and adds exact zeros to both. `inputs(s)` gives the bound arguments
+        and eps at the points of the block elems[s].
 
-        Per element, dP(u)' eps = sum_q eps(q) (w_coef phi - w_sum gamma A phi)
-        with `_weights`' sums, the transpose of `jacobian`'s blocks.
+        Per element, P is sum_q xi(q) dA gamma^-1 phi, and dP(u)' eps is
+        sum_q eps(q) (w_coef phi - w_sum gamma A phi) with `_weights`' sums,
+        the transpose of `jacobian`'s blocks. Each block writes its local
+        vectors into one array over `elems`, and one `np.bincount` each
+        scatters them, so every dof sum runs in element order.
         """
-        dA_g = self.dA[elems] * self.inv_gamma[elems, None]
-        xi = sum(sign * negative_part(arg) for sign, arg in terms)
-        local = (dA_g * xi) @ self.test_vals
-        P = np.bincount(self.V_h.dofmap[elems].ravel(), local.ravel(),
+        nl = self.test_vals.shape[1]
+        P_loc, adj_loc = np.empty((len(elems), nl)), np.empty((len(elems), nl))
+        for s in _blocks(len(elems)):
+            e = elems[s]
+            terms, eps_q = inputs(s)
+            dA_g = self.dA[e] * self.inv_gamma[e, None]
+            xi = sum(sign * negative_part(arg) for sign, arg in terms)
+            P_loc[s] = (dA_g * xi) @ self.test_vals
+            w_sum, w_coef = self._weights(terms, dA_g)
+            adj_loc[s] = (w_coef * eps_q) @ self.test_vals
+            adj_loc[s] -= self.gammas[e, None] * (
+                (w_sum * eps_q)[:, None, :] @ self.A_basis[e])[:, 0]
+        P = np.bincount(self.V_h.dofmap[elems].ravel(), P_loc.ravel(),
                         minlength=self.V_h.n_dofs)
-        w_sum, w_coef = self._weights(terms, dA_g)
-        local = (w_coef * eps_q) @ self.test_vals
-        local -= self.gammas[elems, None] * (
-            (w_sum * eps_q)[:, None, :] @ self.A_basis[elems])[:, 0]
-        adjoint = np.bincount(self.U_h.dofmap[elems].ravel(), local.ravel(),
+        adjoint = np.bincount(self.U_h.dofmap[elems].ravel(), adj_loc.ravel(),
                               minlength=self.U_h.n_dofs)
         return P, adjoint
 
     def _at_points(self, v, elems):
         """The V_h function v at the quadrature points of `elems`."""
-        return v[self.V_h.dofmap[elems]] @ self.test_vals.T
+        out = np.empty((len(elems), len(self.test_vals)))
+        for s in _blocks(len(elems)):
+            out[s] = v[self.V_h.dofmap[elems[s]]] @ self.test_vals.T
+        return out
 
     def residual(self, u, eps):
         """P(u) over V_h dofs and dP(u)' eps over U_h dofs, without assembling
         dP(u), evaluated on the active elements only."""
         terms = self._terms(u)
-        elems = _active_elements(arg for _, arg in terms)
-        return self._assemble(elems, [(sign, arg[elems]) for sign, arg in terms],
-                              self._at_points(eps, elems))
+        elems = _active_elements(len(self.fvals), lambda s: [arg[s] for _, arg in terms])
+        return self._assemble(elems, lambda s: ([(sign, arg[elems[s]]) for sign, arg in terms],
+                                                self._at_points(eps, elems[s])))
 
     def line(self, u, du, eps, d_eps):
         """Tables of P and dP(.)' eps along (u + t du, eps + t d_eps), t in [0, 1].
@@ -239,28 +269,34 @@ class PenaltyOperator:
         d_eps at their points.
         """
         terms = self._terms(u)
-        duvals, dAu = self._values(du)
-        g = self.gammas[:, None]
-        slopes = [sign * duvals - g * dAu for sign, _ in terms]
-        elems = _active_elements([arg for _, arg in terms]
-                                 + [arg + darg for (_, arg), darg in zip(terms, slopes)])
+        elems, slopes = [], []
+        for b, duvals, dAu in self._values(du):
+            g = self.gammas[b, None]
+            dargs = [sign * duvals - g * dAu for sign, _ in terms]
+            args = [arg[b] for _, arg in terms]
+            act = _active_rows(args + [arg + darg for arg, darg in zip(args, dargs)])
+            elems.append(b.start + act)
+            slopes.append([darg[act] for darg in dargs])
+        elems = np.concatenate(elems)
         return (elems,
-                [(sign, arg[elems], darg[elems]) for (sign, arg), darg in zip(terms, slopes)],
+                [(sign, arg[elems], np.concatenate(darg))
+                 for (sign, arg), darg in zip(terms, zip(*slopes))],
                 self._at_points(eps, elems), self._at_points(d_eps, elems))
 
     def residual_and_adjoint_on_line(self, line, t):
         """`residual` at the point t in (0, 1] of a `line`,
         evaluated on the elements active at t."""
         elems, bounds, eps_q, deps_q = line
-        args = [arg + t * darg for _, arg, darg in bounds]
-        act = _active_elements(args)
-        return self._assemble(elems[act],
-                              [(sign, arg[act]) for (sign, _, _), arg in zip(bounds, args)],
-                              eps_q[act] + t * deps_q[act])
+        act = _active_elements(len(elems), lambda s: [
+            arg[s] + t * darg[s] for _, arg, darg in bounds])
+        return self._assemble(elems[act], lambda s: (
+            [(sign, arg[act[s]] + t * darg[act[s]]) for sign, arg, darg in bounds],
+            eps_q[act[s]] + t * deps_q[act[s]]))
 
     def active_count_on_line(self, line, t):
         """`active_count` at the point t in (0, 1] of a `line`, from its tables."""
-        return sum(int(np.count_nonzero(~(arg + t * darg > 0.0))) for _, arg, darg in line[1])
+        return sum(int(np.count_nonzero(~(arg[s] + t * darg[s] > 0.0)))
+                   for s in _blocks(len(line[0])) for _, arg, darg in line[1])
 
     def jacobian(self, u):
         """Assembled Gateaux derivative as a sparse V_h x U_h matrix: the
@@ -269,15 +305,33 @@ class PenaltyOperator:
         The kink subgradient uses sgn(0) = 0, i.e. indicator 1/2 exactly at
         the kink.
         """
-        w_sum, w_coef = self._weights(self._terms(u), self.dA * self.inv_gamma[:, None])
+        terms = self._terms(u)
         phi = self.test_vals
-        blocks = phi.T @ (w_coef[:, :, None] * phi)
-        blocks -= self.gammas[:, None, None] * (phi.T @ (w_sum[:, :, None] * self.A_basis))
+        nl = phi.shape[1]
+        blocks = np.empty((len(self.fvals), nl, nl))
+        for b in _blocks(len(self.fvals)):
+            w_sum, w_coef = self._weights([(sign, arg[b]) for sign, arg in terms],
+                                          self.dA[b] * self.inv_gamma[b, None])
+            blocks[b] = phi.T @ (w_coef[:, :, None] * phi)
+            blocks[b] -= self.gammas[b, None, None] * (
+                phi.T @ (w_sum[:, :, None] * self.A_basis[b]))
         return _block_diagonal(blocks) @ gather_matrix(self.U_h)
 
 
-def _active_elements(args):
-    """Indices of the elements with some argument <= 0 (or NaN) among the
-    (ne, nq) arrays `args`."""
+def _blocks(n):
+    """Slices of BLOCK consecutive positions from 0 that cover range(n), at
+    least one; indexing clips the last to n."""
+    return [slice(i, i + BLOCK) for i in range(0, max(n, 1), BLOCK)]
+
+
+def _active_rows(args):
+    """Indices of the rows with some argument <= 0 (or NaN) among the
+    (n, nq) arrays `args`."""
     positive = np.logical_and.reduce([arg > 0.0 for arg in args])
     return np.flatnonzero(~positive.all(axis=1))
+
+
+def _active_elements(n, args):
+    """`_active_rows` among n elements, block by block: `args(s)` gives
+    the arguments on the block slice s."""
+    return np.concatenate([s.start + _active_rows(args(s)) for s in _blocks(n)])

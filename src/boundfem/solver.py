@@ -43,7 +43,10 @@ Damping trials. Each Newton step (x, dx) builds one `Line`: r0 = [L; 0] - K x,
 K dx, and the penalty's tables along the segment (`PenaltyOperator.line`),
 so that R(x + t dx) = r0 - t K dx - [P; dP'eps]. A trial
 (`NewtonSystem.residual_norm(line, t)`) agrees with the residual at x + t dx
-to round-off, and x + t dx is formed only once a trial is accepted.
+to round-off, and x + t dx is formed only once a trial is accepted. The
+penalty evaluates the line and each trial in fixed element blocks, so a
+trial's temporaries span one block, not its active elements (`penalty`
+module docstring, "Blocks"): the K LU, not the trials, sets case1's peak RSS.
 
 Precision. The linear P1 K is built in float32 only, bitwise the cast of
 its double values, and its solution refined in double (`_refined_solve`):
@@ -54,9 +57,10 @@ error 1.1e-11). Refinement needs the residual in double, not a double copy
 of K (Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018). Each step
 multiplies the error by about kappa(K) 2^-24, so once kappa(K) 2^-24 >~ 1
 the residual stops halving and the SOLVE_RTOL check raises; there is no
-double fallback. G stays double, although its float32 LU was faster at
-case1 L3 (39-42 against 51-55 ms, medians of 9, same fill, 2,276 subnormal
-entries); J and the p >= 2 K stay double, float32 unmeasured there.
+double fallback. G stays double: its float32 LU is slower at case1 L3
+(144 against 107 ms, medians of 7 alternating pairs, fill 2.48 M either way,
+2,276 subnormal entries in the float32 factors); J and the p >= 2 K stay
+double, float32 unmeasured there.
 
 Orderings (`_factorize`), picked from the matrix by `_solve_saddle`:
 * the P1 linear K and G (any p) take the symmetric path in their own dof order

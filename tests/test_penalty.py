@@ -9,6 +9,7 @@ from boundfem.penalty import (PenaltyConfig, PenaltyOperator, _strong_tables,
                               compute_gammas, negative_part)
 from boundfem.quadrature import QuadratureRule
 from einsum_reference import nodal_values, penalty_P
+from test_mesh import jittered
 
 
 @pytest.fixture
@@ -258,3 +259,82 @@ def test_second_order_term_for_p2():
     B, b0, _, _ = mesh.affine()
     x = b0[:, 0] + B[:, 0, :] @ np.array([0.25, 0.25])
     np.testing.assert_allclose(got, -2.0 * 0.5 + 2.0 * x, rtol=1e-12)
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def penalty_evaluations(pr, U, V, cfg, states):
+    """Everything the penalty's block passes return: its tables and, at
+    `states`, lists of (u, eps, du, d_eps), the residual, the line's tables,
+    trial residuals and active counts on the line, and the Jacobian's CSR
+    arrays."""
+    op = PenaltyOperator(pr, U, V, cfg)
+    out = [op.A_basis, op.fvals, op.dA]
+    for u, eps, du, d_eps in states:
+        out += op.residual(u, eps)
+        line = op.line(u, du, eps, d_eps)
+        elems, bounds, eps_q, deps_q = line
+        out += [elems, eps_q, deps_q] + [a for _, arg, darg in bounds for a in (arg, darg)]
+        for t in (1.0, 0.5, 1e-3):
+            out += op.residual_and_adjoint_on_line(line, t)
+            out.append(op.active_count_on_line(line, t))
+        J = op.jacobian(u)
+        out += [J.indptr, J.indices, J.data]
+    return out
+
+
+@pytest.mark.parametrize("p,quadrature", [(1, "gauss"), (1, "nodal"), (2, "gauss")])
+@pytest.mark.parametrize("bounds", [(0.2, 0.8), (0.2, None)])
+def test_block_kernels_are_bitwise_those_of_one_block(p, quadrature, bounds, monkeypatch):
+    # blocks of a few elements give the results of a single block bit for
+    # bit, with the active sets spread over many blocks. Like BLOCK, the
+    # sizes are multiples of 16, so that a BLAS product tiles every row of
+    # a block as it would tile it in one product over all rows
+    mesh = jittered(build_structured_mesh(8, 8), 1)
+    U, V = FunctionSpace(mesh, p, "continuous"), FunctionSpace(mesh, p, "broken")
+    pr = ProblemSpec(beta=(1.0, 0.4), K=1e-2, sigma=0.5, f=1.0, g=0.0,
+                     u_min=bounds[0], u_max=bounds[1], gamma0=1e-3)
+    cfg = PenaltyConfig(quadrature=quadrature)
+    rng = np.random.default_rng(7)
+    x = nodal_values(U, lambda x: 1.5 * x[..., 0] - 0.2)      # active on part of the mesh
+    states = [(x + 0.05 * rng.standard_normal(U.n_dofs), rng.standard_normal(V.n_dofs),
+               0.3 * rng.standard_normal(U.n_dofs), rng.standard_normal(V.n_dofs))
+              for _ in range(2)]
+    monkeypatch.setattr(penalty, "BLOCK", mesh.n_elements)
+    ref = penalty_evaluations(pr, U, V, cfg, states)
+    assert ref[-1].any()                                        # the Jacobian is not zero
+    for block in (16, 32, 48):
+        monkeypatch.setattr(penalty, "BLOCK", block)
+        got = penalty_evaluations(pr, U, V, cfg, states)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert_bitwise(a, b)
+
+
+def test_trial_memory_is_set_by_the_block_not_the_mesh():
+    # every element is active along the line, so one trial's per-point
+    # temporaries would span all 15,488 elements if the kernel were not
+    # blocked (the A-basis gather alone would take 9.3 MB)
+    import tracemalloc
+    mesh = build_structured_mesh(88, 88)
+    U, V = FunctionSpace(mesh, 1, "continuous"), FunctionSpace(mesh, 1, "broken")
+    pr = ProblemSpec(beta=(1.0, 0.0), K=0.0, sigma=0.0, f=0.0, g=0.0,
+                     u_min=0.0, u_max=1.0, gamma0=1e-3)
+    op = PenaltyOperator(pr, U, V, PenaltyConfig())
+    ne, nq, _ = op.A_basis.shape
+    assert ne >= 15000 and ne > 4 * penalty.BLOCK
+    rng = np.random.default_rng(0)
+    line = op.line(np.full(U.n_dofs, -1.0), 0.1 * rng.random(U.n_dofs),
+                   rng.standard_normal(V.n_dofs), rng.standard_normal(V.n_dofs))
+    assert op.active_count_on_line(line, 0.5) == ne * nq
+    tracemalloc.start()
+    try:
+        op.residual_and_adjoint_on_line(line, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 16 arrays of one block's (BLOCK, nq) floats, 6.6 MB here
+    assert peak <= 20 * penalty.BLOCK * nq * 8
